@@ -29,7 +29,7 @@ from .runner import (
 )
 from .selection import chi2_scores
 from .svm import labels_to_signs
-from .vectorize import build_vocabulary, fit_tfidf, transform, write_vocabulary_tsv
+from .vectorize import apply_tfidf, build_vocabulary, fit_tfidf, write_vocabulary_tsv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,12 +144,10 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     fitted = load_model(args.model)
     corpus = load_corpus(args.input, args.split)
-    resources = _resources(args)
-    labels = fitted.predict(corpus, resources)
-    values = fitted.decision_values(corpus, resources)
+    values = fitted.decision_values(corpus, _resources(args))
     out = args.out_dir / "predictions.tsv"
     with open(out, "w", encoding="utf-8") as fh:
-        for doc, label, value in zip(corpus, labels, values):
+        for doc, label, value in zip(corpus, fitted.labels(values), values):
             fh.write(f"{doc.id}\t{label.value}\t{float(value)!r}\n")
     print(f"wrote {out} ({len(corpus)} predictions)")
     return 0
@@ -190,20 +188,19 @@ def _cmd_experiment(args) -> int:
         return 2
     train = load_corpus(args.train, "train")
     test = load_corpus(args.test, "test")
-    resources = _resources(args)
-    configs = _configs(args)
-    rows = run_grid(train, test, configs, resources)
+    save = None
+    if args.save_models:
+        models_dir = args.out_dir / "models"
+        models_dir.mkdir(parents=True, exist_ok=True)
+
+        def save(row, fitted):
+            save_model(models_dir / f"row-{row.sn:02d}.ufnd", fitted)
+
+    rows = run_grid(train, test, _configs(args), _resources(args), on_fitted=save)
     tsv_path = args.out_dir / "results.tsv"
     md_path = args.out_dir / "results.md"
     tsv_path.write_text(render_results_tsv(rows), encoding="utf-8")
     md_path.write_text(render_results_md(rows), encoding="utf-8")
-    if args.save_models:
-        models_dir = args.out_dir / "models"
-        models_dir.mkdir(parents=True, exist_ok=True)
-        for row, config in zip(rows, configs):
-            if row.ok:
-                save_model(models_dir / f"row-{row.sn:02d}.ufnd",
-                           fit_pipeline(train, config, resources))
     print(render_results_md(rows))
     failures = [r for r in rows if not r.ok]
     print(f"wrote {tsv_path} and {md_path} ({len(rows)} rows, {len(failures)} failed)")
@@ -216,7 +213,7 @@ def _cmd_inspect(args) -> int:
     docs = preprocess_corpus(corpus, config.preprocess, _resources(args))
     spec = config.ngram_spec()
     vocab = build_vocabulary(docs, spec)
-    X = transform(docs, fit_tfidf(docs, vocab), spec)
+    X = apply_tfidf(vocab.counts, fit_tfidf(docs, vocab))
     scores = chi2_scores(X, labels_to_signs([d.label for d in corpus]))
     order = np.argsort(-scores, kind="stable")[: args.top]
     terms = vocab.terms_by_index()

@@ -364,10 +364,14 @@ def _targets_01(y) -> np.ndarray:
     return arr.astype(np.float64)
 
 
+def probs_to_labels(probs, threshold: float = 0.5) -> list[Label]:
+    """Fake when the probability is >= threshold."""
+    return [Label.FAKE if p >= threshold else Label.REAL for p in np.asarray(probs)]
+
+
 def predict_cnn(model: CnnModel, X: np.ndarray, threshold: float = 0.5) -> list[Label]:
     """Fake when the probability is >= threshold."""
-    probs = forward(model, np.asarray(X, dtype=np.int64))
-    return [Label.FAKE if p >= threshold else Label.REAL for p in probs]
+    return probs_to_labels(forward(model, np.asarray(X, dtype=np.int64)), threshold)
 
 
 @dataclass(frozen=True)

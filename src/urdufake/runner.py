@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .cnn import (
     TrainConfig,
     encode,
     init_cnn,
-    predict_cnn,
+    probs_to_labels,
     train_cnn,
     forward as cnn_forward,
 )
@@ -37,10 +38,19 @@ from .svm import (
     SvmModel,
     decision_function,
     labels_to_signs,
-    predict_svm,
+    signs_to_labels,
     train_svm,
 )
-from .vectorize import NgramSpec, TfIdfModel, Vocabulary, build_vocabulary, fit_tfidf, transform
+from .vectorize import (
+    NgramSpec,
+    TfIdfModel,
+    VectorizeError,
+    Vocabulary,
+    apply_tfidf,
+    build_vocabulary,
+    count_terms,
+    fit_tfidf,
+)
 
 
 class ConfigError(ValueError):
@@ -230,58 +240,125 @@ class FittedPipeline:
             return self.mask.n_kept
         return len(self.encoder.term_to_id)
 
-    def _docs(self, corpus: Corpus, resources: Resources) -> list[PreprocessedDoc]:
-        return preprocess_corpus(corpus, self.config.preprocess, resources)
-
     def decision_values(self, corpus: Corpus, resources: Resources) -> np.ndarray:
         """Signed margin for SVM; Fake probability for CNN."""
-        docs = self._docs(corpus, resources)
+        return self.values_of(preprocess_corpus(corpus, self.config.preprocess, resources))
+
+    def values_of(self, docs: list[PreprocessedDoc]) -> np.ndarray:
+        """decision_values of already preprocessed docs."""
         if self.kind == "svm":
-            X = apply_mask(transform(docs, self.tfidf, self.config.ngram_spec()), self.mask)
-            return decision_function(self.svm, X)
+            return self.margins(count_terms(docs, self.vocabulary, self.config.ngram_spec()))
         return cnn_forward(self.cnn, encode(docs, self.encoder))
 
-    def predict(self, corpus: Corpus, resources: Resources) -> list[Label]:
-        docs = self._docs(corpus, resources)
+    def margins(self, counts: sparse.csr_matrix) -> np.ndarray:
+        """SVM decision values of raw term counts over the vocabulary."""
+        return decision_function(self.svm, apply_mask(apply_tfidf(counts, self.tfidf), self.mask))
+
+    def labels(self, values: np.ndarray) -> list[Label]:
+        """Fake when the SVM margin is >= 0 or the CNN probability >= 0.5."""
         if self.kind == "svm":
-            X = apply_mask(transform(docs, self.tfidf, self.config.ngram_spec()), self.mask)
-            return predict_svm(self.svm, X)
-        return predict_cnn(self.cnn, encode(docs, self.encoder))
+            return signs_to_labels(values)
+        return probs_to_labels(values)
+
+    def predict(self, corpus: Corpus, resources: Resources) -> list[Label]:
+        return self.labels(self.decision_values(corpus, resources))
 
 
-def fit_pipeline(train: Corpus, config: ExperimentConfig, resources: Resources) -> FittedPipeline:
-    """Fit every stage on the training corpus only."""
+def _stage(name, fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as exc:
-            raise PipelineError(name, exc) from exc
 
-    docs = stage("preprocess", preprocess_corpus, train, config.preprocess, resources)
-    gold = [d.label for d in train]
+class _SharedWork:
+    """What the grid rows with one PreprocessConfig compute once.
+
+    Each split is preprocessed once. The SVM rows share one vocabulary of
+    the union of their n-gram specs, with the raw term counts of both
+    splits, and the chi-squared scores of each distinct spec; each row
+    restricts the union to its own spec (Vocabulary.restrict), which gives
+    the bytes fitting the row on its own would. Everything is computed on
+    first use, so it is charged to the first row that needs it.
+    """
+
+    def __init__(self, train: Corpus, test: Corpus | None, configs: list[ExperimentConfig],
+                 resources: Resources):
+        self.splits = {"train": train, "test": test}
+        self.preprocess = configs[0].preprocess
+        self.resources = resources
+        self.configs = configs
+        self._docs: dict[str, list[PreprocessedDoc]] = {}
+        self._vocabulary: Vocabulary | None = None
+        self._test_counts: sparse.csr_matrix | None = None
+        self._chi2: dict[NgramSpec, np.ndarray] = {}
+
+    def docs(self, split: str) -> list[PreprocessedDoc]:
+        if split not in self._docs:
+            self._docs[split] = preprocess_corpus(self.splits[split], self.preprocess,
+                                                  self.resources)
+        return self._docs[split]
+
+    @property
+    def spec(self) -> NgramSpec:
+        """The union of the SVM rows' specs; a row whose own spec is invalid
+        fails on it before it gets here."""
+        specs = []
+        for config in self.configs:
+            if config.classifier == "svm":
+                try:
+                    specs.append(config.ngram_spec())
+                except VectorizeError:
+                    pass
+        return NgramSpec.union(specs)
+
+    def vocabulary(self) -> Vocabulary:
+        if self._vocabulary is None:
+            self._vocabulary = build_vocabulary(self.docs("train"), self.spec)
+        return self._vocabulary
+
+    def test_counts(self) -> sparse.csr_matrix:
+        if self._test_counts is None:
+            self._test_counts = count_terms(self.docs("test"), self.vocabulary(), self.spec)
+        return self._test_counts
+
+    def chi2_scores(self, spec: NgramSpec, X: sparse.csr_matrix, y: np.ndarray) -> np.ndarray:
+        """Scores of the spec's training matrix X; equal specs give equal X."""
+        if spec not in self._chi2:
+            self._chi2[spec] = chi2_scores(X, y)
+        return self._chi2[spec]
+
+
+def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, np.ndarray | None]:
+    """Fit one row from the shared work; for an SVM also the row's columns
+    in the shared vocabulary."""
+    docs = _stage("preprocess", work.docs, "train")
+    gold = [d.label for d in work.splits["train"]]
     if config.classifier == "svm":
         spec = config.ngram_spec()
-        vocab = stage("build_vocabulary", build_vocabulary, docs, spec)
-        tfidf = stage("fit_tfidf", fit_tfidf, docs, vocab)
-        X = stage("transform", transform, docs, tfidf, spec)
+        union = _stage("build_vocabulary", work.vocabulary)
+        vocab, cols = _stage("build_vocabulary", union.restrict, spec)
+        tfidf = _stage("fit_tfidf", fit_tfidf, docs, vocab)
+        X = _stage("transform", apply_tfidf, vocab.counts, tfidf)
         y_signs = labels_to_signs(gold)
-        scores = stage("chi2_scores", chi2_scores, X, y_signs)
-        mask = stage("select_k_best", select_k_best, scores, config.k_best)
-        X_sel = stage("apply_mask", apply_mask, X, mask)
+        scores = _stage("chi2_scores", work.chi2_scores, spec, X, y_signs)
+        mask = _stage("select_k_best", select_k_best, scores, config.k_best)
+        X_sel = _stage("apply_mask", apply_mask, X, mask)
         gamma = config.svm_gamma if config.svm_gamma is not None else 1.0 / max(1, mask.n_kept)
         params = KernelParams(degree=config.svm_degree, gamma=gamma, coef0=config.svm_coef0)
-        model = stage(
+        model = _stage(
             "train_svm", train_svm, X_sel, y_signs,
             params=params, C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes,
         )
+        vocab = replace(vocab, counts=None)
+        tfidf = replace(tfidf, vocabulary=vocab)
         return FittedPipeline(config=config, kind="svm", vocabulary=vocab,
-                              tfidf=tfidf, mask=mask, svm=model)
+                              tfidf=tfidf, mask=mask, svm=model), cols
 
-    encoder = stage("fit_encoder", SequenceEncoder.fit, docs,
-                    unit=config.cnn_unit, max_len=config.cnn_max_len)
-    X_ids = stage("encode", encode, docs, encoder)
-    cnn = stage(
+    encoder = _stage("fit_encoder", SequenceEncoder.fit, docs,
+                     unit=config.cnn_unit, max_len=config.cnn_max_len)
+    X_ids = _stage("encode", encode, docs, encoder)
+    cnn = _stage(
         "init_cnn", init_cnn, encoder.vocab_size, encoder.max_len,
         config.cnn_channels, config.seed,
     )
@@ -292,9 +369,14 @@ def fit_pipeline(train: Corpus, config: ExperimentConfig, resources: Resources) 
         seed=config.seed,
         embedding_dropout=config.cnn_embedding_dropout,
     )
-    cnn, history = stage("train_cnn", train_cnn, cnn, X_ids, gold, train_cfg)
+    cnn, history = _stage("train_cnn", train_cnn, cnn, X_ids, gold, train_cfg)
     return FittedPipeline(config=config, kind="cnn", encoder=encoder, cnn=cnn,
-                          history=history)
+                          history=history), None
+
+
+def fit_pipeline(train: Corpus, config: ExperimentConfig, resources: Resources) -> FittedPipeline:
+    """Fit every stage on the training corpus only."""
+    return _fit(_SharedWork(train, None, [config], resources), config)[0]
 
 
 @dataclass(frozen=True)
@@ -315,14 +397,17 @@ class ResultRow:
         return self.error is None
 
 
-def run_config(
-    train: Corpus, test: Corpus, config: ExperimentConfig, resources: Resources, sn: int = 1
-) -> ResultRow:
+def _run_row(work: _SharedWork, config: ExperimentConfig, sn: int
+             ) -> tuple[ResultRow, FittedPipeline]:
     """Fit on train, predict on test, evaluate with Fake as positive class."""
     start = time.perf_counter()
-    fitted = fit_pipeline(train, config, resources)
-    predictions = fitted.predict(test, resources)
-    report = summarize(confusion([d.label for d in test], predictions))
+    fitted, cols = _fit(work, config)
+    if fitted.kind == "svm":
+        values = fitted.margins(work.test_counts()[:, cols])
+    else:
+        values = fitted.values_of(work.docs("test"))
+    test = work.splits["test"]
+    report = summarize(confusion([d.label for d in test], fitted.labels(values)))
     elapsed = time.perf_counter() - start
     return ResultRow(
         sn=sn,
@@ -335,27 +420,58 @@ def run_config(
         k_selected=fitted.selected_features,
         report=report,
         seconds=elapsed,
-    )
+    ), fitted
+
+
+def run_config(
+    train: Corpus, test: Corpus, config: ExperimentConfig, resources: Resources, sn: int = 1
+) -> ResultRow:
+    """Fit on train, predict on test, evaluate with Fake as positive class."""
+    return _run_row(_SharedWork(train, test, [config], resources), config, sn)[0]
 
 
 def run_grid(
-    train: Corpus, test: Corpus, configs: list[ExperimentConfig], resources: Resources
+    train: Corpus,
+    test: Corpus,
+    configs: list[ExperimentConfig],
+    resources: Resources,
+    on_fitted: Callable[[ResultRow, FittedPipeline], None] | None = None,
 ) -> list[ResultRow]:
-    """Run every config in order; a failing row is recorded, the grid continues."""
+    """Run every config in order; a failing row is recorded, the grid continues.
+
+    Rows that preprocess alike share their preprocessing and, for SVM rows,
+    their n-gram counts and chi-squared scores (see _SharedWork); each row's
+    results are those of run_config on it alone. on_fitted gets each ok
+    row's fitted pipeline as soon as the row is done, so a caller can keep
+    it without the grid holding every row's model.
+    """
     if not configs:
         raise ConfigError("experiment grid is empty")
+    groups: dict[PreprocessConfig, list[ExperimentConfig]] = {}
+    for config in configs:
+        groups.setdefault(config.preprocess, []).append(config)
+    last_row = {config.preprocess: sn for sn, config in enumerate(configs, start=1)}
+    shared: dict[PreprocessConfig, _SharedWork] = {}
     rows: list[ResultRow] = []
     for sn, config in enumerate(configs, start=1):
+        key = config.preprocess
+        if key not in shared:
+            shared[key] = _SharedWork(train, test, groups[key], resources)
+        work = shared[key]
+        fitted = None
         try:
-            rows.append(run_config(train, test, config, resources, sn=sn))
+            row, fitted = _run_row(work, config, sn)
         except Exception as exc:
-            rows.append(
-                ResultRow(
-                    sn=sn, name=config.name, digest=config.digest(),
-                    block="", k_best=config.k_best, v_total=0, k_selected=0,
-                    report=None, seconds=0.0, error=str(exc),
-                )
+            row = ResultRow(
+                sn=sn, name=config.name, digest=config.digest(),
+                block="", k_best=config.k_best, v_total=0, k_selected=0,
+                report=None, seconds=0.0, error=str(exc),
             )
+        rows.append(row)
+        if last_row[key] == sn:
+            del shared[key]
+        if fitted is not None and on_fitted is not None:
+            on_fitted(row, fitted)
     return rows
 
 

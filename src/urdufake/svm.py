@@ -87,12 +87,6 @@ def _gram(X: sparse.csr_matrix, params: KernelParams) -> np.ndarray:
     return (params.gamma * G + params.coef0) ** params.degree
 
 
-def dual_objective(gram: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
-    """W(alpha) = sum(alpha) - 1/2 sum_ij alpha_i alpha_j y_i y_j K_ij."""
-    ay = alpha * y
-    return float(alpha.sum() - 0.5 * ay @ gram @ ay)
-
-
 def train_svm(
     X: sparse.spmatrix,
     y,
