@@ -25,16 +25,14 @@ from .preprocess import (
 )
 from .vectorize import (
     NgramSpec,
-    TfIdfModel,
     Vocabulary,
     build_vocabulary,
     char_ngrams,
-    fit_tfidf,
     transform,
     word_ngrams,
 )
 from .selection import SelectionMask, apply_mask, chi2_scores, select_k_best
-from .svm import KernelParams, SvmModel, decision_function, kernel, predict_svm, train_svm
+from .svm import KernelParams, SvmModel, decision_function, train_svm
 from .cnn import (
     CnnModel,
     SequenceEncoder,
@@ -43,7 +41,6 @@ from .cnn import (
     forward,
     grad_check,
     init_cnn,
-    predict_cnn,
     train_cnn,
 )
 from .metrics import ConfusionMatrix, EvalReport, class_metrics, confusion, summarize

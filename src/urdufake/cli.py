@@ -14,11 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Label, SplitExpectation, load_corpus, validate_split
+from .corpus import CorpusError, Label, SplitExpectation, load_corpus, validate_split
 from .metrics import confusion, format4, report_tsv_row, summarize
-from .preprocess import Resources, preprocess_corpus
+from .persistence import ModelFormatError
+from .preprocess import ResourceError, Resources, preprocess_corpus
 from .runner import (
+    ConfigError,
     ExperimentConfig,
+    PipelineError,
     fit_pipeline,
     load_model,
     parse_config_file,
@@ -27,9 +30,20 @@ from .runner import (
     run_grid,
     save_model,
 )
-from .selection import chi2_scores
+from .selection import SelectionError, chi2_scores
 from .svm import labels_to_signs
-from .vectorize import apply_tfidf, build_vocabulary, fit_tfidf, write_vocabulary_tsv
+from .vectorize import VectorizeError, apply_tfidf, build_vocabulary, write_vocabulary_tsv
+
+#: What the package raises for a bad corpus, config, model or resource file,
+#: a missing file, or a stage that fails on its input: main reports these as
+#: one line and exit code 2, as argparse does.
+_INPUT_ERRORS = (CorpusError, ConfigError, ModelFormatError, ResourceError, PipelineError,
+                 VectorizeError, SelectionError, OSError)
+
+
+def _error(message: str) -> int:
+    print(f"urdufake: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,13 +178,14 @@ def _cmd_evaluate(args) -> int:
                 continue
             fields = line.split("\t")
             if len(fields) < 2:
-                print(f"{args.pred.name}:{lineno}: expected at least 2 columns", file=sys.stderr)
-                return 2
-            pred[fields[0]] = Label.parse(fields[1])
+                return _error(f"{args.pred.name}:{lineno}: expected at least 2 columns")
+            try:
+                pred[fields[0]] = Label.parse(fields[1])
+            except ValueError as exc:
+                return _error(f"{args.pred.name}:{lineno}: {exc}")
     missing = sorted(set(gold) - set(pred))
     if missing:
-        print(f"missing predictions for {len(missing)} ids (first: {missing[0]})", file=sys.stderr)
-        return 2
+        return _error(f"missing predictions for {len(missing)} ids (first: {missing[0]})")
     ordered_ids = [d.id for d in gold_corpus]
     report = summarize(confusion([gold[i] for i in ordered_ids], [pred[i] for i in ordered_ids]))
     for key, value in report.as_dict().items():
@@ -184,8 +199,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if not args.config:
-        print("experiment requires --config", file=sys.stderr)
-        return 2
+        return _error("experiment requires --config")
     train = load_corpus(args.train, "train")
     test = load_corpus(args.test, "test")
     save = None
@@ -213,7 +227,7 @@ def _cmd_inspect(args) -> int:
     docs = preprocess_corpus(corpus, config.preprocess, _resources(args))
     spec = config.ngram_spec()
     vocab = build_vocabulary(docs, spec)
-    X = apply_tfidf(vocab.counts, fit_tfidf(docs, vocab))
+    X = apply_tfidf(vocab.counts, vocab)
     scores = chi2_scores(X, labels_to_signs([d.label for d in corpus]))
     order = np.argsort(-scores, kind="stable")[: args.top]
     terms = vocab.terms_by_index()
@@ -238,8 +252,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[args.command](args)
+    try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](args)
+    except _INPUT_ERRORS as exc:
+        return _error(str(exc))
 
 
 if __name__ == "__main__":

@@ -32,6 +32,15 @@ class TrainingDiverged(RuntimeError):
 WORD_MAX_LEN_CAP = 2000
 CHAR_MAX_LEN_CAP = 8000
 
+EMBED_DIM = 100
+N_FILTERS = 32
+HIDDEN_UNITS = 10
+
+# Adam moment decay rates and denominator epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class SequenceEncoder:
@@ -129,15 +138,7 @@ def pooled_length(seq_len: int, kernel: int) -> int:
     return (seq_len - kernel + 1) // 2
 
 
-def init_cnn(
-    vocab_size: int,
-    max_len: int,
-    channels: Sequence[int],
-    seed: int,
-    embed_dim: int = 100,
-    n_filters: int = 32,
-    hidden_units: int = 10,
-) -> CnnModel:
+def init_cnn(vocab_size: int, max_len: int, channels: Sequence[int], seed: int) -> CnnModel:
     """Seeded initialization: embedding U(-0.05, 0.05), weights Glorot uniform,
     biases zero. Identical seeds give bit-identical parameters."""
     channels = tuple(sorted(set(int(k) for k in channels)))
@@ -152,24 +153,24 @@ def init_cnn(
     if any(pooled_length(max_len, k) < 1 for k in channels):
         raise CnnError(f"max_len={max_len} leaves an empty pooled map for some channel")
     rng = np.random.default_rng(seed)
-    emb = rng.uniform(-0.05, 0.05, size=(vocab_size, embed_dim))
+    emb = rng.uniform(-0.05, 0.05, size=(vocab_size, EMBED_DIM))
     conv_w: dict[int, np.ndarray] = {}
     conv_b: dict[int, np.ndarray] = {}
     for k in channels:
-        limit = np.sqrt(6.0 / (k * embed_dim + n_filters))
-        conv_w[k] = rng.uniform(-limit, limit, size=(n_filters, k, embed_dim))
-        conv_b[k] = np.zeros(n_filters)
-    concat_dim = sum(n_filters * pooled_length(max_len, k) for k in channels)
-    limit = np.sqrt(6.0 / (concat_dim + hidden_units))
-    dense_w = rng.uniform(-limit, limit, size=(concat_dim, hidden_units))
-    limit = np.sqrt(6.0 / (hidden_units + 1))
-    out_w = rng.uniform(-limit, limit, size=hidden_units)
+        limit = np.sqrt(6.0 / (k * EMBED_DIM + N_FILTERS))
+        conv_w[k] = rng.uniform(-limit, limit, size=(N_FILTERS, k, EMBED_DIM))
+        conv_b[k] = np.zeros(N_FILTERS)
+    concat_dim = sum(N_FILTERS * pooled_length(max_len, k) for k in channels)
+    limit = np.sqrt(6.0 / (concat_dim + HIDDEN_UNITS))
+    dense_w = rng.uniform(-limit, limit, size=(concat_dim, HIDDEN_UNITS))
+    limit = np.sqrt(6.0 / (HIDDEN_UNITS + 1))
+    out_w = rng.uniform(-limit, limit, size=HIDDEN_UNITS)
     return CnnModel(
         embedding=emb,
         conv_w=conv_w,
         conv_b=conv_b,
         dense_w=dense_w,
-        dense_b=np.zeros(hidden_units),
+        dense_b=np.zeros(HIDDEN_UNITS),
         out_w=out_w,
         out_b=np.zeros(1),
         channels=channels,
@@ -273,9 +274,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     embedding_dropout: float = 0.0
 
     def __post_init__(self) -> None:
@@ -340,14 +338,14 @@ def train_cnn(
             batch_losses.append(loss)
             grads = _backward(model, cache, tgt)
             t += 1
-            bc1 = 1.0 - config.beta1**t
-            bc2 = 1.0 - config.beta2**t
+            bc1 = 1.0 - ADAM_BETA1**t
+            bc2 = 1.0 - ADAM_BETA2**t
             for name, arr in groups:
                 g = grads[name]
-                m[name] = config.beta1 * m[name] + (1.0 - config.beta1) * g
-                v[name] = config.beta2 * v[name] + (1.0 - config.beta2) * g * g
+                m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+                v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
                 arr -= config.learning_rate * (m[name] / bc1) / (
-                    np.sqrt(v[name] / bc2) + config.adam_eps
+                    np.sqrt(v[name] / bc2) + ADAM_EPS
                 )
         probs = forward(model, X)
         acc = float(np.mean((probs >= 0.5) == (targets >= 0.5)))
@@ -364,14 +362,9 @@ def _targets_01(y) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def probs_to_labels(probs, threshold: float = 0.5) -> list[Label]:
-    """Fake when the probability is >= threshold."""
-    return [Label.FAKE if p >= threshold else Label.REAL for p in np.asarray(probs)]
-
-
-def predict_cnn(model: CnnModel, X: np.ndarray, threshold: float = 0.5) -> list[Label]:
-    """Fake when the probability is >= threshold."""
-    return probs_to_labels(forward(model, np.asarray(X, dtype=np.int64)), threshold)
+def probs_to_labels(probs) -> list[Label]:
+    """Fake when the probability is >= 0.5."""
+    return [Label.FAKE if p >= 0.5 else Label.REAL for p in np.asarray(probs)]
 
 
 @dataclass(frozen=True)

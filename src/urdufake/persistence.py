@@ -9,8 +9,10 @@ Layout (little-endian):
            (0 = npy array, 1 = UTF-8 text), u64 payload length + payload
 
 Loading refuses files whose major version is newer than this module and
-reports truncation and bad magic explicitly. Writing is deterministic:
-identical pipelines serialize to identical bytes.
+reports truncation and bad magic explicitly. Major 2 stopped writing two
+SVM blobs that other blobs imply, the idf and the requested K; major-1
+files still load, because the reader ignores blobs it does not use.
+Writing is deterministic: identical pipelines serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from scipy import sparse
 
 MAGIC = b"UFND"
-MAJOR = 1
+MAJOR = 2
 MINOR = 0
 
 

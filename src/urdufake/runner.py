@@ -43,13 +43,11 @@ from .svm import (
 )
 from .vectorize import (
     NgramSpec,
-    TfIdfModel,
     VectorizeError,
     Vocabulary,
     apply_tfidf,
     build_vocabulary,
     count_terms,
-    fit_tfidf,
 )
 
 
@@ -221,7 +219,6 @@ class FittedPipeline:
     config: ExperimentConfig
     kind: str  # "svm" | "cnn"
     vocabulary: Vocabulary | None = None
-    tfidf: TfIdfModel | None = None
     mask: SelectionMask | None = None
     svm: SvmModel | None = None
     encoder: SequenceEncoder | None = None
@@ -252,7 +249,8 @@ class FittedPipeline:
 
     def margins(self, counts: sparse.csr_matrix) -> np.ndarray:
         """SVM decision values of raw term counts over the vocabulary."""
-        return decision_function(self.svm, apply_mask(apply_tfidf(counts, self.tfidf), self.mask))
+        X = apply_tfidf(counts, self.vocabulary)
+        return decision_function(self.svm, apply_mask(X, self.mask))
 
     def labels(self, values: np.ndarray) -> list[Label]:
         """Fake when the SVM margin is >= 0 or the CNN probability >= 0.5."""
@@ -338,8 +336,7 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
         spec = config.ngram_spec()
         union = _stage("build_vocabulary", work.vocabulary)
         vocab, cols = _stage("build_vocabulary", union.restrict, spec)
-        tfidf = _stage("fit_tfidf", fit_tfidf, docs, vocab)
-        X = _stage("transform", apply_tfidf, vocab.counts, tfidf)
+        X = _stage("transform", apply_tfidf, vocab.counts, vocab)
         y_signs = labels_to_signs(gold)
         scores = _stage("chi2_scores", work.chi2_scores, spec, X, y_signs)
         mask = _stage("select_k_best", select_k_best, scores, config.k_best)
@@ -350,10 +347,8 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
             "train_svm", train_svm, X_sel, y_signs,
             params=params, C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes,
         )
-        vocab = replace(vocab, counts=None)
-        tfidf = replace(tfidf, vocabulary=vocab)
-        return FittedPipeline(config=config, kind="svm", vocabulary=vocab,
-                              tfidf=tfidf, mask=mask, svm=model), cols
+        return FittedPipeline(config=config, kind="svm", vocabulary=replace(vocab, counts=None),
+                              mask=mask, svm=model), cols
 
     encoder = _stage("fit_encoder", SequenceEncoder.fit, docs,
                      unit=config.cnn_unit, max_len=config.cnn_max_len)
@@ -552,10 +547,8 @@ def save_model(path: str | Path, fitted: FittedPipeline) -> None:
     arrays: dict[str, np.ndarray] = {}
     texts: dict[str, str] = {}
     if fitted.kind == "svm":
-        arrays["idf"] = fitted.tfidf.idf
         arrays["doc_freq"] = fitted.vocabulary.doc_freq
         arrays["mask.kept"] = fitted.mask.kept
-        arrays["mask.k"] = np.asarray([fitted.mask.k], dtype=np.int64)
         arrays["vocab.n_docs"] = np.asarray([fitted.vocabulary.n_docs], dtype=np.int64)
         arrays.update(persistence.csr_to_blobs("svm.sv", fitted.svm.support_vectors))
         arrays["svm.dual_coef"] = fitted.svm.dual_coef
@@ -596,8 +589,7 @@ def load_model(path: str | Path) -> FittedPipeline:
             doc_freq=arrays["doc_freq"],
             n_docs=int(arrays["vocab.n_docs"][0]),
         )
-        tfidf = TfIdfModel(idf=arrays["idf"], vocabulary=vocab)
-        mask = SelectionMask(kept=arrays["mask.kept"], k=int(arrays["mask.k"][0]))
+        mask = SelectionMask(kept=arrays["mask.kept"])
         s = arrays["svm.scalars"]
         model = SvmModel(
             support_vectors=persistence.csr_from_blobs("svm.sv", arrays),
@@ -608,8 +600,7 @@ def load_model(path: str | Path) -> FittedPipeline:
             converged=bool(s[5]),
             n_features=int(s[6]),
         )
-        return FittedPipeline(config=config, kind="svm", vocabulary=vocab,
-                              tfidf=tfidf, mask=mask, svm=model)
+        return FittedPipeline(config=config, kind="svm", vocabulary=vocab, mask=mask, svm=model)
     if kind == "cnn":
         channels = tuple(int(k) for k in arrays["cnn.channels"])
         cnn = CnnModel(

@@ -52,10 +52,9 @@ def chi2_scores(X: sparse.spmatrix, y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SelectionMask:
-    """Kept column indices, strictly ascending. k is the requested K."""
+    """Kept column indices, strictly ascending."""
 
     kept: np.ndarray
-    k: int
 
     def __post_init__(self) -> None:
         kept = np.asarray(self.kept, dtype=np.int64)
@@ -81,7 +80,7 @@ def select_k_best(scores: np.ndarray, k: int) -> SelectionMask:
         warnings.warn(f"K={k} exceeds feature count V={v}; keeping all features", stacklevel=2)
     # stable argsort on -scores keeps ascending-index order among ties
     order = np.argsort(-scores, kind="stable")[: min(k, v)]
-    return SelectionMask(kept=np.sort(order), k=k)
+    return SelectionMask(kept=np.sort(order))
 
 
 def apply_mask(X: sparse.spmatrix, mask: SelectionMask) -> sparse.csr_matrix:

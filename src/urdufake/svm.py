@@ -6,7 +6,7 @@ chosen to maximize |E_i - E_j| (falling back through the remaining
 candidates in that order if the step makes no progress). Training stops
 when a full sweep finds no violation or moves no multiplier at all, capped
 at max_passes; the converged flag records whether the KKT conditions hold
-within tol at exit.
+within tol at exit, and a UserWarning reports when they do not.
 
 Label encoding is fixed: Fake = +1, Real = -1, so a positive decision value
 means Fake. Ties (decision exactly 0) go to Fake.
@@ -14,6 +14,7 @@ means Fake. Ties (decision exactly 0) go to Fake.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,23 +40,6 @@ class KernelParams:
             raise SvmError(f"degree must be >= 1, got {self.degree}")
         if not self.gamma > 0:
             raise SvmError(f"gamma must be positive, got {self.gamma}")
-
-
-def kernel(x, z, params: KernelParams) -> float:
-    """Kernel value between two rows (sparse 1xd matrices or 1-d arrays)."""
-    if sparse.issparse(x) or sparse.issparse(z):
-        xs = sparse.csr_matrix(x)
-        zs = sparse.csr_matrix(z)
-        if xs.shape[1] != zs.shape[1]:
-            raise SvmError(f"dimension mismatch: {xs.shape[1]} vs {zs.shape[1]}")
-        dot = float((xs @ zs.T).toarray().ravel()[0])
-    else:
-        xa = np.asarray(x, dtype=np.float64).ravel()
-        za = np.asarray(z, dtype=np.float64).ravel()
-        if xa.shape != za.shape:
-            raise SvmError(f"dimension mismatch: {xa.shape} vs {za.shape}")
-        dot = float(xa @ za)
-    return (params.gamma * dot + params.coef0) ** params.degree
 
 
 @dataclass
@@ -231,6 +215,9 @@ def train_svm(
     g = _margins(X, y, alpha, params, kernel_row, n)
     bias = _final_bias(alpha, y, g, C, b)
     converged = _kkt_excess(alpha, y, g + bias, C, tol) <= 1e-12
+    if not converged:
+        warnings.warn(f"SMO did not converge within max_passes={max_passes} "
+                      f"(KKT conditions violated beyond tol={tol})", stacklevel=2)
 
     sv = alpha > 0.0
     model = SvmModel(
@@ -305,8 +292,3 @@ def decision_function(model: SvmModel, X) -> np.ndarray:
     D = np.asarray((X @ model.support_vectors.T).todense(), dtype=np.float64)
     Kmat = (model.kernel.gamma * D + model.kernel.coef0) ** model.kernel.degree
     return Kmat @ model.dual_coef + model.bias
-
-
-def predict_svm(model: SvmModel, X) -> list[Label]:
-    """Fake if the decision value is >= 0, Real otherwise."""
-    return signs_to_labels(decision_function(model, X))

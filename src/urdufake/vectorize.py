@@ -6,7 +6,9 @@ are assigned by lexicographic term order, making the whole downstream
 pipeline reproducible independent of document order.
 
 Counting and weighting are separate steps: build_vocabulary/count_terms
-give raw per-doc term counts, apply_tfidf weights and normalizes them. So
+give raw per-doc term counts, apply_tfidf weights them by the vocabulary's
+idf and normalizes them. The vocabulary is the one owner of the weighting:
+its idf is derived from its document frequencies, never stored apart. So
 the counts of a spec that covers several others can be built once and
 restricted to each (Vocabulary.restrict) with the same bytes as building
 each on its own.
@@ -111,7 +113,8 @@ def doc_terms(doc: PreprocessedDoc, spec: NgramSpec) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense term->column map with per-term document frequencies.
+    """Dense term->column map with per-term document frequencies and the
+    smoothed idf weights they imply.
 
     Indices run 0..V-1 in lexicographic term order. A vocabulary fresh from
     build_vocabulary also carries the raw term counts of the documents it
@@ -127,6 +130,11 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.term_to_index)
+
+    @functools.cached_property
+    def idf(self) -> np.ndarray:
+        """Smoothed idf weights: idf[t] = ln((1 + N) / (1 + df[t])) + 1."""
+        return np.log((1.0 + self.n_docs) / (1.0 + self.doc_freq.astype(np.float64))) + 1.0
 
     def terms_by_index(self) -> list[str]:
         return list(self._terms)
@@ -237,38 +245,20 @@ def count_terms(
     return _count_matrix(indptr, cols, counts, vocabulary.size)
 
 
-@dataclass(frozen=True)
-class TfIdfModel:
-    """Smoothed idf weights: idf[t] = ln((1 + N) / (1 + df[t])) + 1."""
-
-    idf: np.ndarray
-    vocabulary: Vocabulary
-
-
-def fit_tfidf(docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary) -> TfIdfModel:
-    if len(docs) != vocabulary.n_docs:
-        raise VectorizeError(
-            f"vocabulary was built from {vocabulary.n_docs} docs, got {len(docs)}"
-        )
-    n = vocabulary.n_docs
-    idf = np.log((1.0 + n) / (1.0 + vocabulary.doc_freq.astype(np.float64))) + 1.0
-    return TfIdfModel(idf=idf, vocabulary=vocabulary)
-
-
-def apply_tfidf(counts: sparse.csr_matrix, model: TfIdfModel) -> sparse.csr_matrix:
-    """Raw term counts x idf, L2-normalized per row.
+def apply_tfidf(counts: sparse.csr_matrix, vocabulary: Vocabulary) -> sparse.csr_matrix:
+    """Raw term counts over the vocabulary x its idf, L2-normalized per row.
 
     Each row's norm is taken with np.dot over that row's values in column
     order, so the result does not depend on which other rows or columns the
     counts came with. Documents with no in-vocabulary terms are all-zero rows.
     """
-    if counts.shape[1] != model.vocabulary.size:
+    if counts.shape[1] != vocabulary.size:
         raise VectorizeError(
-            f"counts have {counts.shape[1]} columns, vocabulary has {model.vocabulary.size}"
+            f"counts have {counts.shape[1]} columns, vocabulary has {vocabulary.size}"
         )
     if not counts.has_sorted_indices:
         counts = counts.sorted_indices()
-    idf = model.idf
+    idf = vocabulary.idf
     indptr, indices = counts.indptr, counts.indices
     data = np.empty(counts.nnz, dtype=np.float64)
     for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
@@ -287,10 +277,10 @@ def apply_tfidf(counts: sparse.csr_matrix, model: TfIdfModel) -> sparse.csr_matr
 
 
 def transform(
-    docs: Sequence[PreprocessedDoc], model: TfIdfModel, spec: NgramSpec
+    docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary, spec: NgramSpec
 ) -> sparse.csr_matrix:
     """TF-IDF rows of docs: apply_tfidf of their count_terms."""
-    return apply_tfidf(count_terms(docs, model.vocabulary, spec), model)
+    return apply_tfidf(count_terms(docs, vocabulary, spec), vocabulary)
 
 
 def write_vocabulary_tsv(vocabulary: Vocabulary, path: str | Path) -> None:

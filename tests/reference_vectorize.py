@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 from scipy import sparse
 
-from urdufake.vectorize import NgramSpec, TfIdfModel, Vocabulary, VectorizeError, doc_terms
+from urdufake.vectorize import NgramSpec, Vocabulary, VectorizeError, doc_terms
 
 
 def reference_build_vocabulary(docs, spec: NgramSpec) -> Vocabulary:
@@ -31,9 +31,15 @@ def reference_build_vocabulary(docs, spec: NgramSpec) -> Vocabulary:
     return Vocabulary(term_to_index=term_to_index, doc_freq=doc_freq, n_docs=len(docs))
 
 
-def reference_transform(docs, model: TfIdfModel, spec: NgramSpec) -> sparse.csr_matrix:
-    vocab = model.vocabulary.term_to_index
-    idf = model.idf
+def reference_idf(vocabulary: Vocabulary) -> np.ndarray:
+    """Smoothed idf: ln((1 + N) / (1 + df)) + 1."""
+    n = vocabulary.n_docs
+    return np.log((1.0 + n) / (1.0 + vocabulary.doc_freq.astype(np.float64))) + 1.0
+
+
+def reference_transform(docs, vocabulary: Vocabulary, spec: NgramSpec) -> sparse.csr_matrix:
+    vocab = vocabulary.term_to_index
+    idf = reference_idf(vocabulary)
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
@@ -55,7 +61,7 @@ def reference_transform(docs, model: TfIdfModel, spec: NgramSpec) -> sparse.csr_
         (np.asarray(data, dtype=np.float64),
          np.asarray(indices, dtype=np.int64),
          np.asarray(indptr, dtype=np.int64)),
-        shape=(len(docs), model.vocabulary.size),
+        shape=(len(docs), vocabulary.size),
     )
     X.eliminate_zeros()
     return X

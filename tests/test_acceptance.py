@@ -109,11 +109,11 @@ def test_criterion_3_chi2_matches_brute_force_200_matrices():
 
 def test_criterion_4_tfidf_hand_example():
     from urdufake.preprocess import PreprocessedDoc
-    from urdufake.vectorize import NgramSpec, build_vocabulary, fit_tfidf, transform
+    from urdufake.vectorize import NgramSpec, build_vocabulary, transform
 
     docs = [PreprocessedDoc.from_tokens(["a", "b"]), PreprocessedDoc.from_tokens(["a", "a"])]
     spec = NgramSpec(word_orders={1})
-    X = transform(docs, fit_tfidf(docs, build_vocabulary(docs, spec)), spec).toarray()
+    X = transform(docs, build_vocabulary(docs, spec), spec).toarray()
     # independent oracle: idf = ln((1+N)/(1+df)) + 1, raw counts, L2 row norm
     idf_a = math.log(3 / 3) + 1
     idf_b = math.log(3 / 2) + 1

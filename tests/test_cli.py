@@ -155,3 +155,46 @@ def test_custom_resources_flags(data_dir, tmp_path):
     assert rc == 0
     text = (out / "preprocessed.tsv").read_text(encoding="utf-8")
     assert "xshared0" not in text.split("\t", 2)[-1]
+
+
+def _bad_input(data_dir, case):
+    """Write the bad input of a case and return its command line."""
+    train, test = data_dir / "train.tsv", data_dir / "test.tsv"
+    if case == "unknown_corpus_label":
+        (data_dir / "maybe.tsv").write_text("d1\tMaybe\tsome text\n", encoding="utf-8")
+        return ["train", "--train", data_dir / "maybe.tsv"]
+    if case == "missing_train_file":
+        return ["train", "--train", data_dir / "absent.tsv"]
+    if case == "not_a_model_file":
+        return ["predict", "--model", train, "--input", test]
+    if case == "unknown_predicted_label":
+        first_id = test.read_text(encoding="utf-8").split("\t", 1)[0]
+        (data_dir / "pred.tsv").write_text(f"{first_id}\tMaybe\t0.5\n", encoding="utf-8")
+        return ["evaluate", "--gold", test, "--pred", data_dir / "pred.tsv"]
+    if case == "unknown_config_key":
+        (data_dir / "bad.cfg").write_text("k_bset = 10\n", encoding="utf-8")
+        return ["--config", data_dir / "bad.cfg", "train", "--train", train]
+    if case == "one_class_inspect":
+        fake_only = "".join(line for line in train.read_text(encoding="utf-8").splitlines(True)
+                            if "\tFake\t" in line)
+        (data_dir / "fake.tsv").write_text(fake_only, encoding="utf-8")
+        return ["inspect", "--train", data_dir / "fake.tsv"]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("unknown_corpus_label", "maybe.tsv:1: unknown label 'Maybe'"),
+    ("missing_train_file", "No such file or directory"),
+    ("not_a_model_file", "magic-byte check failed"),
+    ("unknown_predicted_label", "pred.tsv:1: unknown label 'Maybe'"),
+    ("unknown_config_key", "unknown config key 'k_bset'"),
+    ("one_class_inspect", "needs at least 2 classes"),
+])
+def test_bad_input_gives_one_line_error_and_exit_2(data_dir, capsys, case, message):
+    argv = ["--out-dir", data_dir / "err"] + _bad_input(data_dir, case)
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("urdufake: error: ") and err.endswith("\n")
+    assert err.count("\n") == 1
+    assert message in err and "Traceback" not in err

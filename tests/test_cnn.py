@@ -13,7 +13,7 @@ from urdufake.cnn import (
     grad_check,
     init_cnn,
     pooled_length,
-    predict_cnn,
+    probs_to_labels,
     train_cnn,
     _backward,
     _forward_cached,
@@ -120,7 +120,7 @@ def test_forward_shape_arithmetic():
 
 
 def test_channel_intermediate_shapes():
-    m = init_cnn(30, 11, (2,), seed=0, n_filters=32)
+    m = init_cnn(30, 11, (2,), seed=0)
     _, cache = _forward_cached(m, np.ones((3, 11), dtype=np.int64))
     ch = cache["channels"][2]
     assert ch["pre"].shape == (3, 10, 32)          # L-k+1 = 10
@@ -287,11 +287,12 @@ def test_train_config_validation():
 
 def test_predict_threshold_rules():
     m = init_cnn(10, 8, (1,), seed=0)
+    ids = np.zeros((1, 8), dtype=np.int64)
     # craft the output bias so probabilities straddle the threshold
     m.out_b[0] = 10.0
-    assert predict_cnn(m, np.zeros((1, 8), dtype=np.int64)) == [Label.FAKE]   # p ~ 1
+    assert probs_to_labels(forward(m, ids)) == [Label.FAKE]   # p ~ 1
     m.out_b[0] = -10.0
-    assert predict_cnn(m, np.zeros((1, 8), dtype=np.int64)) == [Label.REAL]   # p ~ 0
+    assert probs_to_labels(forward(m, ids)) == [Label.REAL]   # p ~ 0
     m.embedding[0, :] = 0.0
     m.out_b[0] = 0.0
-    assert predict_cnn(m, np.zeros((1, 8), dtype=np.int64)) == [Label.FAKE]   # p = 0.5 exactly
+    assert probs_to_labels(forward(m, ids)) == [Label.FAKE]   # p = 0.5 exactly

@@ -30,19 +30,29 @@ from urdufake.runner import (
     save_model,
 )
 from urdufake.selection import apply_mask, chi2_scores, select_k_best
-from urdufake.svm import KernelParams, labels_to_signs, predict_svm, train_svm
+from urdufake.svm import (
+    KernelParams,
+    decision_function,
+    labels_to_signs,
+    signs_to_labels,
+    train_svm,
+)
 from urdufake.vectorize import (
     NgramSpec,
     VectorizeError,
     apply_tfidf,
     build_vocabulary,
     count_terms,
-    fit_tfidf,
     transform,
 )
 
 from conftest import FAKE_POOL, REAL_POOL
-from reference_vectorize import csr_bytes, reference_build_vocabulary, reference_transform
+from reference_vectorize import (
+    csr_bytes,
+    reference_build_vocabulary,
+    reference_idf,
+    reference_transform,
+)
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -57,8 +67,7 @@ def reference_fit_svm(train, config, resources) -> FittedPipeline:
     docs = _stage("preprocess", preprocess_corpus, train, config.preprocess, resources)
     spec = config.ngram_spec()
     vocab = _stage("build_vocabulary", reference_build_vocabulary, docs, spec)
-    tfidf = _stage("fit_tfidf", fit_tfidf, docs, vocab)
-    X = _stage("transform", reference_transform, docs, tfidf, spec)
+    X = _stage("transform", reference_transform, docs, vocab, spec)
     y = labels_to_signs([d.label for d in train])
     mask = _stage("select_k_best", select_k_best, _stage("chi2_scores", chi2_scores, X, y),
                   config.k_best)
@@ -68,8 +77,7 @@ def reference_fit_svm(train, config, resources) -> FittedPipeline:
                    params=KernelParams(degree=config.svm_degree, gamma=gamma,
                                        coef0=config.svm_coef0),
                    C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes)
-    return FittedPipeline(config=config, kind="svm", vocabulary=vocab, tfidf=tfidf,
-                          mask=mask, svm=model)
+    return FittedPipeline(config=config, kind="svm", vocabulary=vocab, mask=mask, svm=model)
 
 
 def reference_row(train, test, config, resources, sn):
@@ -82,8 +90,8 @@ def reference_row(train, test, config, resources, sn):
         else:
             fitted = reference_fit_svm(train, config, resources)
             docs = preprocess_corpus(test, config.preprocess, resources)
-            X = reference_transform(docs, fitted.tfidf, config.ngram_spec())
-            predictions = predict_svm(fitted.svm, apply_mask(X, fitted.mask))
+            X = reference_transform(docs, fitted.vocabulary, config.ngram_spec())
+            predictions = signs_to_labels(decision_function(fitted.svm, apply_mask(X, fitted.mask)))
     except Exception as exc:
         return ResultRow(sn=sn, name=config.name, digest=config.digest(), block="",
                          k_best=config.k_best, v_total=0, k_selected=0, report=None,
@@ -199,17 +207,15 @@ def test_restricted_counts_equal_reference_transform(train, test, words, chars,
     assert vocab.doc_freq.tobytes() == ref_vocab.doc_freq.tobytes()
     assert [union.terms_by_index()[c] for c in cols] == vocab.terms_by_index()
 
-    model = fit_tfidf(train_docs, vocab)
-    ref_model = fit_tfidf(train_docs, ref_vocab)
-    assert model.idf.tobytes() == ref_model.idf.tobytes()
-    assert csr_bytes(apply_tfidf(vocab.counts, model)) == \
-        csr_bytes(reference_transform(train_docs, ref_model, spec))
+    assert vocab.idf.tobytes() == reference_idf(ref_vocab).tobytes()
+    assert csr_bytes(apply_tfidf(vocab.counts, vocab)) == \
+        csr_bytes(reference_transform(train_docs, ref_vocab, spec))
 
     restricted = count_terms(test_docs, union, union_spec)[:, cols]
-    assert csr_bytes(apply_tfidf(restricted, model)) == \
-        csr_bytes(reference_transform(test_docs, ref_model, spec))
-    assert csr_bytes(transform(test_docs, model, spec)) == \
-        csr_bytes(reference_transform(test_docs, ref_model, spec))
+    assert csr_bytes(apply_tfidf(restricted, vocab)) == \
+        csr_bytes(reference_transform(test_docs, ref_vocab, spec))
+    assert csr_bytes(transform(test_docs, vocab, spec)) == \
+        csr_bytes(reference_transform(test_docs, ref_vocab, spec))
 
 
 def test_restrict_to_own_spec_is_identity():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from urdufake.corpus import Corpus, Document, Label, generate_synthetic
+from urdufake import persistence
 from urdufake.persistence import MAGIC, ModelFormatError
 from urdufake.preprocess import PreprocessConfig
 from urdufake.runner import (
@@ -118,7 +119,7 @@ def test_no_leakage_test_split_does_not_affect_fit(small_train, resources):
     f2 = fit_pipeline(small_train, cfg, resources)
     # fitting never sees a test corpus at all; two fits agree exactly
     assert f1.vocabulary.term_to_index == f2.vocabulary.term_to_index
-    np.testing.assert_array_equal(f1.tfidf.idf, f2.tfidf.idf)
+    np.testing.assert_array_equal(f1.vocabulary.idf, f2.vocabulary.idf)
     np.testing.assert_array_equal(f1.mask.kept, f2.mask.kept)
     # and predictions on different test sets come from the same artifacts
     p1 = f1.predict(other_test, resources)
@@ -233,6 +234,38 @@ def test_save_load_round_trip_cnn(small_train, small_test, resources, tmp_path):
         loaded.decision_values(small_test, resources),
     )
     assert fitted.predict(small_test, resources) == loaded.predict(small_test, resources)
+
+
+#: The blobs of an SVM model file in format major 1, which also stored the
+#: idf (derived from doc_freq and vocab.n_docs) and the requested K.
+MAJOR_1_SVM_ARRAYS = {
+    "idf", "doc_freq", "mask.kept", "mask.k", "vocab.n_docs",
+    "svm.sv.data", "svm.sv.indices", "svm.sv.indptr", "svm.sv.shape",
+    "svm.dual_coef", "svm.scalars",
+}
+
+
+def test_major_1_svm_model_still_loads(small_train, small_test, resources, tmp_path,
+                                       monkeypatch):
+    cfg = ExperimentConfig(name="compat", k_best=200)
+    fitted = fit_pipeline(small_train, cfg, resources)
+    new = tmp_path / "new.ufnd"
+    save_model(new, fitted)
+    assert new.read_bytes()[4:8] == (2).to_bytes(4, "little")
+    meta, arrays, texts = persistence.read_container(new)
+    assert set(arrays) == MAJOR_1_SVM_ARRAYS - {"idf", "mask.k"}
+    assert set(texts) == {"vocab.terms"}
+
+    arrays["idf"] = fitted.vocabulary.idf
+    arrays["mask.k"] = np.asarray([cfg.k_best], dtype=np.int64)
+    old = tmp_path / "old.ufnd"
+    with monkeypatch.context() as m:
+        m.setattr(persistence, "MAJOR", 1)
+        persistence.write_container(old, meta, arrays, texts)
+    assert old.read_bytes()[4:8] == (1).to_bytes(4, "little")
+    assert set(persistence.read_container(old)[1]) == MAJOR_1_SVM_ARRAYS
+    np.testing.assert_array_equal(load_model(old).decision_values(small_test, resources),
+                                  fitted.decision_values(small_test, resources))
 
 
 def test_save_is_byte_deterministic(small_train, resources, tmp_path):

@@ -117,7 +117,7 @@ def test_select_k_best_clamps_with_warning():
     with pytest.warns(UserWarning, match="exceeds feature count"):
         mask = select_k_best(np.array([1.0, 2.0]), 10)
     assert mask.kept.tolist() == [0, 1]
-    assert mask.k == 10 and mask.n_kept == 2
+    assert mask.n_kept == 2
 
 
 def test_select_k_best_rejects_k_below_one():
@@ -149,29 +149,29 @@ def test_select_k_best_size_property(scores, k):
 
 def test_apply_mask_identity():
     X = sparse.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
-    full = SelectionMask(kept=np.array([0, 1, 2]), k=3)
+    full = SelectionMask(kept=np.array([0, 1, 2]))
     np.testing.assert_array_equal(apply_mask(X, full).toarray(), X.toarray())
 
 
 def test_apply_mask_single_column():
     X = sparse.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
-    one = apply_mask(X, SelectionMask(kept=np.array([2]), k=1))
+    one = apply_mask(X, SelectionMask(kept=np.array([2])))
     assert one.shape == (2, 1)
     np.testing.assert_array_equal(one.toarray().ravel(), [2.0, 0.0])
 
 
 def test_apply_mask_keeps_empty_rows_empty():
     X = sparse.csr_matrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    out = apply_mask(X, SelectionMask(kept=np.array([0]), k=1))
+    out = apply_mask(X, SelectionMask(kept=np.array([0])))
     assert out[0].nnz == 0
 
 
 def test_apply_mask_out_of_range_rejected():
     X = sparse.csr_matrix(np.ones((2, 3)))
     with pytest.raises(SelectionError, match="out of range"):
-        apply_mask(X, SelectionMask(kept=np.array([5]), k=1))
+        apply_mask(X, SelectionMask(kept=np.array([5])))
 
 
 def test_mask_indices_must_increase():
     with pytest.raises(SelectionError):
-        SelectionMask(kept=np.array([3, 1]), k=2)
+        SelectionMask(kept=np.array([3, 1]))

@@ -7,9 +7,8 @@ from urdufake.svm import (
     KernelParams,
     SvmError,
     decision_function,
-    kernel,
     labels_to_signs,
-    predict_svm,
+    signs_to_labels,
     train_svm,
 )
 
@@ -74,35 +73,6 @@ def random_instance(rng):
 
 
 # --- kernel ------------------------------------------------------------------
-
-def test_kernel_formula_basic():
-    p = KernelParams(degree=1, gamma=0.5, coef0=0.0)
-    x = np.array([1.0, 0.0])
-    assert kernel(x, x, p) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_kernel_orthogonal_gives_coef0_power():
-    p = KernelParams(degree=3, gamma=1.0, coef0=2.0)
-    assert kernel(np.array([1.0, 0.0]), np.array([0.0, 1.0]), p) == pytest.approx(8.0)
-
-
-def test_kernel_degree_two():
-    p = KernelParams(degree=2, gamma=1.0, coef0=1.0)
-    assert kernel(np.array([1.0]), np.array([1.0]), p) == pytest.approx(4.0)
-
-
-def test_kernel_sparse_rows():
-    p = KernelParams(degree=1, gamma=1.0, coef0=0.0)
-    x = sparse.csr_matrix(np.array([[1.0, 2.0, 0.0]]))
-    z = sparse.csr_matrix(np.array([[0.0, 3.0, 1.0]]))
-    assert kernel(x, z, p) == pytest.approx(6.0)
-
-
-def test_kernel_dimension_mismatch():
-    p = KernelParams()
-    with pytest.raises(SvmError, match="mismatch"):
-        kernel(np.array([1.0, 2.0]), np.array([1.0]), p)
-
 
 def test_kernel_params_validation():
     with pytest.raises(SvmError):
@@ -189,6 +159,17 @@ def test_kkt_conditions_hold_within_tol():
                 assert abs(yf - 1.0) <= tol + 1e-12
 
 
+def test_decision_function_matches_dense_kernel_oracle():
+    rng = np.random.default_rng(909)
+    for _ in range(10):
+        A, y, C, params = random_instance(rng)
+        m = train_svm(sparse.csr_matrix(A), y, params, C=C, tol=1e-5)
+        Q = rng.normal(size=(4, A.shape[1]))
+        expected = dense_poly_kernel(Q, m.support_vectors.toarray(), params) @ m.dual_coef + m.bias
+        np.testing.assert_allclose(decision_function(m, sparse.csr_matrix(Q)), expected,
+                                   rtol=1e-12, atol=1e-12)
+
+
 def reconstruct_alphas(model, A, y):
     sv = model.support_vectors.toarray()
     used = [False] * len(model.dual_coef)
@@ -261,7 +242,7 @@ def test_duplicate_training_point_predicted_with_its_label():
     A = np.array([[2.0, 0.0], [1.5, 0.3], [-2.0, 0.1], [-1.0, -1.0]])
     y = np.array([1.0, 1.0, -1.0, -1.0])
     m = train_svm(sparse.csr_matrix(A), y, KernelParams(degree=1, gamma=1.0), C=10.0)
-    preds = predict_svm(m, sparse.csr_matrix(A))
+    preds = signs_to_labels(decision_function(m, sparse.csr_matrix(A)))
     assert preds[0] is Label.FAKE and preds[2] is Label.REAL
 
 
@@ -277,8 +258,9 @@ def test_nonconvergence_sets_warning_flag():
     y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
     if len(set(y.tolist())) < 2:
         y[0] = -y[0]
-    m = train_svm(sparse.csr_matrix(A), y, KernelParams(degree=1, gamma=1.0), C=10.0,
-                  tol=1e-8, max_passes=1)
+    with pytest.warns(UserWarning, match=r"max_passes=1 .*tol=1e-08"):
+        m = train_svm(sparse.csr_matrix(A), y, KernelParams(degree=1, gamma=1.0), C=10.0,
+                      tol=1e-8, max_passes=1)
     assert not m.converged
 
 
@@ -292,7 +274,7 @@ def test_labels_to_signs_encoding():
 def test_prediction_thresholds():
     m = analytic_model()
     X = sparse.csr_matrix(np.array([[2.0, 0.0], [-0.5, 0.0], [0.0, 0.0]]))
-    preds = predict_svm(m, X)
+    preds = signs_to_labels(decision_function(m, X))
     assert preds[0] is Label.FAKE   # decision +2.0
     assert preds[1] is Label.REAL   # decision -0.5
     assert preds[2] is Label.FAKE   # decision exactly 0 -> Fake

@@ -12,7 +12,6 @@ from urdufake.vectorize import (
     build_vocabulary,
     char_ngrams,
     doc_terms,
-    fit_tfidf,
     transform,
     word_ngrams,
     write_vocabulary_tsv,
@@ -119,30 +118,21 @@ def test_vocabulary_dump_tsv(tmp_path):
 
 def test_idf_formula_hand_values():
     vocab = build_vocabulary([pdoc(["a", "b"]), pdoc(["a"])], NgramSpec(word_orders={1}))
-    model = fit_tfidf([pdoc(["a", "b"]), pdoc(["a"])], vocab)
-    assert model.idf[0] == pytest.approx(1.0, abs=1e-12)            # df=2, N=2
-    assert model.idf[1] == pytest.approx(math.log(1.5) + 1, abs=1e-12)  # df=1, N=2
+    assert vocab.idf[0] == pytest.approx(1.0, abs=1e-12)            # df=2, N=2
+    assert vocab.idf[1] == pytest.approx(math.log(1.5) + 1, abs=1e-12)  # df=1, N=2
 
 
 def test_idf_is_one_when_df_equals_n():
     docs = [pdoc(["x"]) for _ in range(7)]
     vocab = build_vocabulary(docs, NgramSpec(word_orders={1}))
-    model = fit_tfidf(docs, vocab)
-    assert model.idf[0] == pytest.approx(1.0, abs=0)
-
-
-def test_fit_tfidf_requires_matching_corpus():
-    docs = [pdoc(["a"]), pdoc(["b"])]
-    vocab = build_vocabulary(docs, NgramSpec(word_orders={1}))
-    with pytest.raises(VectorizeError):
-        fit_tfidf(docs[:1], vocab)
+    assert vocab.idf[0] == pytest.approx(1.0, abs=0)
 
 
 def test_transform_hand_example():
     docs = [pdoc(["a", "b"]), pdoc(["a", "a"])]
     spec = NgramSpec(word_orders={1})
     vocab = build_vocabulary(docs, spec)
-    X = transform(docs, fit_tfidf(docs, vocab), spec).toarray()
+    X = transform(docs, vocab, spec).toarray()
     # independent straight-line derivation of the expected row values
     idf_a, idf_b = 1.0, math.log(3.0 / 2.0) + 1.0
     norm1 = math.hypot(idf_a, idf_b)
@@ -155,15 +145,14 @@ def test_transform_hand_example():
 def test_transform_empty_doc_zero_row():
     docs = [pdoc(["a"]), pdoc([])]
     spec = NgramSpec(word_orders={1})
-    X = transform(docs, fit_tfidf(docs, build_vocabulary(docs, spec)), spec)
+    X = transform(docs, build_vocabulary(docs, spec), spec)
     assert X[1].nnz == 0
 
 
 def test_transform_oov_only_doc_zero_row():
     train = [pdoc(["a"]), pdoc(["b"])]
     spec = NgramSpec(word_orders={1})
-    model = fit_tfidf(train, build_vocabulary(train, spec))
-    X = transform([pdoc(["zzz", "qqq"])], model, spec)
+    X = transform([pdoc(["zzz", "qqq"])], build_vocabulary(train, spec), spec)
     assert X.nnz == 0
 
 
@@ -171,7 +160,7 @@ def test_transform_column_count_is_vocab_size():
     docs = [pdoc(["a", "b", "c"]), pdoc(["d"])]
     for spec in (NgramSpec(word_orders={1}), NgramSpec(word_orders={1, 2}, char_orders={2, 3})):
         vocab = build_vocabulary(docs, spec)
-        X = transform(docs, fit_tfidf(docs, vocab), spec)
+        X = transform(docs, vocab, spec)
         assert X.shape == (2, vocab.size)
 
 
@@ -189,7 +178,7 @@ def test_transform_rows_nonneg_and_unit_norm(token_lists):
         return
     spec = NgramSpec(word_orders={1, 2}, char_orders={2})
     vocab = build_vocabulary(docs, spec)
-    X = transform(docs, fit_tfidf(docs, vocab), spec)
+    X = transform(docs, vocab, spec)
     assert (X.data >= 0).all()
     assert X.has_canonical_format
     norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
@@ -203,7 +192,7 @@ def test_transform_rows_nonneg_and_unit_norm(token_lists):
 def test_csr_invariants_sorted_indices_no_zeros():
     docs = [pdoc(["b", "a", "b"]), pdoc(["c"])]
     spec = NgramSpec(word_orders={1}, char_orders={2})
-    X = transform(docs, fit_tfidf(docs, build_vocabulary(docs, spec)), spec)
+    X = transform(docs, build_vocabulary(docs, spec), spec)
     for r in range(X.shape[0]):
         row = X.indices[X.indptr[r]:X.indptr[r + 1]]
         assert (np.diff(row) > 0).all()
