@@ -6,6 +6,12 @@ input unit), ReLU, width-2/stride-2 max pooling, and flattening. Channel
 outputs are concatenated into a dense ReLU layer (10 units) and a single
 logistic output unit. Everything is float64 numpy; gradients are derived by
 hand and validated against central finite differences.
+
+A width-k convolution is computed as k matrix products, one per kernel
+shift dt: the (B*L, D) embedded batch times the filters' dt-th slice gives a
+(B, L, F) map, and that map shifted by dt is added into the (B, T, F)
+pre-activations. The backward pass takes the same shifted products, so
+neither pass builds the (B, T, k, D) windows of the batch.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Label
 from .preprocess import PreprocessedDoc
@@ -35,6 +40,10 @@ CHAR_MAX_LEN_CAP = 8000
 EMBED_DIM = 100
 N_FILTERS = 32
 HIDDEN_UNITS = 10
+
+# forward() runs this many documents at a time, which bounds the memory of
+# inference over a whole corpus
+_FORWARD_BLOCK = 16
 
 # Adam moment decay rates and denominator epsilon
 ADAM_BETA1 = 0.9
@@ -116,10 +125,6 @@ class CnnModel:
     channels: tuple[int, ...]
     max_len: int
 
-    @property
-    def n_filters(self) -> int:
-        return int(next(iter(self.conv_w.values())).shape[0])
-
     def param_groups(self) -> list[tuple[str, np.ndarray]]:
         """Stable (name, array) ordering used by the optimizer and grad check."""
         groups: list[tuple[str, np.ndarray]] = [("embedding", self.embedding)]
@@ -194,20 +199,25 @@ def _forward_cached(model: CnnModel, ids: np.ndarray, drop_mask: np.ndarray | No
     E = model.embedding[ids]  # (B, L, D)
     if drop_mask is not None:
         E = E * drop_mask[:, :, None]
+    B, L, D = E.shape
+    E2 = E.reshape(B * L, D)
     cache: dict = {"ids": ids, "E": E, "drop_mask": drop_mask, "channels": {}}
     flats = []
     for k in model.channels:
-        windows = sliding_window_view(E, k, axis=1)      # (B, T, D, k)
-        pre = np.einsum("btdk,fkd->btf", windows, model.conv_w[k]) + model.conv_b[k]
-        act = np.maximum(pre, 0.0)                        # (B, T, F)
-        B, T, F = act.shape
+        W = model.conv_w[k]                               # (F, k, D)
+        F, T = W.shape[0], L - k + 1
+        # pre[:, t] = b + sum_dt E[:, t + dt] @ W[:, dt].T, one GEMM per shift
+        pre = np.empty((B, T, F))
+        pre[:] = model.conv_b[k]
+        for dt in range(k):
+            pre += (E2 @ W[:, dt, :].T).reshape(B, L, F)[:, dt : dt + T]
+        act = np.maximum(pre, 0.0)
         P = T // 2
-        trimmed = act[:, : 2 * P, :].reshape(B, P, 2, F)
-        arg = trimmed.argmax(axis=2)                      # ties -> first element
-        pooled = np.take_along_axis(trimmed, arg[:, :, None, :], axis=2)[:, :, 0, :]
+        even, odd = act[:, 0 : 2 * P : 2], act[:, 1 : 2 * P : 2]
+        arg = odd > even                                  # ties -> first element
+        pooled = np.where(arg, odd, even)                 # (B, P, F)
         flats.append(pooled.reshape(B, P * F))
-        cache["channels"][k] = {"windows": windows, "pre": pre, "arg": arg,
-                                "T": T, "P": P, "F": F}
+        cache["channels"][k] = {"pre": pre, "arg": arg, "T": T, "P": P, "F": F}
     Z = np.concatenate(flats, axis=1)                     # (B, concat)
     h_pre = Z @ model.dense_w + model.dense_b
     h = np.maximum(h_pre, 0.0)
@@ -219,8 +229,9 @@ def _forward_cached(model: CnnModel, ids: np.ndarray, drop_mask: np.ndarray | No
 
 def forward(model: CnnModel, ids: np.ndarray) -> np.ndarray:
     """Probabilities of the Fake class, strictly inside (0, 1)."""
-    p, _ = _forward_cached(model, np.asarray(ids, dtype=np.int64))
-    return p
+    ids = np.asarray(ids, dtype=np.int64)
+    blocks = [ids[s : s + _FORWARD_BLOCK] for s in range(0, len(ids), _FORWARD_BLOCK)]
+    return np.concatenate([_forward_cached(model, b)[0] for b in blocks or [ids]])
 
 
 def bce_loss(o: np.ndarray, targets: np.ndarray) -> float:
@@ -241,7 +252,10 @@ def _backward(model: CnnModel, cache: dict, targets: np.ndarray) -> dict[str, np
     grads["dense_b"] = dh_pre.sum(axis=0)
     dZ = dh_pre @ model.dense_w.T
 
-    dE = np.zeros_like(cache["E"])
+    E = cache["E"]
+    L, D = E.shape[1], E.shape[2]
+    E2 = E.reshape(B * L, D)
+    dE = np.zeros_like(E)
     offset = 0
     for k in model.channels:
         ch = cache["channels"][k]
@@ -249,21 +263,36 @@ def _backward(model: CnnModel, cache: dict, targets: np.ndarray) -> dict[str, np
         width = P * F
         d_flat = dZ[:, offset : offset + width].reshape(B, P, F)
         offset += width
-        d_trim = np.zeros((B, P, 2, F))
-        np.put_along_axis(d_trim, ch["arg"][:, :, None, :], d_flat[:, :, None, :], axis=2)
-        d_act = np.zeros((B, T, F))
-        d_act[:, : 2 * P, :] = d_trim.reshape(B, 2 * P, F)
-        d_pre = d_act * (ch["pre"] > 0.0)
-        grads[f"conv_w[{k}]"] = np.einsum("btf,btdk->fkd", d_pre, ch["windows"])
+        # the pooled gradient goes to the element each pair kept
+        d_pre = np.zeros((B, T, F))
+        d_pre[:, 0 : 2 * P : 2] = np.where(ch["arg"], 0.0, d_flat)
+        d_pre[:, 1 : 2 * P : 2] = np.where(ch["arg"], d_flat, 0.0)
+        d_pre *= ch["pre"] > 0.0
         grads[f"conv_b[{k}]"] = d_pre.sum(axis=(0, 1))
+        # gw[:, dt] = sum_t d_pre[:, t].T @ E[:, t + dt]: shift d_pre by dt
+        # inside a zeroed (B, L, F) buffer and take one GEMM with all of E
         W = model.conv_w[k]
+        gw = np.empty_like(W)
+        shifted = np.zeros((B, L, F))
+        d_pre2 = d_pre.reshape(B * T, F)
         for dt in range(k):
-            dE[:, dt : dt + T, :] += np.einsum("btf,fd->btd", d_pre, W[:, dt, :])
+            if dt:
+                shifted[:, dt - 1] = 0.0                 # the previous shift's first row
+            shifted[:, dt : dt + T] = d_pre
+            gw[:, dt, :] = shifted.reshape(B * L, F).T @ E2
+            dE[:, dt : dt + T] += (d_pre2 @ W[:, dt, :]).reshape(B, T, D)
+        grads[f"conv_w[{k}]"] = gw
 
     if cache["drop_mask"] is not None:
         dE *= cache["drop_mask"][:, :, None]
+    # sum dE rows per id: a stable sort groups equal ids in their original
+    # order, and reduceat adds each group
+    flat_ids = cache["ids"].ravel()
+    order = np.argsort(flat_ids, kind="stable")
+    sorted_ids = flat_ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
     demb = np.zeros_like(model.embedding)
-    np.add.at(demb, cache["ids"], dE)
+    demb[sorted_ids[starts]] = np.add.reduceat(dE.reshape(B * L, D)[order], starts, axis=0)
     grads["embedding"] = demb
     return grads
 

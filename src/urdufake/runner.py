@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -438,7 +439,8 @@ def run_grid(
     their n-gram counts and chi-squared scores (see _SharedWork); each row's
     results are those of run_config on it alone. on_fitted gets each ok
     row's fitted pipeline as soon as the row is done, so a caller can keep
-    it without the grid holding every row's model.
+    it without the grid holding every row's model. A warning a row raises is
+    issued again as "row <sn> <name>: <message>", with its category.
     """
     if not configs:
         raise ConfigError("experiment grid is empty")
@@ -454,14 +456,18 @@ def run_grid(
             shared[key] = _SharedWork(train, test, groups[key], resources)
         work = shared[key]
         fitted = None
-        try:
-            row, fitted = _run_row(work, config, sn)
-        except Exception as exc:
-            row = ResultRow(
-                sn=sn, name=config.name, digest=config.digest(),
-                block="", k_best=config.k_best, v_total=0, k_selected=0,
-                report=None, seconds=0.0, error=str(exc),
-            )
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                row, fitted = _run_row(work, config, sn)
+            except Exception as exc:
+                row = ResultRow(
+                    sn=sn, name=config.name, digest=config.digest(),
+                    block="", k_best=config.k_best, v_total=0, k_selected=0,
+                    report=None, seconds=0.0, error=str(exc),
+                )
+        for caught_warning in caught:
+            warnings.warn(f"row {sn} {config.name}: {caught_warning.message}",
+                          caught_warning.category, stacklevel=2)
         rows.append(row)
         if last_row[key] == sn:
             del shared[key]

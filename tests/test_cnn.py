@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from urdufake import cnn
 from urdufake.cnn import (
     CnnError,
     GradCheckReport,
@@ -20,6 +23,8 @@ from urdufake.cnn import (
 )
 from urdufake.corpus import Label
 from urdufake.preprocess import PreprocessedDoc
+
+from reference_cnn import reference_backward, reference_forward_cached
 
 pdoc = PreprocessedDoc.from_tokens
 
@@ -141,6 +146,23 @@ def test_forward_output_strictly_in_unit_interval():
     assert ((p > 0.0) & (p < 1.0)).all()
 
 
+def test_forward_runs_in_blocks_equal_to_per_doc(monkeypatch):
+    rng = np.random.default_rng(8)
+    m = init_cnn(30, 12, (1, 2, 3), seed=8)
+    ids = rng.integers(0, 30, size=(37, 12))
+    per_doc = np.concatenate([forward(m, ids[i : i + 1]) for i in range(37)])
+    seen = []
+    inner = cnn._forward_cached
+
+    def spy(model, block, drop_mask=None):
+        seen.append(len(block))
+        return inner(model, block, drop_mask)
+
+    monkeypatch.setattr(cnn, "_forward_cached", spy)
+    np.testing.assert_allclose(forward(m, ids), per_doc, rtol=0.0, atol=1e-15)
+    assert sum(seen) == 37 and max(seen) <= cnn._FORWARD_BLOCK
+
+
 def test_forward_rejects_wrong_width():
     m = init_cnn(10, 8, (1,), seed=0)
     with pytest.raises(CnnError, match="max_len"):
@@ -199,6 +221,65 @@ def test_grad_check_zero_samples_empty_report(tiny_setup):
 def test_grad_check_report_max():
     r = GradCheckReport(per_group={"a": 1e-7, "b": 3e-6})
     assert r.max_rel_error == 3e-6
+
+
+# --- the shifted-GEMM passes against the einsum reference ------------------------
+
+def assert_matches_reference(p, grads, ref_p, ref_grads):
+    # Sums run in another order, so entries that cancel to near zero differ
+    # from the reference by more than 1e-12 of themselves; the bound is
+    # 1e-12 of the group's largest entry.
+    np.testing.assert_allclose(p, ref_p, rtol=1e-12, atol=0.0)
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max(), err_msg=name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 5),
+    channels=st.sets(st.integers(1, 6), min_size=1),
+    vocab=st.integers(1, 6),
+    dropout=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_passes_match_einsum_reference(batch, channels, vocab, dropout, seed, data):
+    # one more than the largest kernel leaves every channel a pooled map
+    max_len = data.draw(st.integers(max(channels) + 1, 40), label="max_len")
+    rng = np.random.default_rng(seed)
+    model = init_cnn(vocab, max_len, channels, seed=seed)
+    for k in model.channels:                          # move some ReLUs off zero
+        model.conv_b[k] = rng.uniform(-0.05, 0.05, size=model.conv_b[k].shape)
+    ids = rng.integers(0, vocab, size=(batch, max_len))
+    ids[:, -1] = 0                                    # trailing padding
+    y = rng.integers(0, 2, size=batch).astype(float)
+    drop_mask = (rng.random(ids.shape) < 0.75) / 0.75 if dropout else None
+
+    p, cache = _forward_cached(model, ids, drop_mask)
+    ref_p, ref_cache = reference_forward_cached(model, ids, drop_mask)
+    assert_matches_reference(p, _backward(model, cache, y),
+                             ref_p, reference_backward(model, ref_cache, y))
+
+
+def test_pooling_tie_goes_to_first_element():
+    """Identical embedding rows and a positive bias tie every pooling pair at
+    a positive value; the pooled gradient must go where the reference sends
+    it, to the first element of each pair."""
+    model = init_cnn(7, 15, (1, 2, 3, 4), seed=2)
+    model.embedding[:] = model.embedding[3]
+    for k in model.channels:
+        model.conv_b[k][:] = 1.0
+    ids = np.arange(2 * 15).reshape(2, 15) % 7
+    y = np.array([1.0, 0.0])
+    p, cache = _forward_cached(model, ids)
+    for k in model.channels:
+        assert (cache["channels"][k]["pre"] > 0.0).all()
+        assert not cache["channels"][k]["arg"].any()
+    ref_p, ref_cache = reference_forward_cached(model, ids)
+    assert_matches_reference(p, _backward(model, cache, y),
+                             ref_p, reference_backward(model, ref_cache, y))
 
 
 # --- training ----------------------------------------------------------------

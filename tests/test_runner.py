@@ -148,6 +148,14 @@ def test_run_grid_continues_after_row_failure(small_train, small_test, resources
     assert rows[1].sn == 2
 
 
+def test_run_grid_names_the_row_in_its_warnings(small_train, small_test, resources):
+    fits = ExperimentConfig(name="fits", k_best=20, word_orders=(1,), char_orders=())
+    clamps = ExperimentConfig(name="clamps", k_best=10**7, word_orders=(1,), char_orders=())
+    with pytest.warns(UserWarning, match=r"row 2 \S+: K=\d+ exceeds feature count"):
+        rows = run_grid(small_train, small_test, [fits, clamps], resources)
+    assert all(r.ok for r in rows)
+
+
 def test_run_grid_single_config(small_train, small_test, resources):
     rows = run_grid(small_train, small_test,
                     [ExperimentConfig(name="solo", k_best=100)], resources)
