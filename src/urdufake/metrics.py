@@ -7,7 +7,7 @@ time, using round-half-even on the unrounded value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Sequence
 
@@ -84,30 +84,12 @@ class EvalReport:
     accuracy: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "precision_fake": self.precision_fake,
-            "recall_fake": self.recall_fake,
-            "f1_fake": self.f1_fake,
-            "precision_real": self.precision_real,
-            "recall_real": self.recall_real,
-            "f1_real": self.f1_real,
-            "f1_macro": self.f1_macro,
-            "accuracy": self.accuracy,
-        }
+        """The metrics by name, in field order."""
+        return asdict(self)
 
 
 #: Column order used when a report is serialized as a TSV row.
-REPORT_COLUMNS = (
-    "k_best",
-    "precision_fake",
-    "recall_fake",
-    "f1_fake",
-    "precision_real",
-    "recall_real",
-    "f1_real",
-    "f1_macro",
-    "accuracy",
-)
+REPORT_COLUMNS = ("k_best", *(f.name for f in fields(EvalReport)))
 
 
 def summarize(m: ConfusionMatrix) -> EvalReport:
@@ -134,6 +116,4 @@ def format4(x: float) -> str:
 
 def report_tsv_row(report: EvalReport, k_best: int | str) -> str:
     """One TSV row in REPORT_COLUMNS order with 4-dp presentation values."""
-    vals = report.as_dict()
-    cells = [str(k_best)] + [format4(vals[c]) for c in REPORT_COLUMNS[1:]]
-    return "\t".join(cells)
+    return "\t".join([str(k_best), *(format4(v) for v in report.as_dict().values())])

@@ -3,8 +3,11 @@
 A config file is flat ``key = value`` text. Keys before the first
 ``[experiment]`` header are defaults; each ``[experiment]`` block starts a
 new grid entry inheriting those defaults. Blank lines and ``#`` comments are
-ignored. The same text format round-trips losslessly through
-parse_config_text/serialize_configs.
+ignored. The keys are the fields of ExperimentConfig, with those of
+PreprocessConfig in place of ``preprocess``, and each field's annotation picks
+how its value is read. Every ExperimentConfig whose values have their fields'
+types round-trips losslessly (NaN aside) through
+serialize_configs/parse_config_text.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import hashlib
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +94,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.classifier not in ("svm", "cnn"):
             raise ConfigError(f"classifier must be 'svm' or 'cnn', got {self.classifier!r}")
+        # serialize_configs writes each value on one "key = value" line, which
+        # the parser reads back stripped and cut at the first '#'.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and (
+                    "#" in value or value != value.strip() or len(value.splitlines()) > 1):
+                raise ConfigError(f"{f.name} must not contain '#' or a line break, or start or "
+                                  f"end with whitespace, got {value!r}")
 
     def ngram_spec(self) -> NgramSpec:
         return NgramSpec(frozenset(self.word_orders), frozenset(self.char_orders))
@@ -99,56 +110,58 @@ class ExperimentConfig:
         return hashlib.sha256(serialize_configs([self]).encode("utf-8")).hexdigest()[:12]
 
 
-_BOOL_KEYS = ("remove_diacritics", "normalize", "remove_stopwords", "lemmatize")
-_DEFAULTS = ExperimentConfig()
-
-
-def _parse_bool(value: str, key: str) -> bool:
-    v = value.strip().lower()
-    if v in ("true", "yes", "1"):
+def _parse_bool(value: str) -> bool:
+    if value.lower() in ("true", "yes", "1"):
         return True
-    if v in ("false", "no", "0"):
+    if value.lower() in ("false", "no", "0"):
         return False
-    raise ConfigError(f"{key}: expected true/false, got {value!r}")
+    raise ValueError(f"expected true/false, got {value!r}")
 
 
-def _parse_int_tuple(value: str, key: str) -> tuple[int, ...]:
-    value = value.strip()
-    if not value or value == "-":
+def _parse_int_tuple(value: str) -> tuple[int, ...]:
+    if value in ("", "-"):
         return ()
     try:
         return tuple(int(tok) for tok in value.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {value!r}") from exc
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {value!r}") from None
 
 
-def _apply_key(fields: dict, key: str, value: str) -> None:
-    value = value.strip()
-    if key == "name":
-        fields["name"] = value
-    elif key == "seed":
-        fields["seed"] = int(value)
-    elif key == "classifier":
-        fields["classifier"] = value
-    elif key in _BOOL_KEYS:
-        pp = fields.get("preprocess", _DEFAULTS.preprocess)
-        fields["preprocess"] = replace(pp, **{key: _parse_bool(value, key)})
-    elif key in ("word_orders", "char_orders"):
-        fields[key] = _parse_int_tuple(value, key)
-    elif key in ("k_best", "svm_max_passes", "cnn_epochs", "cnn_batch_size", "svm_degree"):
-        fields[key] = int(value)
-    elif key in ("svm_c", "svm_coef0", "svm_tol", "cnn_learning_rate", "cnn_embedding_dropout"):
-        fields[key] = float(value)
-    elif key == "svm_gamma":
-        fields[key] = None if value.lower() == "auto" else float(value)
-    elif key == "cnn_max_len":
-        fields[key] = None if value.lower() == "auto" else int(value)
-    elif key == "cnn_unit":
-        fields[key] = value
-    elif key == "cnn_channels":
-        fields[key] = _parse_int_tuple(value, key)
-    else:
-        raise ConfigError(f"unknown config key {key!r}")
+def _auto_or(read: Callable[[str], object]) -> Callable[[str], object]:
+    return lambda value: None if value.lower() == "auto" else read(value)
+
+
+#: The value reader of each field annotation a config key may have.
+_READERS: dict[str, Callable[[str], object]] = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_tuple,
+    "float | None": _auto_or(float),
+    "int | None": _auto_or(int),
+}
+
+
+def _key_table() -> dict[str, tuple[str | None, Callable[[str], object]]]:
+    """config key -> (the ExperimentConfig field nesting it, or None; its
+    value reader), in file order: ExperimentConfig's fields, with
+    PreprocessConfig's expanded in place of ``preprocess``."""
+    table = {}
+    for f in fields(ExperimentConfig):
+        if f.name == "preprocess":
+            table.update((g.name, (f.name, _READERS[g.type])) for g in fields(PreprocessConfig))
+        else:
+            table[f.name] = (None, _READERS[f.type])
+    return table
+
+
+_KEYS = _key_table()
+
+
+def _config(values: dict[str, object]) -> ExperimentConfig:
+    preprocess = {key: values.pop(key) for key in list(values) if _KEYS[key][0]}
+    return ExperimentConfig(preprocess=PreprocessConfig(**preprocess), **values)
 
 
 def parse_config_text(text: str) -> list[ExperimentConfig]:
@@ -168,22 +181,22 @@ def parse_config_text(text: str) -> list[ExperimentConfig]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
-            _apply_key(current if current is not None else defaults, key, value)
-        except ConfigError:
-            raise
+            (current if current is not None else defaults)[key] = _KEYS[key][1](value)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from exc
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
     if current is None:
         blocks = [dict(defaults)]
-    return [ExperimentConfig(**blk) for blk in blocks]
+    return [_config(blk) for blk in blocks]
 
 
 def parse_config_file(path: str | Path) -> list[ExperimentConfig]:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
-def _format_value(key: str, value) -> str:
+def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
@@ -197,18 +210,9 @@ def serialize_configs(configs: list[ExperimentConfig]) -> str:
     lines: list[str] = []
     for cfg in configs:
         lines.append("[experiment]")
-        lines.append(f"name = {cfg.name}")
-        lines.append(f"seed = {cfg.seed}")
-        lines.append(f"classifier = {cfg.classifier}")
-        for key in _BOOL_KEYS:
-            lines.append(f"{key} = {_format_value(key, getattr(cfg.preprocess, key))}")
-        for key in (
-            "word_orders", "char_orders", "k_best",
-            "svm_c", "svm_gamma", "svm_coef0", "svm_degree", "svm_tol", "svm_max_passes",
-            "cnn_unit", "cnn_channels", "cnn_epochs", "cnn_batch_size",
-            "cnn_learning_rate", "cnn_max_len", "cnn_embedding_dropout",
-        ):
-            lines.append(f"{key} = {_format_value(key, getattr(cfg, key))}")
+        for key, (owner, _) in _KEYS.items():
+            value = getattr(getattr(cfg, owner) if owner else cfg, key)
+            lines.append(f"{key} = {_format_value(value)}")
         lines.append("")
     return "\n".join(lines)
 
@@ -343,7 +347,8 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
         mask = _stage("select_k_best", select_k_best, scores, config.k_best)
         X_sel = _stage("apply_mask", apply_mask, X, mask)
         gamma = config.svm_gamma if config.svm_gamma is not None else 1.0 / max(1, mask.n_kept)
-        params = KernelParams(degree=config.svm_degree, gamma=gamma, coef0=config.svm_coef0)
+        params = _stage("train_svm", KernelParams,
+                        degree=config.svm_degree, gamma=gamma, coef0=config.svm_coef0)
         model = _stage(
             "train_svm", train_svm, X_sel, y_signs,
             params=params, C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes,
@@ -358,7 +363,8 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
         "init_cnn", init_cnn, encoder.vocab_size, encoder.max_len,
         config.cnn_channels, config.seed,
     )
-    train_cfg = TrainConfig(
+    train_cfg = _stage(
+        "train_cnn", TrainConfig,
         epochs=config.cnn_epochs,
         batch_size=config.cnn_batch_size,
         learning_rate=config.cnn_learning_rate,
@@ -370,9 +376,24 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
                           history=history), None
 
 
+def _naming_warnings(prefix: str, fn, *args):
+    """fn(*args); each warning it raises is issued again as prefix + message,
+    with its category, from the caller of this helper's caller."""
+    caught: list[warnings.WarningMessage] = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            return fn(*args)
+    finally:
+        for caught_warning in caught:
+            warnings.warn(f"{prefix}{caught_warning.message}", caught_warning.category,
+                          stacklevel=3)
+
+
 def fit_pipeline(train: Corpus, config: ExperimentConfig, resources: Resources) -> FittedPipeline:
-    """Fit every stage on the training corpus only."""
-    return _fit(_SharedWork(train, None, [config], resources), config)[0]
+    """Fit every stage on the training corpus only. A warning a stage raises
+    is issued again as "<name>: <message>", with its category."""
+    work = _SharedWork(train, None, [config], resources)
+    return _naming_warnings(f"{config.name}: ", _fit, work, config)[0]
 
 
 @dataclass(frozen=True)
@@ -393,6 +414,12 @@ class ResultRow:
         return self.error is None
 
 
+def _config_columns(config: ExperimentConfig, sn: int) -> dict:
+    """The columns of a row that come from its config, ok or not."""
+    return dict(sn=sn, name=config.name, digest=config.digest(),
+                k_best=config.k_best if config.classifier == "svm" else 0)
+
+
 def _run_row(work: _SharedWork, config: ExperimentConfig, sn: int
              ) -> tuple[ResultRow, FittedPipeline]:
     """Fit on train, predict on test, evaluate with Fake as positive class."""
@@ -406,12 +433,9 @@ def _run_row(work: _SharedWork, config: ExperimentConfig, sn: int
     report = summarize(confusion([d.label for d in test], fitted.labels(values)))
     elapsed = time.perf_counter() - start
     return ResultRow(
-        sn=sn,
-        name=config.name,
-        digest=config.digest(),
+        **_config_columns(config, sn),
         block=config.ngram_spec().describe() if config.classifier == "svm"
         else f"cnn {config.cnn_unit} channels {','.join(map(str, config.cnn_channels))}",
-        k_best=config.k_best if config.classifier == "svm" else 0,
         v_total=fitted.total_features,
         k_selected=fitted.selected_features,
         report=report,
@@ -422,8 +446,11 @@ def _run_row(work: _SharedWork, config: ExperimentConfig, sn: int
 def run_config(
     train: Corpus, test: Corpus, config: ExperimentConfig, resources: Resources, sn: int = 1
 ) -> ResultRow:
-    """Fit on train, predict on test, evaluate with Fake as positive class."""
-    return _run_row(_SharedWork(train, test, [config], resources), config, sn)[0]
+    """Fit on train, predict on test, evaluate with Fake as positive class. A
+    warning a stage raises is issued again as "<name>: <message>", with its
+    category."""
+    work = _SharedWork(train, test, [config], resources)
+    return _naming_warnings(f"{config.name}: ", _run_row, work, config, sn)[0]
 
 
 def run_grid(
@@ -456,18 +483,11 @@ def run_grid(
             shared[key] = _SharedWork(train, test, groups[key], resources)
         work = shared[key]
         fitted = None
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                row, fitted = _run_row(work, config, sn)
-            except Exception as exc:
-                row = ResultRow(
-                    sn=sn, name=config.name, digest=config.digest(),
-                    block="", k_best=config.k_best, v_total=0, k_selected=0,
-                    report=None, seconds=0.0, error=str(exc),
-                )
-        for caught_warning in caught:
-            warnings.warn(f"row {sn} {config.name}: {caught_warning.message}",
-                          caught_warning.category, stacklevel=2)
+        try:
+            row, fitted = _naming_warnings(f"row {sn} {config.name}: ", _run_row, work, config, sn)
+        except Exception as exc:
+            row = ResultRow(**_config_columns(config, sn), block="", v_total=0, k_selected=0,
+                            report=None, seconds=0.0, error=str(exc))
         rows.append(row)
         if last_row[key] == sn:
             del shared[key]
@@ -497,13 +517,10 @@ def render_results_tsv(rows: list[ResultRow]) -> str:
     lines = ["\t".join(RESULTS_TSV_COLUMNS)]
     for r in rows:
         if r.ok:
-            rep = r.report.as_dict()
-            metrics = [format4(rep[c]) for c in (
-                "precision_fake", "recall_fake", "f1_fake",
-                "precision_real", "recall_real", "f1_real", "f1_macro", "accuracy")]
+            metrics = [format4(v) for v in r.report.as_dict().values()]
             status, error = "ok", ""
         else:
-            metrics = [""] * 8
+            metrics = [""] * len(fields(EvalReport))
             status, error = "error", r.error.replace("\t", " ").replace("\n", " ")
         lines.append("\t".join(
             [str(r.sn), r.name, r.block, str(r.k_best), str(r.v_total), str(r.k_selected)]
@@ -518,22 +535,17 @@ def render_results_md(rows: list[ResultRow]) -> str:
     flags = {1: "**", 2: "*", 3: "_"}
     header = ["SN", "Name", "Features", "K", "V", "PrecF", "RecF", "F1F",
               "PrecR", "RecR", "F1R", "F1Macro", "Acc", "Time(s)"]
+    macro = header.index("F1Macro")
     body: list[list[str]] = []
     for r in rows:
         if r.ok:
-            rep = r.report.as_dict()
-            f1m = format4(rep["f1_macro"])
+            cells = [str(r.sn), r.name, r.block, str(r.k_best), str(r.v_total),
+                     *(format4(v) for v in r.report.as_dict().values()), f"{r.seconds:.1f}"]
             mark = flags.get(ranks.get(r.sn, 0), "")
-            body.append([
-                str(r.sn), r.name, r.block, str(r.k_best), str(r.v_total),
-                format4(rep["precision_fake"]), format4(rep["recall_fake"]),
-                format4(rep["f1_fake"]), format4(rep["precision_real"]),
-                format4(rep["recall_real"]), format4(rep["f1_real"]),
-                f"{mark}{f1m}{mark}" if mark else f1m,
-                format4(rep["accuracy"]), f"{r.seconds:.1f}",
-            ])
+            cells[macro] = f"{mark}{cells[macro]}{mark}"
+            body.append(cells)
         else:
-            body.append([str(r.sn), r.name, f"ERROR: {r.error}"] + [""] * 11)
+            body.append([str(r.sn), r.name, f"ERROR: {r.error}"] + [""] * (len(header) - 3))
     widths = [max(len(header[i]), *(len(row[i]) for row in body)) if body else len(header[i])
               for i in range(len(header))]
     sep = ["-" * w for w in widths]

@@ -157,6 +157,15 @@ def test_custom_resources_flags(data_dir, tmp_path):
     assert "xshared0" not in text.split("\t", 2)[-1]
 
 
+#: Config values the parser reads but a fitting stage rejects.
+BAD_CONFIG_VALUES = {
+    "svm_degree_0": "svm_degree = 0\n",
+    "svm_gamma_negative": "svm_gamma = -1\n",
+    "cnn_epochs_0": "classifier = cnn\ncnn_epochs = 0\n",
+    "cnn_dropout_1.5": "classifier = cnn\ncnn_embedding_dropout = 1.5\n",
+}
+
+
 def _bad_input(data_dir, case):
     """Write the bad input of a case and return its command line."""
     train, test = data_dir / "train.tsv", data_dir / "test.tsv"
@@ -174,6 +183,9 @@ def _bad_input(data_dir, case):
     if case == "unknown_config_key":
         (data_dir / "bad.cfg").write_text("k_bset = 10\n", encoding="utf-8")
         return ["--config", data_dir / "bad.cfg", "train", "--train", train]
+    if case in BAD_CONFIG_VALUES:
+        (data_dir / "bad.cfg").write_text(BAD_CONFIG_VALUES[case], encoding="utf-8")
+        return ["--config", data_dir / "bad.cfg", "train", "--train", train]
     if case == "one_class_inspect":
         fake_only = "".join(line for line in train.read_text(encoding="utf-8").splitlines(True)
                             if "\tFake\t" in line)
@@ -189,6 +201,10 @@ def _bad_input(data_dir, case):
     ("unknown_predicted_label", "pred.tsv:1: unknown label 'Maybe'"),
     ("unknown_config_key", "unknown config key 'k_bset'"),
     ("one_class_inspect", "needs at least 2 classes"),
+    ("svm_degree_0", "stage 'train_svm': degree must be >= 1, got 0"),
+    ("svm_gamma_negative", "stage 'train_svm': gamma must be positive, got -1.0"),
+    ("cnn_epochs_0", "stage 'train_cnn': epochs and batch_size must be positive"),
+    ("cnn_dropout_1.5", "stage 'train_cnn': embedding_dropout must be in [0, 1)"),
 ])
 def test_bad_input_gives_one_line_error_and_exit_2(data_dir, capsys, case, message):
     argv = ["--out-dir", data_dir / "err"] + _bad_input(data_dir, case)

@@ -1,5 +1,11 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urdufake.corpus import Corpus, Document, Label, generate_synthetic
 from urdufake import persistence
@@ -11,6 +17,7 @@ from urdufake.runner import (
     PipelineError,
     fit_pipeline,
     load_model,
+    parse_config_file,
     parse_config_text,
     render_results_md,
     render_results_tsv,
@@ -21,6 +28,8 @@ from urdufake.runner import (
 )
 
 from conftest import FAKE_POOL, REAL_POOL
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # --- config file format --------------------------------------------------------
@@ -87,6 +96,64 @@ def test_config_digest_stable():
     assert cfg.digest() != ExperimentConfig(name="y").digest()
 
 
+#: The digests of the shipped configs; results.tsv and every saved model carry them.
+SHIPPED_DIGESTS = {
+    "shared_task_grid.cfg": ["99e33d7a9cc3", "414d785efd6e", "ff305adea0cd", "8ed570fd0277",
+                             "60b68d505770", "1db2890570bd", "7be2d9075fef", "256a9da486dd",
+                             "d8b688cb51fa"],
+    "cnn_variants.cfg": ["8c2fdac3b9bf", "9d1090a922b5", "ae0aadb99828", "f4ef61610462"],
+}
+
+
+@pytest.mark.parametrize("config_file", sorted(SHIPPED_DIGESTS))
+def test_shipped_config_digests_are_pinned(config_file):
+    configs = parse_config_file(ROOT / "configs" / config_file)
+    assert [c.digest() for c in configs] == SHIPPED_DIGESTS[config_file]
+
+
+@pytest.mark.parametrize("field_name", ["name", "cnn_unit"])
+@pytest.mark.parametrize("value", ["a#b", " pad", "pad ", "x\ny", "x\ry", "x\u2028y"])
+def test_config_text_that_would_not_round_trip_is_rejected(field_name, value):
+    with pytest.raises(ConfigError, match=field_name):
+        ExperimentConfig(**{field_name: value})
+
+
+#: A strategy per field annotation a config key may have; a new annotation
+#: fails here until it has one.
+_ONE_LINE = st.text().filter(
+    lambda s: "#" not in s and s == s.strip() and len(s.splitlines()) <= 1)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_STRATEGIES = {
+    "str": _ONE_LINE,
+    "int": st.integers(),
+    "float": _FINITE,
+    "bool": st.booleans(),
+    "tuple[int, ...]": st.lists(st.integers(), max_size=6).map(tuple),
+    "float | None": st.none() | _FINITE,
+    "int | None": st.none() | st.integers(),
+}
+
+
+def _fields_of(cls, **strategies):
+    return st.builds(cls, **{f.name: strategies[f.name] if f.name in strategies
+                             else _STRATEGIES[f.type] for f in fields(cls)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fields_of(ExperimentConfig, classifier=st.sampled_from(["svm", "cnn"]),
+                  preprocess=_fields_of(PreprocessConfig)))
+def test_every_config_round_trips_through_its_text(cfg):
+    assert parse_config_text(serialize_configs([cfg])) == [cfg]
+
+
+def test_readme_key_table_lists_every_config_key_with_its_default():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config keys\n", 1)[1].split("\n#", 1)[0]
+    table = re.findall(r"^\| `(\w+)` \| [^|]+ \| `([^`]*)` \|", section, re.MULTILINE)
+    default_lines = serialize_configs([ExperimentConfig()]).splitlines()[1:]
+    assert table == [tuple(line.split(" = ", 1)) for line in default_lines]
+
+
 # --- pipeline ------------------------------------------------------------------
 
 def test_run_config_synthetic_svm(synthetic_train, synthetic_test, resources):
@@ -151,9 +218,32 @@ def test_run_grid_continues_after_row_failure(small_train, small_test, resources
 def test_run_grid_names_the_row_in_its_warnings(small_train, small_test, resources):
     fits = ExperimentConfig(name="fits", k_best=20, word_orders=(1,), char_orders=())
     clamps = ExperimentConfig(name="clamps", k_best=10**7, word_orders=(1,), char_orders=())
-    with pytest.warns(UserWarning, match=r"row 2 \S+: K=\d+ exceeds feature count"):
+    with pytest.warns(UserWarning, match=r"row 2 clamps: K=\d+ exceeds feature count") as caught:
         rows = run_grid(small_train, small_test, [fits, clamps], resources)
     assert all(r.ok for r in rows)
+    assert [w.filename for w in caught] == [__file__]
+
+
+def test_fit_pipeline_and_run_config_name_the_config_in_their_warnings(
+        small_train, small_test, resources):
+    clamps = ExperimentConfig(name="clamps", k_best=10**7, word_orders=(1,), char_orders=())
+    with pytest.warns(UserWarning, match=r"^clamps: K=\d+ exceeds feature count") as caught:
+        fit_pipeline(small_train, clamps, resources)
+    assert [w.filename for w in caught] == [__file__]
+    with pytest.warns(UserWarning, match=r"^clamps: K=\d+ exceeds feature count") as caught:
+        run_config(small_train, small_test, clamps, resources)
+    assert [w.filename for w in caught] == [__file__]
+
+
+def test_failing_cnn_row_writes_k_best_0(small_train, small_test, resources):
+    good = ExperimentConfig(name="good", k_best=20, word_orders=(1,), char_orders=())
+    bad = ExperimentConfig(name="bad", classifier="cnn", cnn_unit="bogus")
+    rows = run_grid(small_train, small_test, [good, bad], resources)
+    assert [r.ok for r in rows] == [True, False]
+    assert "stage 'fit_encoder'" in rows[1].error
+    assert [r.k_best for r in rows] == [20, 0]
+    cells = render_results_tsv(rows).split("\n")[2].split("\t")
+    assert cells[:4] == ["2", "bad", "", "0"]
 
 
 def test_run_grid_single_config(small_train, small_test, resources):
