@@ -27,9 +27,7 @@ from .vectorize import (
     NgramSpec,
     Vocabulary,
     build_vocabulary,
-    char_ngrams,
     transform,
-    word_ngrams,
 )
 from .selection import SelectionMask, apply_mask, chi2_scores, select_k_best
 from .svm import KernelParams, SvmModel, decision_function, train_svm

@@ -12,8 +12,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import CorpusError, Label, SplitExpectation, load_corpus, validate_split
 from .metrics import confusion, format4, report_tsv_row, summarize
 from .persistence import ModelFormatError
@@ -30,7 +28,7 @@ from .runner import (
     run_grid,
     save_model,
 )
-from .selection import SelectionError, chi2_scores
+from .selection import SelectionError, chi2_scores, feature_order
 from .svm import labels_to_signs
 from .vectorize import VectorizeError, apply_tfidf, build_vocabulary, write_vocabulary_tsv
 
@@ -229,7 +227,7 @@ def _cmd_inspect(args) -> int:
     vocab = build_vocabulary(docs, spec)
     X = apply_tfidf(vocab.counts, vocab)
     scores = chi2_scores(X, labels_to_signs([d.label for d in corpus]))
-    order = np.argsort(-scores, kind="stable")[: args.top]
+    order = feature_order(scores)[: args.top]
     terms = vocab.terms_by_index()
     out = args.out_dir / "top_features.tsv"
     with open(out, "w", encoding="utf-8") as fh:

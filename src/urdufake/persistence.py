@@ -11,7 +11,11 @@ Layout (little-endian):
 Loading refuses files whose major version is newer than this module and
 reports truncation and bad magic explicitly. Major 2 stopped writing two
 SVM blobs that other blobs imply, the idf and the requested K; major-1
-files still load, because the reader ignores blobs it does not use.
+files still load, because the reader ignores blobs it does not use. Major 3
+stores an SVM vocabulary as its rank tables and integer term keys
+(vocab.alphabet, vocab.words, vocab.keys.<namespace>) in place of the
+vocab.terms text, and the fitted resources' digest in the metadata; the
+terms of a major-1/2 file are coded into keys when it loads.
 Writing is deterministic: identical pipelines serialize to identical bytes.
 """
 
@@ -26,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 MAGIC = b"UFND"
-MAJOR = 2
+MAJOR = 3
 MINOR = 0
 
 

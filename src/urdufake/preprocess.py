@@ -9,6 +9,9 @@ after load.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
@@ -222,6 +225,14 @@ class Resources:
     @classmethod
     def default(cls) -> "Resources":
         return cls.load()
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """sha256 of the canonicalized stopwords, lemma entries and
+        normalization map, each sorted; a fitted pipeline records it."""
+        canonical = json.dumps([sorted(self.stopwords.words), sorted(self.lemmas.entries.items()),
+                                sorted(self.normmap.table.items())], ensure_ascii=False)
+        return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,14 @@ from .cnn import (
 )
 from .corpus import Corpus, Label
 from .metrics import EvalReport, confusion, format4, summarize
-from .preprocess import PreprocessConfig, PreprocessedDoc, Resources, preprocess_corpus
-from .selection import SelectionMask, apply_mask, chi2_scores, select_k_best
+from .preprocess import (
+    PreprocessConfig,
+    PreprocessedDoc,
+    ResourceError,
+    Resources,
+    preprocess_corpus,
+)
+from .selection import SelectionMask, apply_mask, chi2_scores, feature_order, select_top
 from .svm import (
     KernelParams,
     SvmModel,
@@ -95,13 +101,16 @@ class ExperimentConfig:
         if self.classifier not in ("svm", "cnn"):
             raise ConfigError(f"classifier must be 'svm' or 'cnn', got {self.classifier!r}")
         # serialize_configs writes each value on one "key = value" line, which
-        # the parser reads back stripped and cut at the first '#'.
+        # the parser reads back stripped and cut at the first '#'; a name is
+        # also a cell of the tab-separated results.tsv and the '|' table of
+        # results.md.
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, str) and (
-                    "#" in value or value != value.strip() or len(value.splitlines()) > 1):
-                raise ConfigError(f"{f.name} must not contain '#' or a line break, or start or "
-                                  f"end with whitespace, got {value!r}")
+                    any(c in value for c in "#|\t") or value != value.strip()
+                    or len(value.splitlines()) > 1):
+                raise ConfigError(f"{f.name} must not contain '#', '|', a tab or a line break, "
+                                  f"or start or end with whitespace, got {value!r}")
 
     def ngram_spec(self) -> NgramSpec:
         return NgramSpec(frozenset(self.word_orders), frozenset(self.char_orders))
@@ -229,6 +238,7 @@ class FittedPipeline:
     encoder: SequenceEncoder | None = None
     cnn: CnnModel | None = None
     history: list | None = None  # per-epoch stats (cnn only, not persisted)
+    resources_digest: str | None = None  # Resources.digest at fit; None in major-1/2 files
 
     @property
     def total_features(self) -> int:
@@ -243,7 +253,12 @@ class FittedPipeline:
         return len(self.encoder.term_to_id)
 
     def decision_values(self, corpus: Corpus, resources: Resources) -> np.ndarray:
-        """Signed margin for SVM; Fake probability for CNN."""
+        """Signed margin for SVM; Fake probability for CNN. Refuses resources
+        other than those the pipeline was fitted with."""
+        if self.resources_digest is not None and resources.digest != self.resources_digest:
+            raise ResourceError(
+                f"the model was fitted with other stopwords, lemmas or normalization map "
+                f"(resource digest {self.resources_digest[:12]}, given {resources.digest[:12]})")
         return self.values_of(preprocess_corpus(corpus, self.config.preprocess, resources))
 
     def values_of(self, docs: list[PreprocessedDoc]) -> np.ndarray:
@@ -279,7 +294,7 @@ class _SharedWork:
 
     Each split is preprocessed once. The SVM rows share one vocabulary of
     the union of their n-gram specs, with the raw term counts of both
-    splits, and the chi-squared scores of each distinct spec; each row
+    splits, and the chi-squared feature order of each distinct spec; each row
     restricts the union to its own spec (Vocabulary.restrict), which gives
     the bytes fitting the row on its own would. Everything is computed on
     first use, so it is charged to the first row that needs it.
@@ -294,7 +309,7 @@ class _SharedWork:
         self._docs: dict[str, list[PreprocessedDoc]] = {}
         self._vocabulary: Vocabulary | None = None
         self._test_counts: sparse.csr_matrix | None = None
-        self._chi2: dict[NgramSpec, np.ndarray] = {}
+        self._order: dict[NgramSpec, np.ndarray] = {}
 
     def docs(self, split: str) -> list[PreprocessedDoc]:
         if split not in self._docs:
@@ -325,11 +340,12 @@ class _SharedWork:
             self._test_counts = count_terms(self.docs("test"), self.vocabulary(), self.spec)
         return self._test_counts
 
-    def chi2_scores(self, spec: NgramSpec, X: sparse.csr_matrix, y: np.ndarray) -> np.ndarray:
-        """Scores of the spec's training matrix X; equal specs give equal X."""
-        if spec not in self._chi2:
-            self._chi2[spec] = chi2_scores(X, y)
-        return self._chi2[spec]
+    def chi2_order(self, spec: NgramSpec, X: sparse.csr_matrix, y: np.ndarray) -> np.ndarray:
+        """The chi-squared feature_order of the spec's training matrix X;
+        equal specs give equal X."""
+        if spec not in self._order:
+            self._order[spec] = feature_order(chi2_scores(X, y))
+        return self._order[spec]
 
 
 def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, np.ndarray | None]:
@@ -343,8 +359,8 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
         vocab, cols = _stage("build_vocabulary", union.restrict, spec)
         X = _stage("transform", apply_tfidf, vocab.counts, vocab)
         y_signs = labels_to_signs(gold)
-        scores = _stage("chi2_scores", work.chi2_scores, spec, X, y_signs)
-        mask = _stage("select_k_best", select_k_best, scores, config.k_best)
+        order = _stage("chi2_scores", work.chi2_order, spec, X, y_signs)
+        mask = _stage("select_k_best", select_top, order, config.k_best)
         X_sel = _stage("apply_mask", apply_mask, X, mask)
         gamma = config.svm_gamma if config.svm_gamma is not None else 1.0 / max(1, mask.n_kept)
         params = _stage("train_svm", KernelParams,
@@ -354,7 +370,7 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
             params=params, C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes,
         )
         return FittedPipeline(config=config, kind="svm", vocabulary=replace(vocab, counts=None),
-                              mask=mask, svm=model), cols
+                              mask=mask, svm=model, resources_digest=work.resources.digest), cols
 
     encoder = _stage("fit_encoder", SequenceEncoder.fit, docs,
                      unit=config.cnn_unit, max_len=config.cnn_max_len)
@@ -372,8 +388,8 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
         embedding_dropout=config.cnn_embedding_dropout,
     )
     cnn, history = _stage("train_cnn", train_cnn, cnn, X_ids, gold, train_cfg)
-    return FittedPipeline(config=config, kind="cnn", encoder=encoder, cnn=cnn,
-                          history=history), None
+    return FittedPipeline(config=config, kind="cnn", encoder=encoder, cnn=cnn, history=history,
+                          resources_digest=work.resources.digest), None
 
 
 def _naming_warnings(prefix: str, fn, *args):
@@ -562,12 +578,13 @@ def save_model(path: str | Path, fitted: FittedPipeline) -> None:
         "kind": fitted.kind,
         "config": serialize_configs([cfg]),
     }
+    if fitted.resources_digest is not None:
+        meta["resources"] = fitted.resources_digest
     arrays: dict[str, np.ndarray] = {}
     texts: dict[str, str] = {}
     if fitted.kind == "svm":
-        arrays["doc_freq"] = fitted.vocabulary.doc_freq
+        arrays, texts = fitted.vocabulary.blobs()
         arrays["mask.kept"] = fitted.mask.kept
-        arrays["vocab.n_docs"] = np.asarray([fitted.vocabulary.n_docs], dtype=np.int64)
         arrays.update(persistence.csr_to_blobs("svm.sv", fitted.svm.support_vectors))
         arrays["svm.dual_coef"] = fitted.svm.dual_coef
         arrays["svm.scalars"] = np.asarray(
@@ -576,7 +593,6 @@ def save_model(path: str | Path, fitted: FittedPipeline) -> None:
              1.0 if fitted.svm.converged else 0.0, float(fitted.svm.n_features)],
             dtype=np.float64,
         )
-        texts["vocab.terms"] = "\n".join(fitted.vocabulary.terms_by_index())
     else:
         arrays["cnn.embedding"] = fitted.cnn.embedding
         for k in fitted.cnn.channels:
@@ -600,13 +616,9 @@ def load_model(path: str | Path) -> FittedPipeline:
     meta, arrays, texts = persistence.read_container(path)
     config = parse_config_text(meta["config"])[0]
     kind = meta["kind"]
+    digest = meta.get("resources")
     if kind == "svm":
-        terms = texts["vocab.terms"].split("\n") if texts["vocab.terms"] else []
-        vocab = Vocabulary(
-            term_to_index={t: i for i, t in enumerate(terms)},
-            doc_freq=arrays["doc_freq"],
-            n_docs=int(arrays["vocab.n_docs"][0]),
-        )
+        vocab = Vocabulary.from_blobs(arrays, texts)
         mask = SelectionMask(kept=arrays["mask.kept"])
         s = arrays["svm.scalars"]
         model = SvmModel(
@@ -618,7 +630,8 @@ def load_model(path: str | Path) -> FittedPipeline:
             converged=bool(s[5]),
             n_features=int(s[6]),
         )
-        return FittedPipeline(config=config, kind="svm", vocabulary=vocab, mask=mask, svm=model)
+        return FittedPipeline(config=config, kind="svm", vocabulary=vocab, mask=mask, svm=model,
+                              resources_digest=digest)
     if kind == "cnn":
         channels = tuple(int(k) for k in arrays["cnn.channels"])
         cnn = CnnModel(
@@ -638,5 +651,6 @@ def load_model(path: str | Path) -> FittedPipeline:
             term_to_id={t: i + 1 for i, t in enumerate(terms)},
             max_len=int(meta["encoder.max_len"]),
         )
-        return FittedPipeline(config=config, kind="cnn", encoder=encoder, cnn=cnn)
+        return FittedPipeline(config=config, kind="cnn", encoder=encoder, cnn=cnn,
+                              resources_digest=digest)
     raise persistence.ModelFormatError(f"unknown pipeline kind {kind!r}")

@@ -67,20 +67,30 @@ class SelectionMask:
         return int(self.kept.size)
 
 
+def feature_order(scores: np.ndarray) -> np.ndarray:
+    """Column indices by descending score; ties keep the lower index first."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+
+
+def select_top(order: np.ndarray, k: int) -> SelectionMask:
+    """Mask of the first K columns of a feature_order.
+
+    K larger than the feature count clamps to all features with a warning.
+    """
+    if k < 1:
+        raise SelectionError(f"K must be >= 1, got {k}")
+    v = order.shape[0]
+    if k > v:
+        warnings.warn(f"K={k} exceeds feature count V={v}; keeping all features", stacklevel=2)
+    return SelectionMask(kept=np.sort(order[: min(k, v)]))
+
+
 def select_k_best(scores: np.ndarray, k: int) -> SelectionMask:
     """Mask of the K highest-scoring features; ties break to the lower index.
 
     K larger than the feature count clamps to all features with a warning.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if k < 1:
-        raise SelectionError(f"K must be >= 1, got {k}")
-    v = scores.shape[0]
-    if k > v:
-        warnings.warn(f"K={k} exceeds feature count V={v}; keeping all features", stacklevel=2)
-    # stable argsort on -scores keeps ascending-index order among ties
-    order = np.argsort(-scores, kind="stable")[: min(k, v)]
-    return SelectionMask(kept=np.sort(order))
+    return select_top(feature_order(scores), k)
 
 
 def apply_mask(X: sparse.spmatrix, mask: SelectionMask) -> sparse.csr_matrix:

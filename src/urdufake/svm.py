@@ -14,6 +14,7 @@ means Fake. Ties (decision exactly 0) go to Fake.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -55,6 +56,11 @@ class SvmModel:
     @property
     def n_support(self) -> int:
         return int(self.dual_coef.shape[0])
+
+    @functools.cached_property
+    def support_vectors_t(self) -> sparse.csr_matrix:
+        """The support vectors transposed, converted once for decision_function."""
+        return self.support_vectors.T.tocsr()
 
 
 def labels_to_signs(labels) -> np.ndarray:
@@ -289,6 +295,6 @@ def decision_function(model: SvmModel, X) -> np.ndarray:
         )
     if model.n_support == 0:
         return np.full(X.shape[0], model.bias, dtype=np.float64)
-    D = np.asarray((X @ model.support_vectors.T).todense(), dtype=np.float64)
+    D = np.asarray((X @ model.support_vectors_t).todense(), dtype=np.float64)
     Kmat = (model.kernel.gamma * D + model.kernel.coef0) ** model.kernel.degree
     return Kmat @ model.dual_coef + model.bias

@@ -5,6 +5,32 @@ trigrams) so word and character features can never collide. Column indices
 are assigned by lexicographic term order, making the whole downstream
 pipeline reproducible independent of document order.
 
+Terms are counted, looked up and stored as exact integer keys; a term is
+only spelled out as a string when it is printed (Vocabulary.terms_by_index).
+The key coding:
+
+- A vocabulary ranks the code points of its training documents' char
+  streams (its alphabet, A symbols) and their word types (W symbols), each
+  in ascending code-point order (Symbols).
+- A char n-gram's key is the base-A number whose digits are the ranks of
+  its n code points. All terms of one namespace have the same length, so
+  keys compare as the strings do.
+- A word n-gram's key is the base-W number of the ranks of its n tokens,
+  with one trap: the term joins its tokens with spaces, and a token holding
+  a code point below U+0020 sorts differently joined than alone
+  ("w2:a\\x01 b" < "w2:a b" although "a" < "a\\x01"). So every token but
+  the last is ranked by t + " " and the last by t. As no token holds a
+  space, comparing two terms then stops inside the same token pair, at the
+  same character, as comparing these digits does.
+- A namespace's keys are uint64 while base ** n fits in 64 bits (A <= 1625
+  code points for c6, W <= 65536 types for w4) and Python ints (numpy
+  object arrays) beyond that, so keys are exact, with no overflow or
+  collision, for any input.
+
+The namespaces sort "c2:" < ... < "c6:" < "w1:" < ... < "w4:", so the
+columns are each namespace's ascending keys in that order, one contiguous
+run per namespace: exactly the lexicographic term order.
+
 Counting and weighting are separate steps: build_vocabulary/count_terms
 give raw per-doc term counts, apply_tfidf weights them by the vocabulary's
 idf and normalizes them. The vocabulary is the one owner of the weighting:
@@ -16,11 +42,9 @@ each on its own.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -75,46 +99,157 @@ class NgramSpec:
         return f"word n={w} char n={c}"
 
 
-def word_ngrams(tokens: Sequence[str], orders: Iterable[int]) -> list[str]:
-    """All contiguous n-token windows, space-joined, prefixed "w{n}:".
+_NO_CODEPOINTS = np.zeros(0, dtype=np.uint32)
 
-    Generation order: ascending n, then left to right.
-    """
-    out: list[str] = []
-    for n in sorted(set(orders)):
-        prefix = f"w{n}:"
-        for i in range(len(tokens) - n + 1):
-            out.append(prefix + " ".join(tokens[i : i + n]))
+
+def _key_dtype(base: int, n: int) -> np.dtype:
+    """uint64 while every n-digit base-`base` number fits, else Python ints."""
+    return np.dtype(np.uint64) if base ** n <= 2 ** 64 else np.dtype(object)
+
+
+def _codepoints(streams: list[str]) -> np.ndarray:
+    return np.frombuffer("".join(streams).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+@dataclass(frozen=True, eq=False)
+class Symbols:
+    """The rank tables n-gram keys are written in: the code points of the
+    training documents' char streams (when the spec has char orders) and
+    their word types (when it has word orders), each ascending."""
+
+    alphabet: np.ndarray  # uint32 code points
+    words: tuple[str, ...]
+    #: word -> its rank, the digit of an n-gram's last token
+    word_rank: dict[str, int] = field(init=False, repr=False)
+    #: each word's rank among the words as they sort with a space appended,
+    #: the digit of a token that is not an n-gram's last
+    lead_rank: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "word_rank", dict(zip(self.words, range(len(self.words)))))
+        order = sorted(range(len(self.words)), key=lambda i: self.words[i] + " ")
+        lead_rank = np.empty(len(order), dtype=np.int64)
+        lead_rank[order] = np.arange(len(order), dtype=np.int64)
+        object.__setattr__(self, "lead_rank", lead_rank)
+
+    @classmethod
+    def fit(cls, docs: Sequence[PreprocessedDoc], spec: NgramSpec) -> Symbols:
+        """The tables of docs for spec. A token holding a space is refused:
+        its word n-grams would join into the same term as other tokens'."""
+        alphabet = _NO_CODEPOINTS
+        if spec.char_orders:
+            alphabet = np.unique(_codepoints([d.char_stream for d in docs]))
+        words: tuple[str, ...] = ()
+        if spec.word_orders:
+            words = tuple(sorted(set(itertools.chain.from_iterable(d.tokens for d in docs))))
+            spaced = next((w for w in words if " " in w), None)
+            if spaced is not None:
+                raise VectorizeError(f"token {spaced!r} contains a space")
+        return cls(alphabet=alphabet, words=words)
+
+    def for_spec(self, spec: NgramSpec) -> Symbols:
+        """The tables fit(docs, spec) gives, for a spec whose orders are among
+        those these were fitted for."""
+        if ((spec.char_orders or not self.alphabet.size)
+                and (spec.word_orders or not self.words)):
+            return self
+        return Symbols(alphabet=self.alphabet if spec.char_orders else _NO_CODEPOINTS,
+                       words=self.words if spec.word_orders else ())
+
+
+def _windows(ranks: np.ndarray, lead: np.ndarray, known: np.ndarray,
+             lengths: list[int], base: int, orders: frozenset[int]
+             ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Keys and document indices of every window of n known symbols inside
+    one document, for each order n: the base-`base` number of the window's
+    `lead` digits and its last symbol's `ranks` digit. Symbols are the
+    concatenated documents' (lengths gives each document's count)."""
+    total = ranks.size
+    doc = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    pos = np.arange(total, dtype=np.int64)
+    stop = np.cumsum(lengths, dtype=np.int64)[doc]
+    if not known.all():
+        unknown = np.append(np.flatnonzero(~known), total)
+        stop = np.minimum(stop, unknown[np.searchsorted(unknown, pos)])
+        ranks, lead = np.where(known, ranks, 0), np.where(known, lead, 0)
+    run = stop - pos
+    out = {}
+    prefix = None
+    for n in range(1, max(orders) + 1):
+        m = total - n + 1
+        if m <= 0:
+            break
+        dtype = _key_dtype(base, n)
+        last = ranks[n - 1:].astype(dtype)
+        keys = last if prefix is None else prefix[:m].astype(dtype, copy=False) * base + last
+        if n in orders:
+            ok = run[:m] >= n
+            out[n] = keys[ok], doc[:m][ok]
+        step = lead[n - 1:].astype(dtype)
+        prefix = step if prefix is None else prefix[:m].astype(dtype, copy=False) * base + step
     return out
 
 
-def char_ngrams(char_stream: str, orders: Iterable[int]) -> list[str]:
-    """All contiguous n-codepoint windows of the stream, prefixed "c{n}:".
-
-    The stream is the space-joined token sequence, so windows cross token
-    boundaries and include the separating spaces.
-    """
-    out: list[str] = []
-    for n in sorted(set(orders)):
-        prefix = f"c{n}:"
-        for i in range(len(char_stream) - n + 1):
-            out.append(prefix + char_stream[i : i + n])
-    return out
-
-
-def doc_terms(doc: PreprocessedDoc, spec: NgramSpec) -> list[str]:
-    terms: list[str] = []
-    if spec.word_orders:
-        terms.extend(word_ngrams(doc.tokens, spec.word_orders))
+def _ngrams(docs: Sequence[PreprocessedDoc], spec: NgramSpec, symbols: Symbols
+            ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """namespace -> (keys, document indices) of every n-gram of docs made of
+    symbols in the tables, in document order; namespaces in column order."""
+    out = {}
     if spec.char_orders:
-        terms.extend(char_ngrams(doc.char_stream, spec.char_orders))
-    return terms
+        streams = [d.char_stream for d in docs]
+        cps = _codepoints(streams)
+        alphabet = symbols.alphabet
+        ranks = np.searchsorted(alphabet, cps)
+        known = ranks < alphabet.size
+        known[known] = alphabet[ranks[known]] == cps[known]
+        windows = _windows(ranks, ranks, known, list(map(len, streams)), alphabet.size,
+                           spec.char_orders)
+        out.update((f"c{n}:", kd) for n, kd in windows.items())
+    if spec.word_orders:
+        tokens = list(itertools.chain.from_iterable(d.tokens for d in docs))
+        ranks = np.fromiter(map(symbols.word_rank.get, tokens, itertools.repeat(-1)),
+                            np.int64, len(tokens))
+        known = ranks >= 0
+        lead = symbols.lead_rank[np.where(known, ranks, 0)] if symbols.words else ranks
+        windows = _windows(ranks, lead, known, [len(d.tokens) for d in docs],
+                           len(symbols.words), spec.word_orders)
+        out.update((f"w{n}:", kd) for n, kd in windows.items())
+    return out
 
 
-@dataclass(frozen=True)
+def _digits(keys: np.ndarray, base: int, n: int) -> list[np.ndarray]:
+    """The n base-`base` digits of each key, most significant first."""
+    out = []
+    for _ in range(n):
+        out.append((keys % base).astype(np.int64))
+        keys = keys // base
+    return out[::-1]
+
+
+def _key_blob(keys: np.ndarray) -> np.ndarray:
+    """uint64 keys as they are; Python-int keys as rows of 64-bit limbs,
+    least significant first."""
+    if keys.dtype != object:
+        return keys
+    limbs = max(1, -(-max(int(k).bit_length() for k in keys) // 64))
+    mask = 2 ** 64 - 1
+    return np.array([[(int(k) >> (64 * j)) & mask for j in range(limbs)] for k in keys],
+                    dtype=np.uint64).reshape(len(keys), limbs)
+
+
+def _keys_of_blob(blob: np.ndarray) -> np.ndarray:
+    if blob.ndim == 1:
+        return blob
+    keys = np.zeros(blob.shape[0], dtype=object)
+    for j in range(blob.shape[1]):
+        keys = keys + (blob[:, j].astype(object) << (64 * j))
+    return keys
+
+
+@dataclass(frozen=True, eq=False)
 class Vocabulary:
-    """Dense term->column map with per-term document frequencies and the
-    smoothed idf weights they imply.
+    """The terms, as the ascending keys of each non-empty namespace, with
+    per-term document frequencies and the smoothed idf weights they imply.
 
     Indices run 0..V-1 in lexicographic term order. A vocabulary fresh from
     build_vocabulary also carries the raw term counts of the documents it
@@ -122,28 +257,43 @@ class Vocabulary:
     by a fitted pipeline, has none.
     """
 
-    term_to_index: dict[str, int]
+    symbols: Symbols
+    keys: dict[str, np.ndarray]  # namespace -> keys, namespaces in column order
     doc_freq: np.ndarray  # int64, indexed by column
     n_docs: int
-    counts: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
+    counts: sparse.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.term_to_index)
+        return int(self.doc_freq.size)
 
     @functools.cached_property
     def idf(self) -> np.ndarray:
         """Smoothed idf weights: idf[t] = ln((1 + N) / (1 + df[t])) + 1."""
         return np.log((1.0 + self.n_docs) / (1.0 + self.doc_freq.astype(np.float64))) + 1.0
 
-    def terms_by_index(self) -> list[str]:
-        return list(self._terms)
-
     @functools.cached_property
-    def _terms(self) -> list[str]:
-        out = [""] * self.size
-        for term, idx in self.term_to_index.items():
-            out[idx] = term
+    def _runs(self) -> dict[str, tuple[int, int]]:
+        """namespace -> its [first, last + 1) columns."""
+        ends = np.cumsum([k.size for k in self.keys.values()], dtype=np.int64)
+        return {ns: (int(hi) - k.size, int(hi)) for (ns, k), hi in zip(self.keys.items(), ends)}
+
+    def terms_by_index(self) -> list[str]:
+        """Every term as its string, by column."""
+        out: list[str] = []
+        for ns, keys in self.keys.items():
+            n = int(ns[1])
+            if ns[0] == "c":
+                digits = _digits(keys, self.symbols.alphabet.size, n)
+                text = np.stack([self.symbols.alphabet[d] for d in digits], axis=1)
+                text = text.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+                out.extend(ns + text[i:i + n] for i in range(0, len(text), n))
+            else:
+                words = np.array(self.symbols.words, dtype=object)
+                digits = _digits(keys, len(self.symbols.words), n)
+                by_lead = np.argsort(self.symbols.lead_rank)
+                tokens = [words[by_lead[d]] for d in digits[:-1]] + [words[digits[-1]]]
+                out.extend(ns + " ".join(t) for t in zip(*tokens))
         return out
 
     def restrict(self, spec: NgramSpec) -> tuple[Vocabulary, np.ndarray]:
@@ -151,63 +301,90 @@ class Vocabulary:
 
         When spec's orders are among those this vocabulary was built with,
         the result equals build_vocabulary(docs, spec) on the same documents,
-        counts included: a term's df does not depend on the spec, and a
-        subset of a sorted term list stays sorted. Each namespace ("w2:",
-        "c3:", ...) is one contiguous run of columns.
+        counts included: a term's df and key do not depend on the spec, and
+        each namespace is one contiguous run of columns.
         """
-        terms = self._terms
-        runs = []
-        for ns in sorted(spec.namespaces()):
-            lo = bisect.bisect_left(terms, ns)
-            runs.append((lo, bisect.bisect_left(terms, ns[:-1] + _AFTER_COLON, lo)))
-        cols = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in runs])
+        kept = [ns for ns in self.keys if ns in spec.namespaces()]
+        cols = np.concatenate([np.arange(*self._runs[ns], dtype=np.int64) for ns in kept]
+                              or [np.zeros(0, np.int64)])
         if cols.size == 0:
             raise VectorizeError("all documents produced zero terms")
-        if cols.size == self.size:
+        symbols = self.symbols.for_spec(spec)
+        if cols.size == self.size and symbols is self.symbols:
             return self, cols
-        kept = list(itertools.chain.from_iterable(terms[lo:hi] for lo, hi in runs))
-        return Vocabulary(term_to_index=dict(zip(kept, range(len(kept)))),
+        return Vocabulary(symbols=symbols, keys={ns: self.keys[ns] for ns in kept},
                           doc_freq=self.doc_freq[cols], n_docs=self.n_docs,
                           counts=None if self.counts is None else self.counts[:, cols]), cols
 
+    @classmethod
+    def from_terms(cls, terms: Sequence[str], doc_freq: np.ndarray, n_docs: int,
+                   symbols: Symbols | None = None) -> Vocabulary:
+        """The vocabulary of these sorted, distinct terms. The rank tables
+        default to the code points of the char terms and the tokens of the
+        word terms."""
+        namespaces = [term.partition(":")[0] + ":" for term in terms]
+        if namespaces != sorted(namespaces):
+            raise VectorizeError("terms are not sorted")
+        unknown = set(namespaces) - NgramSpec(WORD_ORDER_RANGE, CHAR_ORDER_RANGE).namespaces()
+        if unknown:
+            raise VectorizeError(f"unknown term namespaces {sorted(unknown)}")
+        docs: dict[str, list[PreprocessedDoc]] = {}
+        for ns, term in zip(namespaces, terms):
+            body = term[len(ns):]
+            docs.setdefault(ns, []).append(PreprocessedDoc((), body) if ns[0] == "c"
+                                           else PreprocessedDoc.from_tokens(body.split(" ")))
+        if symbols is None:
+            chars = [d for ns in docs if ns[0] == "c" for d in docs[ns]]
+            words = [d for ns in docs if ns[0] == "w" for d in docs[ns]]
+            symbols = Symbols(alphabet=Symbols.fit(chars, NgramSpec(char_orders={2})).alphabet,
+                              words=Symbols.fit(words, NgramSpec(word_orders={1})).words)
+        keys = {}
+        for ns, ns_docs in docs.items():
+            n = int(ns[1])
+            spec = NgramSpec(char_orders={n}) if ns[0] == "c" else NgramSpec(word_orders={n})
+            found, doc = _ngrams(ns_docs, spec, symbols).get(ns, ((), ()))
+            if not np.array_equal(doc, np.arange(len(ns_docs))) or np.any(found[1:] <= found[:-1]):
+                raise VectorizeError(f"{ns} terms are not distinct, sorted {n}-grams "
+                                     "of the rank tables' symbols")
+            keys[ns] = found
+        return cls(symbols=symbols, keys=keys, doc_freq=np.asarray(doc_freq, dtype=np.int64),
+                   n_docs=n_docs)
 
-#: The character after ":", so "w2;" bounds the "w2:" namespace from above.
-_AFTER_COLON = chr(ord(":") + 1)
+    def blobs(self) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+        """The model-file arrays and texts from_blobs reads back."""
+        arrays = {"doc_freq": self.doc_freq,
+                  "vocab.n_docs": np.asarray([self.n_docs], dtype=np.int64),
+                  "vocab.alphabet": self.symbols.alphabet}
+        arrays.update((f"vocab.keys.{ns[:-1]}", _key_blob(k)) for ns, k in self.keys.items())
+        return arrays, {"vocab.words": "".join(w + "\n" for w in self.symbols.words)}
+
+    @classmethod
+    def from_blobs(cls, arrays: dict[str, np.ndarray], texts: dict[str, str]) -> Vocabulary:
+        """A vocabulary from blobs(), or from the term list of a file in
+        model format major 1 or 2."""
+        doc_freq, n_docs = arrays["doc_freq"], int(arrays["vocab.n_docs"][0])
+        if "vocab.terms" in texts:
+            terms = texts["vocab.terms"].split("\n") if texts["vocab.terms"] else []
+            return cls.from_terms(terms, doc_freq, n_docs)
+        symbols = Symbols(alphabet=arrays["vocab.alphabet"],
+                          words=tuple(texts["vocab.words"].split("\n")[:-1]))
+        prefix = "vocab.keys."
+        keys = {name[len(prefix):] + ":": _keys_of_blob(blob)
+                for name, blob in sorted(arrays.items()) if name.startswith(prefix)}
+        return cls(symbols=symbols, keys=keys, doc_freq=doc_freq, n_docs=n_docs)
 
 
-def _count_docs(docs: Sequence[PreprocessedDoc], spec: NgramSpec,
-                term_ids: dict[str, int], grow: bool) -> tuple[np.ndarray, ...]:
-    """Flattened per-doc (indptr, term ids, counts) of each doc's terms.
-
-    Terms missing from term_ids get the next free ids when grow is set and
-    are dropped otherwise (test-time OOV). New ids follow set iteration
-    order, which varies between processes; build_vocabulary renumbers
-    columns by sorted term, so nothing downstream depends on it.
-    """
-    indptr = [0]
-    ids: list[np.ndarray] = []
-    counts: list[np.ndarray] = []
-    for doc in docs:
-        doc_counts = Counter(doc_terms(doc, spec))
-        if grow:
-            term_ids.update(zip(doc_counts.keys() - term_ids.keys(), itertools.count(len(term_ids))))
-        n = len(doc_counts)
-        doc_ids = np.fromiter(map(term_ids.get, doc_counts, itertools.repeat(-1)), np.int64, n)
-        doc_n = np.fromiter(doc_counts.values(), np.int64, n)
-        if not grow:
-            known = doc_ids >= 0
-            doc_ids, doc_n = doc_ids[known], doc_n[known]
-        ids.append(doc_ids)
-        counts.append(doc_n)
-        indptr.append(indptr[-1] + doc_ids.size)
-    return (np.asarray(indptr, dtype=np.int64),
-            np.concatenate(ids) if ids else np.zeros(0, np.int64),
-            np.concatenate(counts) if counts else np.zeros(0, np.int64))
-
-
-def _count_matrix(indptr: np.ndarray, cols: np.ndarray, counts: np.ndarray,
+def _count_matrix(doc_parts: list[np.ndarray], col_parts: list[np.ndarray], n_docs: int,
                   n_cols: int) -> sparse.csr_matrix:
-    X = sparse.csr_matrix((counts, cols, indptr), shape=(indptr.size - 1, n_cols))
+    """How often each column occurs in each document, as int64 CSR rows with
+    ascending columns, from parts of the (document, column) occurrences."""
+    pairs = np.concatenate([d * n_cols + c for d, c in zip(doc_parts, col_parts)]
+                           or [np.zeros(0, np.int64)])
+    pairs, counts = np.unique(pairs, return_counts=True)
+    rows, cols = np.divmod(pairs, n_cols)
+    indptr = np.searchsorted(rows, np.arange(n_docs + 1, dtype=np.int64))
+    X = sparse.csr_matrix((counts.astype(np.int64), cols, indptr.astype(np.int64)),
+                          shape=(n_docs, n_cols))
     X.sort_indices()
     return X
 
@@ -217,20 +394,26 @@ def build_vocabulary(docs: Sequence[PreprocessedDoc], spec: NgramSpec) -> Vocabu
     the raw term counts of docs over it (Vocabulary.counts)."""
     if not docs:
         raise VectorizeError("cannot build a vocabulary from an empty corpus")
-    term_ids: dict[str, int] = {}
-    indptr, ids, counts = _count_docs(docs, spec, term_ids, grow=True)
-    if not term_ids:
+    symbols = Symbols.fit(docs, spec)
+    ngrams = _ngrams(docs, spec, symbols)
+    keys, doc_parts, col_parts = {}, [], []
+    size = 0
+    for ns in sorted(ngrams):
+        k, doc = ngrams.pop(ns)  # each namespace's occurrences are freed once coded
+        if k.size:
+            keys[ns], at = np.unique(k, return_inverse=True)
+            doc_parts.append(doc)
+            col_parts.append(size + at)
+            size += keys[ns].size
+    if not size:
         raise VectorizeError("all documents produced zero terms")
-    terms = sorted(term_ids)
-    first_ids = np.fromiter(map(term_ids.__getitem__, terms), np.int64, len(terms))
-    column_of = np.empty(len(terms), dtype=np.int64)
-    column_of[first_ids] = np.arange(len(terms), dtype=np.int64)
-    doc_freq = np.bincount(ids, minlength=len(terms)).astype(np.int64)[first_ids]
+    counts = _count_matrix(doc_parts, col_parts, len(docs), size)
     return Vocabulary(
-        term_to_index=dict(zip(terms, range(len(terms)))),
-        doc_freq=doc_freq,
+        symbols=symbols,
+        keys=keys,
+        doc_freq=np.bincount(counts.indices, minlength=size).astype(np.int64),
         n_docs=len(docs),
-        counts=_count_matrix(indptr, column_of[ids], counts, len(terms)),
+        counts=counts,
     )
 
 
@@ -241,8 +424,20 @@ def count_terms(
 
     Terms absent from the vocabulary are ignored (test-time OOV).
     """
-    indptr, cols, counts = _count_docs(docs, spec, vocabulary.term_to_index, grow=False)
-    return _count_matrix(indptr, cols, counts, vocabulary.size)
+    doc_parts, col_parts = [], []
+    for ns, (keys, doc) in _ngrams(docs, spec, vocabulary.symbols).items():
+        if ns not in vocabulary.keys:
+            continue
+        # binary searches for keys in ascending order stay in the cache
+        order = np.argsort(keys)
+        keys, doc = keys[order], doc[order]
+        known = vocabulary.keys[ns]
+        at = np.searchsorted(known, keys)
+        found = at < known.size
+        found[found] = known[at[found]] == keys[found]
+        doc_parts.append(doc[found])
+        col_parts.append(vocabulary._runs[ns][0] + at[found])
+    return _count_matrix(doc_parts, col_parts, len(docs), vocabulary.size)
 
 
 def apply_tfidf(counts: sparse.csr_matrix, vocabulary: Vocabulary) -> sparse.csr_matrix:

@@ -186,6 +186,16 @@ def _bad_input(data_dir, case):
     if case in BAD_CONFIG_VALUES:
         (data_dir / "bad.cfg").write_text(BAD_CONFIG_VALUES[case], encoding="utf-8")
         return ["--config", data_dir / "bad.cfg", "train", "--train", train]
+    if case == "tab_in_row_name":
+        (data_dir / "bad.cfg").write_text("[experiment]\nname = a\tb\n", encoding="utf-8")
+        return ["--config", data_dir / "bad.cfg", "experiment", "--train", train, "--test", test]
+    if case == "other_resources_predict":
+        (data_dir / "small.cfg").write_text("k_best = 50\n", encoding="utf-8")
+        assert run(["--out-dir", data_dir / "m", "--config", data_dir / "small.cfg",
+                    "train", "--train", train]) == 0
+        (data_dir / "sw.txt").write_text("xshared0\n", encoding="utf-8")
+        return ["--stopwords", data_dir / "sw.txt", "predict", "--model",
+                data_dir / "m" / "model.ufnd", "--input", test]
     if case == "one_class_inspect":
         fake_only = "".join(line for line in train.read_text(encoding="utf-8").splitlines(True)
                             if "\tFake\t" in line)
@@ -201,6 +211,9 @@ def _bad_input(data_dir, case):
     ("unknown_predicted_label", "pred.tsv:1: unknown label 'Maybe'"),
     ("unknown_config_key", "unknown config key 'k_bset'"),
     ("one_class_inspect", "needs at least 2 classes"),
+    ("tab_in_row_name", "name must not contain '#', '|', a tab"),
+    ("other_resources_predict", "the model was fitted with other stopwords, lemmas or "
+                                "normalization map"),
     ("svm_degree_0", "stage 'train_svm': degree must be >= 1, got 0"),
     ("svm_gamma_negative", "stage 'train_svm': gamma must be positive, got -1.0"),
     ("cnn_epochs_0", "stage 'train_cnn': epochs and batch_size must be positive"),

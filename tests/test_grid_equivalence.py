@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urdufake import persistence
 from urdufake.corpus import generate_synthetic
 from urdufake.metrics import confusion, summarize
 from urdufake.preprocess import PreprocessConfig, PreprocessedDoc, preprocess_corpus
@@ -40,6 +41,7 @@ from urdufake.svm import (
 from urdufake.vectorize import (
     NgramSpec,
     VectorizeError,
+    Vocabulary,
     apply_tfidf,
     build_vocabulary,
     count_terms,
@@ -50,7 +52,9 @@ from conftest import FAKE_POOL, REAL_POOL
 from reference_vectorize import (
     csr_bytes,
     reference_build_vocabulary,
+    reference_counts,
     reference_idf,
+    reference_terms,
     reference_transform,
 )
 
@@ -77,7 +81,8 @@ def reference_fit_svm(train, config, resources) -> FittedPipeline:
                    params=KernelParams(degree=config.svm_degree, gamma=gamma,
                                        coef0=config.svm_coef0),
                    C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes)
-    return FittedPipeline(config=config, kind="svm", vocabulary=vocab, mask=mask, svm=model)
+    return FittedPipeline(config=config, kind="svm", vocabulary=vocab, mask=mask, svm=model,
+                          resources_digest=resources.digest)
 
 
 def reference_row(train, test, config, resources, sn):
@@ -171,12 +176,95 @@ def test_mixed_grid_matches_per_row_reference(resources, tmp_path):
     assert render_results_tsv(one_row) == render_results_tsv([r for r in rows if r.ok])
 
 
-# --- restriction against the reference featurizer ----------------------------
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_every_row_keeps_the_select_k_best_columns(resources):
+    """The grid ranks each spec's features once and cuts every K of the
+    spec from that one order."""
+    train = generate_synthetic(3, 20, (FAKE_POOL, REAL_POOL), (2, 3), split="train")
+    test = generate_synthetic(4, 8, (FAKE_POOL, REAL_POOL), (2, 3), split="test")
+    configs = [c for c in mixed_grid() if c.classifier == "svm" and c.name != "w4_only"]
+    kept = {}
+    run_grid(train, test, configs, resources,
+             on_fitted=lambda row, fitted: kept.setdefault(row.name, fitted.mask.kept))
+    y = labels_to_signs([d.label for d in train])
+    masks = {}
+    for config in configs:
+        docs = preprocess_corpus(train, config.preprocess, resources)
+        vocab = build_vocabulary(docs, config.ngram_spec())
+        scores = chi2_scores(apply_tfidf(vocab.counts, vocab), y)
+        masks[config.name] = select_k_best(scores, config.k_best).kept
+        assert kept[config.name].tobytes() == masks[config.name].tobytes(), config.name
+    # one spec at two K values that both cut
+    assert masks["w1234_c23456_b"].size == 150 < masks["w1234_c23456_a"].size == 400
 
-TOKENS = ["aa", "ab", "ba", "b", "abc", "ca", "c"]
-doc_tokens = st.lists(st.sampled_from(TOKENS), min_size=0, max_size=10)
+
+# --- integer keys and restriction against the reference featurizer ---------
+
+#: Token letters: ASCII and Urdu ones, code points below U+0020 that are not
+#: whitespace (they sort below the space that joins a word n-gram's
+#: tokens), and astral code points. Short tokens over few letters make
+#: tokens that are prefixes of each other.
+LETTERS = "ab" + "\u0628\u067e" + "\x01\x1b" + "\U0001f600\U00010000"
+doc_tokens = st.lists(st.text(alphabet=LETTERS, min_size=1, max_size=3), min_size=0, max_size=10)
 word_subsets = st.frozensets(st.integers(1, 4))
 char_subsets = st.frozensets(st.integers(2, 6))
+
+#: A document whose stream holds 1,700 distinct code points, more than the
+#: 1,625 whose char 6-grams fit in 64 bits.
+WIDE_ALPHABET_DOC = tuple(chr(0x4E00 + i) + chr(0x4E00 + 1699 - i) for i in range(850))
+#: A document of 66,000 distinct tokens, more than the 65,536 whose word
+#: 4-grams fit in 64 bits.
+WIDE_WORDS_DOC = tuple(f"{i:x}" for i in range(66_000))
+
+
+def vocabulary_bytes(vocab) -> tuple:
+    """Everything a vocabulary holds and saves, as bytes."""
+    arrays, texts = vocab.blobs()
+    return ({name: (a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()}, texts,
+            None if vocab.counts is None else csr_bytes(vocab.counts))
+
+
+def check_against_reference(train, test, spec, union_spec):
+    """The integer featurizer on token lists train/test gives the reference
+    featurizer's terms, df, counts and TF-IDF rows, for the spec itself and
+    restricted from the union spec."""
+    train_docs = [PreprocessedDoc.from_tokens(t) for t in train]
+    test_docs = [PreprocessedDoc.from_tokens(t) for t in test]
+    try:
+        terms, doc_freq = reference_terms(train_docs, spec)
+    except VectorizeError as exc:
+        with pytest.raises(VectorizeError, match=str(exc)):
+            build_vocabulary(train_docs, union_spec).restrict(spec)
+        return
+    union_terms, union_df = reference_terms(train_docs, union_spec)
+    union = build_vocabulary(train_docs, union_spec)
+    assert union.terms_by_index() == union_terms
+    assert union.doc_freq.tobytes() == union_df.tobytes()
+    assert csr_bytes(union.counts) == \
+        csr_bytes(reference_counts(train_docs, union_terms, union_spec))
+
+    vocab, cols = union.restrict(spec)
+    assert vocab.terms_by_index() == terms
+    assert vocab.doc_freq.tobytes() == doc_freq.tobytes()
+    assert [union_terms[c] for c in cols] == terms
+    assert csr_bytes(vocab.counts) == csr_bytes(reference_counts(train_docs, terms, spec))
+    own = build_vocabulary(train_docs, spec)
+    assert vocabulary_bytes(vocab) == vocabulary_bytes(own)
+    ref_vocab = reference_build_vocabulary(train_docs, spec)
+    assert vocabulary_bytes(replace(own, counts=None)) == vocabulary_bytes(ref_vocab)
+
+    assert vocab.idf.tobytes() == reference_idf(ref_vocab).tobytes()
+    assert csr_bytes(apply_tfidf(vocab.counts, vocab)) == \
+        csr_bytes(reference_transform(train_docs, ref_vocab, spec))
+
+    restricted = count_terms(test_docs, union, union_spec)[:, cols]
+    assert csr_bytes(apply_tfidf(restricted, vocab)) == \
+        csr_bytes(reference_transform(test_docs, ref_vocab, spec))
+    assert csr_bytes(transform(test_docs, vocab, spec)) == \
+        csr_bytes(reference_transform(test_docs, ref_vocab, spec))
+    assert csr_bytes(count_terms(test_docs, vocab, union_spec)) == \
+        csr_bytes(reference_counts(test_docs, terms, union_spec))
+    return union
 
 
 @settings(max_examples=80, deadline=None)
@@ -190,32 +278,56 @@ def test_restricted_counts_equal_reference_transform(train, test, words, chars,
                                                      extra_words, extra_chars):
     if not words and not chars:
         return
-    train_docs = [PreprocessedDoc.from_tokens(t) for t in train]
-    test_docs = [PreprocessedDoc.from_tokens(t) for t in test]
-    spec = NgramSpec(words, chars)
-    union_spec = NgramSpec(words | extra_words, chars | extra_chars)
+    check_against_reference(train, test, NgramSpec(words, chars),
+                            NgramSpec(words | extra_words, chars | extra_chars))
 
-    try:
-        ref_vocab = reference_build_vocabulary(train_docs, spec)
-    except VectorizeError as exc:
-        with pytest.raises(VectorizeError, match=str(exc)):
-            build_vocabulary(train_docs, union_spec).restrict(spec)
-        return
-    union = build_vocabulary(train_docs, union_spec)
-    vocab, cols = union.restrict(spec)
-    assert vocab.terms_by_index() == ref_vocab.terms_by_index()
-    assert vocab.doc_freq.tobytes() == ref_vocab.doc_freq.tobytes()
-    assert [union.terms_by_index()[c] for c in cols] == vocab.terms_by_index()
 
-    assert vocab.idf.tobytes() == reference_idf(ref_vocab).tobytes()
-    assert csr_bytes(apply_tfidf(vocab.counts, vocab)) == \
-        csr_bytes(reference_transform(train_docs, ref_vocab, spec))
+@settings(max_examples=4, deadline=None)
+@given(
+    train=st.lists(doc_tokens, min_size=0, max_size=3),
+    test=st.lists(doc_tokens, min_size=1, max_size=3),
+    words=word_subsets, chars=char_subsets.filter(bool),
+)
+def test_char_keys_past_64_bits_equal_reference(train, test, words, chars):
+    union = check_against_reference(
+        [WIDE_ALPHABET_DOC] + train, test + [WIDE_ALPHABET_DOC[::-1]],
+        NgramSpec(words, chars), NgramSpec(words, chars | {5, 6}))
+    assert union.keys["c6:"].dtype == object and union.keys["c5:"].dtype == np.uint64
 
-    restricted = count_terms(test_docs, union, union_spec)[:, cols]
-    assert csr_bytes(apply_tfidf(restricted, vocab)) == \
-        csr_bytes(reference_transform(test_docs, ref_vocab, spec))
-    assert csr_bytes(transform(test_docs, vocab, spec)) == \
-        csr_bytes(reference_transform(test_docs, ref_vocab, spec))
+
+@settings(max_examples=2, deadline=None)
+@given(
+    train=st.lists(doc_tokens, min_size=0, max_size=3),
+    test=st.lists(doc_tokens, min_size=1, max_size=3),
+    words=word_subsets.filter(bool),
+)
+def test_word_keys_past_64_bits_equal_reference(train, test, words):
+    union = check_against_reference(
+        [WIDE_WORDS_DOC] + train, test + [WIDE_WORDS_DOC[1000:3000]],
+        NgramSpec(words), NgramSpec(words | {3, 4}))
+    assert union.keys["w4:"].dtype == object and union.keys["w3:"].dtype == np.uint64
+
+
+@pytest.mark.parametrize("tokens, spec, wide", [
+    (WIDE_ALPHABET_DOC, NgramSpec({1}, {2, 6}), "c6:"),
+    (WIDE_WORDS_DOC, NgramSpec({1, 4}), "w4:"),
+])
+def test_keys_past_64_bits_survive_a_model_file(tmp_path, tokens, spec, wide):
+    docs = [PreprocessedDoc.from_tokens(tokens), PreprocessedDoc.from_tokens(tokens[::-3])]
+    vocab = replace(build_vocabulary(docs, spec), counts=None)
+    assert vocab.keys[wide].dtype == object
+    arrays, texts = vocab.blobs()
+    path = tmp_path / "vocab.ufnd"
+    persistence.write_container(path, {}, arrays, texts)
+    loaded = Vocabulary.from_blobs(*persistence.read_container(path)[1:])
+    assert vocabulary_bytes(loaded) == vocabulary_bytes(vocab)
+    assert loaded.terms_by_index() == vocab.terms_by_index()
+    assert csr_bytes(count_terms(docs, loaded, spec)) == csr_bytes(count_terms(docs, vocab, spec))
+
+
+def test_a_token_holding_a_space_is_refused():
+    with pytest.raises(VectorizeError, match="contains a space"):
+        build_vocabulary([PreprocessedDoc.from_tokens(["a b", "c"])], NgramSpec({1}))
 
 
 def test_restrict_to_own_spec_is_identity():

