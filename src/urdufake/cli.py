@@ -228,11 +228,11 @@ def _cmd_inspect(args) -> int:
     X = apply_tfidf(vocab.counts, vocab)
     scores = chi2_scores(X, labels_to_signs([d.label for d in corpus]))
     order = feature_order(scores)[: args.top]
-    terms = vocab.terms_by_index()
+    terms = vocab.terms_by_index(order)
     out = args.out_dir / "top_features.tsv"
     with open(out, "w", encoding="utf-8") as fh:
-        for rank, col in enumerate(order, start=1):
-            fh.write(f"{rank}\t{terms[col]}\t{float(scores[col])!r}\n")
+        for rank, (col, term) in enumerate(zip(order, terms), start=1):
+            fh.write(f"{rank}\t{term}\t{float(scores[col])!r}\n")
     print(f"wrote {out} (top {len(order)} of {vocab.size} features)")
     return 0
 

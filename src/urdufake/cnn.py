@@ -322,7 +322,12 @@ class EpochStats:
 
 
 def write_history_tsv(history: Sequence[EpochStats], path) -> None:
-    """Per-epoch loss/accuracy as TSV, one row per epoch, for plotting."""
+    """Per-epoch loss/accuracy as TSV, one row per epoch, for plotting.
+
+    Both come from the epoch's own training batches, each scored before its
+    update (with embedding dropout, if set), as Keras reports them: loss is
+    the mean batch loss, accuracy the share of training documents scored on
+    the right side of 0.5. No separate pass over the training set is made."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch\tloss\taccuracy\n")
         for e in history:
@@ -335,7 +340,7 @@ def train_cnn(
     """Mini-batch Adam on mean BCE; deterministic given (model, X, y, config).
 
     y may be 0/1 floats or Labels (Fake -> 1). Updates the model in place and
-    returns it with the per-epoch loss/accuracy history.
+    returns it with the per-epoch loss/accuracy history (see write_history_tsv).
     """
     X = np.asarray(X, dtype=np.int64)
     targets = _targets_01(y)
@@ -351,6 +356,7 @@ def train_cnn(
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(n)
         batch_losses = []
+        correct = 0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             ids, tgt = X[idx], targets[idx]
@@ -365,6 +371,7 @@ def train_cnn(
                     f"NaN loss at epoch {epoch}, batch starting at {start}"
                 )
             batch_losses.append(loss)
+            correct += int(np.sum((cache["p"] >= 0.5) == (tgt >= 0.5)))
             grads = _backward(model, cache, tgt)
             t += 1
             bc1 = 1.0 - ADAM_BETA1**t
@@ -376,9 +383,8 @@ def train_cnn(
                 arr -= config.learning_rate * (m[name] / bc1) / (
                     np.sqrt(v[name] / bc2) + ADAM_EPS
                 )
-        probs = forward(model, X)
-        acc = float(np.mean((probs >= 0.5) == (targets >= 0.5)))
-        history.append(EpochStats(epoch=epoch, loss=float(np.mean(batch_losses)), accuracy=acc))
+        history.append(EpochStats(epoch=epoch, loss=float(np.mean(batch_losses)),
+                                  accuracy=correct / n))
     return model, history
 
 

@@ -354,6 +354,10 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
     docs = _stage("preprocess", work.docs, "train")
     gold = [d.label for d in work.splits["train"]]
     if config.classifier == "svm":
+        # checked before featurizing, so a bad kernel fails before any stage warns
+        params = _stage("train_svm", KernelParams, degree=config.svm_degree,
+                        gamma=1.0 if config.svm_gamma is None else config.svm_gamma,
+                        coef0=config.svm_coef0)
         spec = config.ngram_spec()
         union = _stage("build_vocabulary", work.vocabulary)
         vocab, cols = _stage("build_vocabulary", union.restrict, spec)
@@ -362,9 +366,8 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
         order = _stage("chi2_scores", work.chi2_order, spec, X, y_signs)
         mask = _stage("select_k_best", select_top, order, config.k_best)
         X_sel = _stage("apply_mask", apply_mask, X, mask)
-        gamma = config.svm_gamma if config.svm_gamma is not None else 1.0 / max(1, mask.n_kept)
-        params = _stage("train_svm", KernelParams,
-                        degree=config.svm_degree, gamma=gamma, coef0=config.svm_coef0)
+        if config.svm_gamma is None:
+            params = replace(params, gamma=1.0 / max(1, mask.n_kept))
         model = _stage(
             "train_svm", train_svm, X_sel, y_signs,
             params=params, C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes,

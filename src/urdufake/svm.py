@@ -1,12 +1,23 @@
 """Polynomial-kernel SVM trained by sequential minimal optimization.
 
-The dual QP is solved two multipliers at a time with a deterministic sweep:
-the first index walks 0..n-1 looking for a KKT violation, the second is
-chosen to maximize |E_i - E_j| (falling back through the remaining
-candidates in that order if the step makes no progress). Training stops
-when a full sweep finds no violation or moves no multiplier at all, capped
-at max_passes; the converged flag records whether the KKT conditions hold
-within tol at exit, and a UserWarning reports when they do not.
+The dual QP, minimize 1/2 a'Qa - sum(a) over 0 <= a <= C with y'a = 0 and
+Q_ij = y_i y_j K(x_i, x_j), is solved one pair of multipliers per step from
+its gradient G = Qa - 1, by maximal-violating-pair selection (Keerthi et
+al., "Improvements to Platt's SMO Algorithm", Neural Computation 2001).
+
+- Pair rule: with yG = -y * G, i maximizes yG over the multipliers whose
+  y_i a_i can still grow (a < C with y = +1, a > 0 with y = -1), and j
+  minimizes yG over those whose y_j a_j can still shrink (a > 0 with
+  y = +1, a < C with y = -1). The pair moves by the gap yG_i - yG_j over
+  K_ii + K_jj - 2 K_ij, clipped to the box; a flat or concave direction
+  goes to the bound. G is updated from the two kernel rows.
+- Stop rule: the gap yG_i - yG_j is at most tol. Then some bias puts every
+  y_i f(x_i) within tol of what the KKT conditions ask, and the final bias
+  (see train_svm) is one.
+- max_passes caps the solver at max_passes * n pair steps (about n steps
+  per pass over the data). The converged flag records whether the KKT
+  conditions hold within tol at exit, and a UserWarning reports when they
+  do not.
 
 Label encoding is fixed: Fake = +1, Real = -1, so a positive decision value
 means Fake. Ties (decision exactly 0) go to Fake.
@@ -86,7 +97,7 @@ def train_svm(
     max_passes: int = 200,
     gram_budget_mb: float = 512.0,
 ) -> SvmModel:
-    """SMO on the dual QP. See module docstring for the sweep strategy.
+    """SMO on the dual QP. See module docstring for the pair and stop rules.
 
     The bias is recomputed after convergence as the mean of y_i - g(x_i)
     over unbounded support vectors (0 < alpha < C); with none unbounded it
@@ -127,99 +138,36 @@ def train_svm(
                 cache[i] = row
             return row
 
+    # K_ii from the row norms, so both kernel paths see the same diagonal
+    sq_norms = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    diag = (params.gamma * sq_norms + params.coef0) ** params.degree
     alpha = np.zeros(n, dtype=np.float64)
-    b = 0.0
-    # E_i = f(x_i) - y_i under the current alpha and running bias
-    E = -y.copy()
+    G = np.full(n, -1.0)  # gradient of the dual objective, Q alpha - 1
     bound_eps = 1e-10 * C
-
-    def take_step(i: int, j: int) -> float:
-        nonlocal b, E
-        if i == j:
-            return 0.0
-        ai, aj = alpha[i], alpha[j]
-        yi, yj = y[i], y[j]
-        Ei, Ej = E[i], E[j]
-        s = yi * yj
-        if yi != yj:
-            L, H = max(0.0, aj - ai), min(C, C + aj - ai)
-        else:
-            L, H = max(0.0, ai + aj - C), min(C, ai + aj)
-        if H - L < 1e-12:
-            return 0.0
-        Ki = kernel_row(i)
-        Kj = kernel_row(j)
-        kii, kjj, kij = Ki[i], Kj[j], Ki[j]
-        eta = kii + kjj - 2.0 * kij
-        if eta > 1e-12:
-            aj_new = aj + yj * (Ei - Ej) / eta
-            aj_new = min(max(aj_new, L), H)
-        else:
-            # flat or concave direction: evaluate the objective at both ends
-            f1 = yi * (Ei + b) - ai * kii - s * aj * kij
-            f2 = yj * (Ej + b) - s * ai * kij - aj * kjj
-            L1 = ai + s * (aj - L)
-            H1 = ai + s * (aj - H)
-            obj_l = L1 * f1 + L * f2 + 0.5 * L1 * L1 * kii + 0.5 * L * L * kjj + s * L * L1 * kij
-            obj_h = H1 * f1 + H * f2 + 0.5 * H1 * H1 * kii + 0.5 * H * H * kjj + s * H * H1 * kij
-            if obj_l < obj_h - 1e-12:
-                aj_new = L
-            elif obj_l > obj_h + 1e-12:
-                aj_new = H
-            else:
-                return 0.0
-        d_aj = aj_new - aj
-        if abs(d_aj) < 1e-12:
-            return 0.0
-        ai_new = ai + s * (aj - aj_new)
-        ai_new = min(max(ai_new, 0.0), C)
-        d_ai = ai_new - ai
-
-        b1 = b - Ei - yi * d_ai * kii - yj * d_aj * kij
-        b2 = b - Ej - yi * d_ai * kij - yj * d_aj * kjj
-        if bound_eps < ai_new < C - bound_eps:
-            b_new = b1
-        elif bound_eps < aj_new < C - bound_eps:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-
-        E += yi * d_ai * Ki + yj * d_aj * Kj + (b_new - b)
-        alpha[i], alpha[j] = ai_new, aj_new
-        b = b_new
-        return max(abs(d_ai), abs(d_aj))
-
-    # screening at tol/2 keeps the spread of implied biases over unbounded
-    # support vectors within tol, so the averaged final bias satisfies the
-    # KKT conditions within tol
-    screen_tol = 0.5 * tol
-    for _ in range(max_passes):
-        max_delta = 0.0
-        n_violations = 0
-        for i in range(n):
-            r = y[i] * E[i]
-            if (r < -screen_tol and alpha[i] < C - bound_eps) or (
-                r > screen_tol and alpha[i] > bound_eps
-            ):
-                n_violations += 1
-                gaps = np.abs(E - E[i])
-                gaps[i] = -1.0
-                delta = take_step(i, int(np.argmax(gaps)))
-                if delta == 0.0:
-                    for j in np.argsort(-gaps, kind="stable"):
-                        delta = take_step(i, int(j))
-                        if delta > 0.0:
-                            break
-                max_delta = max(max_delta, delta)
-        if n_violations == 0 or max_delta == 0.0:
+    pos = y > 0
+    for _ in range(max_passes * n):
+        yG = -y * G
+        below_C, above_0 = alpha < C - bound_eps, alpha > bound_eps
+        i = int(np.argmax(np.where(np.where(pos, below_C, above_0), yG, -np.inf)))
+        j = int(np.argmin(np.where(np.where(pos, above_0, below_C), yG, np.inf)))
+        gap = yG[i] - yG[j]
+        if gap <= tol:
             break
+        Ki, Kj = kernel_row(i), kernel_row(j)
+        room_i = C - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else C - alpha[j]
+        # a flat or concave direction has its optimum at the bound
+        t = min(gap / max(diag[i] + diag[j] - 2.0 * Ki[j], 1e-12), room_i, room_j)
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        G += t * y * (Ki - Kj)
 
     # snap multipliers that drifted within rounding of the box bounds
     alpha[alpha < bound_eps] = 0.0
     alpha[alpha > C - bound_eps] = C
 
     g = _margins(X, y, alpha, params, kernel_row, n)
-    bias = _final_bias(alpha, y, g, C, b)
+    bias = _final_bias(alpha, y, g, C)
     converged = _kkt_excess(alpha, y, g + bias, C, tol) <= 1e-12
     if not converged:
         warnings.warn(f"SMO did not converge within max_passes={max_passes} "
@@ -266,7 +214,7 @@ def _margins(X, y, alpha, params, kernel_row, n) -> np.ndarray:
     return ay[nz] @ G
 
 
-def _final_bias(alpha, y, g, C, running_b) -> float:
+def _final_bias(alpha, y, g, C) -> float:
     unbounded = (alpha > 0.0) & (alpha < C)
     if unbounded.any():
         return float(np.mean(y[unbounded] - g[unbounded]))
@@ -281,9 +229,7 @@ def _final_bias(alpha, y, g, C, running_b) -> float:
         return float((lows.max() + highs.min()) / 2.0)
     if lows.size:
         return float(lows.max())
-    if highs.size:
-        return float(highs.min())
-    return float(running_b)
+    return float(highs.min())
 
 
 def decision_function(model: SvmModel, X) -> np.ndarray:

@@ -278,11 +278,19 @@ class Vocabulary:
         ends = np.cumsum([k.size for k in self.keys.values()], dtype=np.int64)
         return {ns: (int(hi) - k.size, int(hi)) for (ns, k), hi in zip(self.keys.items(), ends)}
 
-    def terms_by_index(self) -> list[str]:
-        """Every term as its string, by column."""
+    def terms_by_index(self, columns: Sequence[int] | None = None) -> list[str]:
+        """The terms of these columns (default: every column), as strings,
+        in the order given."""
+        cols = np.arange(self.size) if columns is None else np.asarray(columns, dtype=np.int64)
+        order = np.argsort(cols, kind="stable")
+        ranked = cols[order]
         out: list[str] = []
         for ns, keys in self.keys.items():
-            n = int(ns[1])
+            lo, hi = self._runs[ns]
+            first, last = np.searchsorted(ranked, (lo, hi))
+            if first == last:
+                continue
+            keys, n = keys[ranked[first:last] - lo], int(ns[1])
             if ns[0] == "c":
                 digits = _digits(keys, self.symbols.alphabet.size, n)
                 text = np.stack([self.symbols.alphabet[d] for d in digits], axis=1)
@@ -294,7 +302,9 @@ class Vocabulary:
                 by_lead = np.argsort(self.symbols.lead_rank)
                 tokens = [words[by_lead[d]] for d in digits[:-1]] + [words[digits[-1]]]
                 out.extend(ns + " ".join(t) for t in zip(*tokens))
-        return out
+        if columns is None:
+            return out
+        return [out[k] for k in np.argsort(order)]
 
     def restrict(self, spec: NgramSpec) -> tuple[Vocabulary, np.ndarray]:
         """The terms in spec's namespaces, and the columns they hold here.

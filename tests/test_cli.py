@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import urdufake
 from urdufake.cli import main
 from urdufake.corpus import generate_synthetic, save_corpus
 
@@ -219,11 +225,18 @@ def _bad_input(data_dir, case):
     ("cnn_epochs_0", "stage 'train_cnn': epochs and batch_size must be positive"),
     ("cnn_dropout_1.5", "stage 'train_cnn': embedding_dropout must be in [0, 1)"),
 ])
-def test_bad_input_gives_one_line_error_and_exit_2(data_dir, capsys, case, message):
+def test_bad_input_gives_one_line_error_and_exit_2(data_dir, case, message):
     argv = ["--out-dir", data_dir / "err"] + _bad_input(data_dir, case)
-    rc = run(argv)
-    err = capsys.readouterr().err
-    assert rc == 2
+    # a child process prints its warnings on stderr, as a real run does;
+    # in this process pytest would capture them
+    src = str(Path(urdufake.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "urdufake.cli", *map(str, argv)],
+                          capture_output=True, text=True, encoding="utf-8", env=env,
+                          timeout=120)
+    err = proc.stderr
+    assert proc.returncode == 2
     assert err.startswith("urdufake: error: ") and err.endswith("\n")
     assert err.count("\n") == 1
     assert message in err and "Traceback" not in err

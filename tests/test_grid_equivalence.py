@@ -325,6 +325,20 @@ def test_keys_past_64_bits_survive_a_model_file(tmp_path, tokens, spec, wide):
     assert csr_bytes(count_terms(docs, loaded, spec)) == csr_bytes(count_terms(docs, vocab, spec))
 
 
+@pytest.mark.parametrize("tokens, spec", [
+    (WIDE_ALPHABET_DOC, NgramSpec({1, 2}, {2, 6})),
+    (WIDE_WORDS_DOC, NgramSpec({1, 4}, {2})),
+])
+def test_terms_of_chosen_columns_are_those_of_all_columns(tokens, spec):
+    vocab = build_vocabulary([PreprocessedDoc.from_tokens(tokens)], spec)
+    terms = vocab.terms_by_index()
+    # repeats, any order, and the first and last column of every namespace
+    cols = np.r_[np.random.default_rng(0).integers(0, vocab.size, size=200),
+                 [c for lo, hi in vocab._runs.values() for c in (hi - 1, lo)]]
+    assert vocab.terms_by_index(cols) == [terms[c] for c in cols]
+    assert vocab.terms_by_index([]) == []
+
+
 def test_a_token_holding_a_space_is_refused():
     with pytest.raises(VectorizeError, match="contains a space"):
         build_vocabulary([PreprocessedDoc.from_tokens(["a b", "c"])], NgramSpec({1}))

@@ -140,6 +140,23 @@ def test_dual_objective_matches_grid_oracle_on_20_instances():
         assert model_dual_objective(m) == pytest.approx(obj_star, abs=1e-3)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("C", [0.5, 1.0, 10.0])
+def test_zero_curvature_pair_matches_grid_oracle(degree, C):
+    # rows 0 and 1 are one point with opposite labels, so the pair the solver
+    # picks first has K_00 + K_11 - 2 K_01 = 0: a flat direction, which must
+    # go to the bound
+    A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -0.5]])
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+    params = KernelParams(degree=degree, gamma=1.0, coef0=1.0)
+    K = dense_poly_kernel(A, A, params)
+    assert K[0, 0] + K[1, 1] - 2.0 * K[0, 1] == 0.0
+    m = train_svm(sparse.csr_matrix(A), y, params, C=C, tol=1e-5)
+    assert m.converged
+    _, obj_star = grid_qp_oracle(K, y, C)
+    assert model_dual_objective(m) == pytest.approx(obj_star, abs=1e-3)
+
+
 def test_kkt_conditions_hold_within_tol():
     rng = np.random.default_rng(2024)
     tol = 1e-4
