@@ -7,11 +7,17 @@ outputs are concatenated into a dense ReLU layer (10 units) and a single
 logistic output unit. Everything is float64 numpy; gradients are derived by
 hand and validated against central finite differences.
 
-A width-k convolution is computed as k matrix products, one per kernel
-shift dt: the (B*L, D) embedded batch times the filters' dt-th slice gives a
-(B, L, F) map, and that map shifted by dt is added into the (B, T, F)
-pre-activations. The backward pass takes the same shifted products, so
-neither pass builds the (B, T, k, D) windows of the batch.
+A batch holds far fewer distinct ids U than positions B*L (a char batch:
+about 40 of 42,000), so the convolution runs over the ids, not the
+positions. Each width-k channel multiplies the batch's U embedding rows by
+its filters once, a (U, D) @ (D, k*F) GEMM giving R, whose rows are the
+filter responses of each id at each kernel shift. A (B*T, U*k) matrix A,
+one nonzero per position and shift (the dropout weight, or 1), gathers and
+adds those responses into the (B*T, F) pre-activations: pre = A @ R.
+The backward pass scatters the pre-activation gradient back onto the ids
+with the transpose, S = A.T @ d_pre, and takes the filter and embedding
+gradients from S with two more (U, k*F) GEMMs; embedding rows of ids not
+in the batch get a zero gradient.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
 
 from .corpus import Label
 from .preprocess import PreprocessedDoc
@@ -196,29 +204,37 @@ def _forward_cached(model: CnnModel, ids: np.ndarray, drop_mask: np.ndarray | No
     """Forward pass keeping every intermediate needed for backprop."""
     if ids.shape[1] != model.max_len:
         raise CnnError(f"batch width {ids.shape[1]} != model max_len {model.max_len}")
-    E = model.embedding[ids]  # (B, L, D)
-    if drop_mask is not None:
-        E = E * drop_mask[:, :, None]
-    B, L, D = E.shape
-    E2 = E.reshape(B * L, D)
-    cache: dict = {"ids": ids, "E": E, "drop_mask": drop_mask, "channels": {}}
-    flats = []
+    B, L = ids.shape
+    uniq, inv = np.unique(ids, return_inverse=True)
+    inv = inv.reshape(B, L)                               # position -> row of uniq
+    E_u = model.embedding[uniq]                           # (U, D)
+    U, D = E_u.shape
+    cache: dict = {"uniq": uniq, "E_u": E_u, "channels": {}}
+    Z = np.empty((B, model.dense_w.shape[0]))            # (B, concat)
+    offset = 0
     for k in model.channels:
         W = model.conv_w[k]                               # (F, k, D)
         F, T = W.shape[0], L - k + 1
-        # pre[:, t] = b + sum_dt E[:, t + dt] @ W[:, dt].T, one GEMM per shift
-        pre = np.empty((B, T, F))
-        pre[:] = model.conv_b[k]
-        for dt in range(k):
-            pre += (E2 @ W[:, dt, :].T).reshape(B, L, F)[:, dt : dt + T]
-        act = np.maximum(pre, 0.0)
+        # R[u * k + dt] = the response of id u at shift dt, E_u[u] @ W[:, dt].T
+        R = (E_u @ W.transpose(1, 0, 2).reshape(k * F, D).T).reshape(U * k, F)
+        # A[b * T + t, u * k + dt] = the weight of position t + dt of doc b
+        # when it holds id u, so pre[b, t] = bias + sum_dt weight * R row
+        cols = (sliding_window_view(inv, k, axis=1) * k + np.arange(k)).ravel()
+        weights = (np.ones(cols.size) if drop_mask is None
+                   else sliding_window_view(drop_mask, k, axis=1).ravel())
+        A = sparse.csr_matrix((weights, cols, np.arange(0, cols.size + 1, k)),
+                              shape=(B * T, U * k))
+        pre = (A @ R).reshape(B, T, F)
+        pre += model.conv_b[k]
+        # ReLU and max pooling commute, so each pair pools to max(even, odd,
+        # 0), written into Z; the odd element wins only if it beats both
         P = T // 2
-        even, odd = act[:, 0 : 2 * P : 2], act[:, 1 : 2 * P : 2]
-        arg = odd > even                                  # ties -> first element
-        pooled = np.where(arg, odd, even)                 # (B, P, F)
-        flats.append(pooled.reshape(B, P * F))
-        cache["channels"][k] = {"pre": pre, "arg": arg, "T": T, "P": P, "F": F}
-    Z = np.concatenate(flats, axis=1)                     # (B, concat)
+        even_relu = np.maximum(pre[:, 0 : 2 * P : 2], 0.0)
+        odd = pre[:, 1 : 2 * P : 2]
+        arg = odd > even_relu                             # ties -> first element
+        np.maximum(even_relu, odd, out=Z[:, offset : offset + P * F].reshape(B, P, F))
+        offset += P * F
+        cache["channels"][k] = {"A": A, "pre": pre, "arg": arg, "T": T, "P": P, "F": F}
     h_pre = Z @ model.dense_w + model.dense_b
     h = np.maximum(h_pre, 0.0)
     o = h @ model.out_w + model.out_b[0]                  # (B,) logits
@@ -252,47 +268,34 @@ def _backward(model: CnnModel, cache: dict, targets: np.ndarray) -> dict[str, np
     grads["dense_b"] = dh_pre.sum(axis=0)
     dZ = dh_pre @ model.dense_w.T
 
-    E = cache["E"]
-    L, D = E.shape[1], E.shape[2]
-    E2 = E.reshape(B * L, D)
-    dE = np.zeros_like(E)
+    E_u = cache["E_u"]
+    D = E_u.shape[1]
+    dE_u = np.zeros_like(E_u)
     offset = 0
     for k in model.channels:
         ch = cache["channels"][k]
         P, F, T = ch["P"], ch["F"], ch["T"]
         width = P * F
         d_flat = dZ[:, offset : offset + width].reshape(B, P, F)
+        # the pooled gradient goes to the element each pair kept, when that
+        # element, and so the pooled value, is above 0
+        d_kept = d_flat * (cache["Z"][:, offset : offset + width].reshape(B, P, F) > 0.0)
         offset += width
-        # the pooled gradient goes to the element each pair kept
-        d_pre = np.zeros((B, T, F))
-        d_pre[:, 0 : 2 * P : 2] = np.where(ch["arg"], 0.0, d_flat)
-        d_pre[:, 1 : 2 * P : 2] = np.where(ch["arg"], d_flat, 0.0)
-        d_pre *= ch["pre"] > 0.0
-        grads[f"conv_b[{k}]"] = d_pre.sum(axis=(0, 1))
-        # gw[:, dt] = sum_t d_pre[:, t].T @ E[:, t + dt]: shift d_pre by dt
-        # inside a zeroed (B, L, F) buffer and take one GEMM with all of E
+        grads[f"conv_b[{k}]"] = d_kept.sum(axis=(0, 1))
+        d_pre = np.empty((B, T, F))
+        np.multiply(d_kept, ~ch["arg"], out=d_pre[:, 0 : 2 * P : 2])
+        np.multiply(d_kept, ch["arg"], out=d_pre[:, 1 : 2 * P : 2])
+        d_pre[:, 2 * P :] = 0.0                           # an odd T's last element
+        # S[u, dt * F + f]: d_pre summed over the positions whose shift dt
+        # reads id u, weighted as in the forward pass
+        S = (ch["A"].T @ d_pre.reshape(B * T, F)).reshape(-1, k * F)
         W = model.conv_w[k]
-        gw = np.empty_like(W)
-        shifted = np.zeros((B, L, F))
-        d_pre2 = d_pre.reshape(B * T, F)
-        for dt in range(k):
-            if dt:
-                shifted[:, dt - 1] = 0.0                 # the previous shift's first row
-            shifted[:, dt : dt + T] = d_pre
-            gw[:, dt, :] = shifted.reshape(B * L, F).T @ E2
-            dE[:, dt : dt + T] += (d_pre2 @ W[:, dt, :]).reshape(B, T, D)
-        grads[f"conv_w[{k}]"] = gw
+        grads[f"conv_w[{k}]"] = np.ascontiguousarray(
+            (S.T @ E_u).reshape(k, F, D).transpose(1, 0, 2))
+        dE_u += S @ W.transpose(1, 0, 2).reshape(k * F, D)
 
-    if cache["drop_mask"] is not None:
-        dE *= cache["drop_mask"][:, :, None]
-    # sum dE rows per id: a stable sort groups equal ids in their original
-    # order, and reduceat adds each group
-    flat_ids = cache["ids"].ravel()
-    order = np.argsort(flat_ids, kind="stable")
-    sorted_ids = flat_ids[order]
-    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
     demb = np.zeros_like(model.embedding)
-    demb[sorted_ids[starts]] = np.add.reduceat(dE.reshape(B * L, D)[order], starts, axis=0)
+    demb[cache["uniq"]] = dE_u
     grads["embedding"] = demb
     return grads
 
@@ -350,6 +353,7 @@ def train_cnn(
     groups = model.param_groups()
     m = {name: np.zeros_like(arr) for name, arr in groups}
     v = {name: np.zeros_like(arr) for name, arr in groups}
+    scratch = {name: (np.empty_like(arr), np.empty_like(arr)) for name, arr in groups}
     t = 0
     history: list[EpochStats] = []
     n = X.shape[0]
@@ -374,18 +378,39 @@ def train_cnn(
             correct += int(np.sum((cache["p"] >= 0.5) == (tgt >= 0.5)))
             grads = _backward(model, cache, tgt)
             t += 1
-            bc1 = 1.0 - ADAM_BETA1**t
-            bc2 = 1.0 - ADAM_BETA2**t
             for name, arr in groups:
-                g = grads[name]
-                m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
-                v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
-                arr -= config.learning_rate * (m[name] / bc1) / (
-                    np.sqrt(v[name] / bc2) + ADAM_EPS
-                )
+                _adam_step(arr, grads[name], m[name], v[name], t, config.learning_rate,
+                           scratch[name])
         history.append(EpochStats(epoch=epoch, loss=float(np.mean(batch_losses)),
                                   accuracy=correct / n))
     return model, history
+
+
+def _adam_step(param: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+               lr: float, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+    """Adam step t (from 1) on param, m and v in place, through two scratch
+    arrays of param's shape. The operations and their order are those of
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        param -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+
+    so the results are bit-identical to it, without its temporaries."""
+    s1, s2 = scratch
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
+    m += s1
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
+    s1 *= g
+    v += s1
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=s1)
+    s1 *= lr
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += ADAM_EPS
+    s1 /= s2
+    param -= s1
 
 
 def _targets_01(y) -> np.ndarray:

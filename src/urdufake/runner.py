@@ -46,6 +46,7 @@ from .selection import SelectionMask, apply_mask, chi2_scores, feature_order, se
 from .svm import (
     KernelParams,
     SvmModel,
+    check_solver_params,
     decision_function,
     labels_to_signs,
     signs_to_labels,
@@ -354,10 +355,13 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
     docs = _stage("preprocess", work.docs, "train")
     gold = [d.label for d in work.splits["train"]]
     if config.classifier == "svm":
-        # checked before featurizing, so a bad kernel fails before any stage warns
+        # checked before featurizing, so a bad kernel or solver setting fails
+        # before any stage warns
         params = _stage("train_svm", KernelParams, degree=config.svm_degree,
                         gamma=1.0 if config.svm_gamma is None else config.svm_gamma,
                         coef0=config.svm_coef0)
+        _stage("train_svm", check_solver_params, config.svm_c, config.svm_tol,
+               config.svm_max_passes)
         spec = config.ngram_spec()
         union = _stage("build_vocabulary", work.vocabulary)
         vocab, cols = _stage("build_vocabulary", union.restrict, spec)

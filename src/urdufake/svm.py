@@ -88,6 +88,16 @@ def _gram(X: sparse.csr_matrix, params: KernelParams) -> np.ndarray:
     return (params.gamma * G + params.coef0) ** params.degree
 
 
+def check_solver_params(C: float, tol: float, max_passes: int) -> None:
+    """Refuse a box bound C, stop tolerance or step cap SMO cannot train with."""
+    if not C > 0:
+        raise SvmError(f"C must be positive, got {C}")
+    if not tol > 0:
+        raise SvmError(f"tol must be positive, got {tol}")
+    if max_passes < 1:
+        raise SvmError(f"max_passes must be >= 1, got {max_passes}")
+
+
 def train_svm(
     X: sparse.spmatrix,
     y,
@@ -115,8 +125,7 @@ def train_svm(
         raise SvmError("training requires both classes present")
     if not np.all(np.isfinite(X.data)):
         raise SvmError("non-finite feature values")
-    if C <= 0:
-        raise SvmError(f"C must be positive, got {C}")
+    check_solver_params(C, tol, max_passes)
     if params is None:
         params = KernelParams(degree=1, gamma=1.0 / max(1, X.shape[1]), coef0=0.0)
 

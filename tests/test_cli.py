@@ -167,6 +167,9 @@ def test_custom_resources_flags(data_dir, tmp_path):
 BAD_CONFIG_VALUES = {
     "svm_degree_0": "svm_degree = 0\n",
     "svm_gamma_negative": "svm_gamma = -1\n",
+    "svm_c_0": "svm_c = 0\n",
+    "svm_tol_negative": "svm_tol = -1\nsvm_max_passes = 2\n",
+    "svm_max_passes_negative": "svm_max_passes = -3\n",
     "cnn_epochs_0": "classifier = cnn\ncnn_epochs = 0\n",
     "cnn_dropout_1.5": "classifier = cnn\ncnn_embedding_dropout = 1.5\n",
 }
@@ -222,6 +225,9 @@ def _bad_input(data_dir, case):
                                 "normalization map"),
     ("svm_degree_0", "stage 'train_svm': degree must be >= 1, got 0"),
     ("svm_gamma_negative", "stage 'train_svm': gamma must be positive, got -1.0"),
+    ("svm_c_0", "stage 'train_svm': C must be positive, got 0.0"),
+    ("svm_tol_negative", "stage 'train_svm': tol must be positive, got -1.0"),
+    ("svm_max_passes_negative", "stage 'train_svm': max_passes must be >= 1, got -3"),
     ("cnn_epochs_0", "stage 'train_cnn': epochs and batch_size must be positive"),
     ("cnn_dropout_1.5", "stage 'train_cnn': embedding_dropout must be in [0, 1)"),
 ])

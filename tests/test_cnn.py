@@ -223,7 +223,7 @@ def test_grad_check_report_max():
     assert r.max_rel_error == 3e-6
 
 
-# --- the shifted-GEMM passes against the einsum reference ------------------------
+# --- the id-table passes against the einsum reference ----------------------------
 
 def assert_matches_reference(p, grads, ref_p, ref_grads):
     # Sums run in another order, so entries that cancel to near zero differ
@@ -261,6 +261,40 @@ def test_passes_match_einsum_reference(batch, channels, vocab, dropout, seed, da
     ref_p, ref_cache = reference_forward_cached(model, ids, drop_mask)
     assert_matches_reference(p, _backward(model, cache, y),
                              ref_p, reference_backward(model, ref_cache, y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    channels=st.sets(st.integers(1, 5), min_size=1),
+    vocab=st.integers(50, 500),
+    dropout=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_id_table_passes_match_reference_on_large_vocabularies(batch, channels, vocab, dropout,
+                                                              seed, data):
+    """Batches that use from one id to one id per position of a large
+    vocabulary; rows of ids the batch does not hold get a gradient of 0."""
+    max_len = data.draw(st.integers(max(channels) + 1, 30), label="max_len")
+    n_pos = batch * max_len
+    n_ids = data.draw(st.integers(1, min(vocab, n_pos)), label="distinct ids")
+    rng = np.random.default_rng(seed)
+    model = init_cnn(vocab, max_len, channels, seed=seed)
+    for k in model.channels:                          # move some ReLUs off zero
+        model.conv_b[k] = rng.uniform(-0.05, 0.05, size=model.conv_b[k].shape)
+    present = rng.choice(vocab, size=n_ids, replace=False)
+    ids = rng.permutation(np.concatenate([present, rng.choice(present, size=n_pos - n_ids)]))
+    ids = ids.reshape(batch, max_len)
+    y = rng.integers(0, 2, size=batch).astype(float)
+    drop_mask = (rng.random(ids.shape) < 0.75) / 0.75 if dropout else None
+
+    p, cache = _forward_cached(model, ids, drop_mask)
+    grads = _backward(model, cache, y)
+    ref_p, ref_cache = reference_forward_cached(model, ids, drop_mask)
+    assert_matches_reference(p, grads, ref_p, reference_backward(model, ref_cache, y))
+    absent = np.setdiff1d(np.arange(vocab), present)
+    assert (grads["embedding"][absent] == 0.0).all()
 
 
 def test_pooling_tie_goes_to_first_element():
@@ -355,6 +389,27 @@ def test_embedding_dropout_training_runs():
     cfg = TrainConfig(epochs=3, seed=3, embedding_dropout=0.2)
     model, history = train_cnn(model, X, y, cfg)
     assert len(history) == 3
+
+
+def test_adam_step_in_place_is_bit_identical_to_the_formula():
+    """The in-place update against the expression it replaced, on arrays
+    of a dense_w's shape, three steps in a row."""
+    b1, b2, eps, lr = cnn.ADAM_BETA1, cnn.ADAM_BETA2, cnn.ADAM_EPS, 1e-3
+    rng = np.random.default_rng(0)
+    shape = (300, 10)
+    param = rng.standard_normal(shape)
+    m, v = np.zeros(shape), np.zeros(shape)
+    ref_param, ref_m, ref_v = param.copy(), m.copy(), v.copy()
+    scratch = (np.empty(shape), np.empty(shape))
+    for t in (1, 2, 3):
+        g = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3, size=shape)
+        cnn._adam_step(param, g, m, v, t, lr, scratch)
+        ref_m = b1 * ref_m + (1.0 - b1) * g
+        ref_v = b2 * ref_v + (1.0 - b2) * g * g
+        ref_param -= lr * (ref_m / (1.0 - b1**t)) / (np.sqrt(ref_v / (1.0 - b2**t)) + eps)
+        np.testing.assert_array_equal(param, ref_param)
+        np.testing.assert_array_equal(m, ref_m)
+        np.testing.assert_array_equal(v, ref_v)
 
 
 def test_train_config_validation():

@@ -269,6 +269,18 @@ def test_single_class_rejected():
         train_svm(X, np.array([1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"C": 0.0}, "C must be positive"),
+    ({"tol": 0.0}, "tol must be positive"),
+    ({"tol": -1.0}, "tol must be positive"),
+    ({"max_passes": 0}, "max_passes must be >= 1"),
+])
+def test_solver_settings_rejected(kwargs, message):
+    X = sparse.csr_matrix(np.eye(2))
+    with pytest.raises(SvmError, match=message):
+        train_svm(X, np.array([1.0, -1.0]), **kwargs)
+
+
 def test_nonconvergence_sets_warning_flag():
     rng = np.random.default_rng(55)
     A = rng.normal(size=(30, 2))
