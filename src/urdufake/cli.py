@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .corpus import CorpusError, Label, SplitExpectation, load_corpus, validate_split
-from .metrics import confusion, format4, report_tsv_row, summarize
+from .metrics import MetricsError, confusion, format4, report_tsv_row, summarize
 from .persistence import ModelFormatError
 from .preprocess import ResourceError, Resources, preprocess_corpus
 from .runner import (
@@ -33,10 +33,10 @@ from .svm import labels_to_signs
 from .vectorize import VectorizeError, apply_tfidf, build_vocabulary, write_vocabulary_tsv
 
 #: What the package raises for a bad corpus, config, model or resource file,
-#: a missing file, or a stage that fails on its input: main reports these as
-#: one line and exit code 2, as argparse does.
+#: a missing file, nothing to evaluate, or a stage that fails on its input:
+#: main reports these as one line and exit code 2, as argparse does.
 _INPUT_ERRORS = (CorpusError, ConfigError, ModelFormatError, ResourceError, PipelineError,
-                 VectorizeError, SelectionError, OSError)
+                 VectorizeError, SelectionError, MetricsError, OSError)
 
 
 def _error(message: str) -> int:

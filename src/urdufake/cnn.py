@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -86,7 +87,7 @@ class SequenceEncoder:
         return len(self.term_to_id) + 1
 
     def units_of(self, doc: PreprocessedDoc) -> Sequence[str]:
-        return doc.tokens if self.unit == "word" else doc.char_stream
+        return _units(doc, self.unit)
 
     @classmethod
     def fit(
@@ -95,12 +96,11 @@ class SequenceEncoder:
         unit: str = "word",
         max_len: int | None = None,
     ) -> "SequenceEncoder":
-        if unit not in ("word", "char"):
-            raise CnnError(f"unit must be 'word' or 'char', got {unit!r}")
+        """The encoder of the training docs; building it refuses a bad unit."""
         counts: Counter[str] = Counter()
         longest = 1
         for doc in docs:
-            seq = doc.tokens if unit == "word" else doc.char_stream
+            seq = _units(doc, unit)
             counts.update(seq)
             longest = max(longest, len(seq))
         order = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -111,13 +111,18 @@ class SequenceEncoder:
         return cls(unit=unit, term_to_id=term_to_id, max_len=max_len)
 
 
+def _units(doc: PreprocessedDoc, unit: str) -> Sequence[str]:
+    """The words of a document, or its characters."""
+    return doc.tokens if unit == "word" else doc.char_stream
+
+
 def encode(docs: Sequence[PreprocessedDoc], encoder: SequenceEncoder) -> np.ndarray:
     """(n_docs, max_len) int matrix; unknown terms map to 0."""
     out = np.zeros((len(docs), encoder.max_len), dtype=np.int64)
+    lookup = encoder.term_to_id.get
     for r, doc in enumerate(docs):
-        seq = encoder.units_of(doc)
-        for c, term in enumerate(seq[: encoder.max_len]):
-            out[r, c] = encoder.term_to_id.get(term, 0)
+        units = encoder.units_of(doc)[: encoder.max_len]
+        out[r, : len(units)] = np.fromiter(map(lookup, units, repeat(0)), np.int64, len(units))
     return out
 
 

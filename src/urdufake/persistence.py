@@ -8,14 +8,16 @@ Layout (little-endian):
   u32      blob count; per blob: u16 name length + name, u8 kind
            (0 = npy array, 1 = UTF-8 text), u64 payload length + payload
 
-Loading refuses files whose major version is newer than this module and
-reports truncation and bad magic explicitly. Major 2 stopped writing two
-SVM blobs that other blobs imply, the idf and the requested K; major-1
-files still load, because the reader ignores blobs it does not use. Major 3
-stores an SVM vocabulary as its rank tables and integer term keys
-(vocab.alphabet, vocab.words, vocab.keys.<namespace>) in place of the
-vocab.terms text, and the fitted resources' digest in the metadata; the
-terms of a major-1/2 file are coded into keys when it loads.
+Loading refuses files whose major version is newer than this module. It
+reports truncation, bad magic, undecodable metadata or blobs, and a metadata
+key or blob a reader asks for but the file lacks, each as a
+ModelFormatError. Major 2 stopped writing two SVM blobs that other blobs
+imply, the idf and the requested K; major-1 files still load, because the
+reader ignores blobs it does not use. Major 3 stores an SVM vocabulary as its
+rank tables and integer term keys (vocab.alphabet, vocab.words,
+vocab.keys.<namespace>) in place of the vocab.terms text, and the fitted
+resources' digest in the metadata; the terms of a major-1/2 file are coded
+into keys when it loads.
 Writing is deterministic: identical pipelines serialize to identical bytes.
 """
 
@@ -77,6 +79,29 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
+class _Entries(dict):
+    """Metadata keys or blobs of a model file; looking up one the file lacks
+    raises ModelFormatError naming it."""
+
+    def __init__(self, what: str, entries=()):
+        super().__init__(entries)
+        self.what = what
+
+    def __missing__(self, name: str):
+        raise ModelFormatError(f"model file has no {self.what} {name!r}")
+
+
+def _decode(what: str, decode, payload: bytes):
+    try:
+        return decode(payload)
+    except (ValueError, EOFError) as exc:
+        raise ModelFormatError(f"corrupt model file: cannot decode {what}") from exc
+
+
+def _npy(payload: bytes) -> np.ndarray:
+    return np.load(io.BytesIO(payload), allow_pickle=False)
+
+
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict[str, str]]:
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -92,23 +117,26 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict[
                 "upgrade the package to load this file"
             )
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata length"))
-        meta = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
+        meta = _decode("the metadata", lambda b: json.loads(b.decode("utf-8")),
+                       _read_exact(fh, meta_len, "metadata"))
+        if not isinstance(meta, dict):
+            raise ModelFormatError("corrupt model file: the metadata is not a JSON object")
         (n_blobs,) = struct.unpack("<I", _read_exact(fh, 4, "blob count"))
-        arrays: dict[str, np.ndarray] = {}
-        texts: dict[str, str] = {}
+        arrays = _Entries("array blob")
+        texts = _Entries("text blob")
         for _ in range(n_blobs):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "blob name length"))
-            name = _read_exact(fh, name_len, "blob name").decode("utf-8")
+            name = _decode("a blob name", bytes.decode, _read_exact(fh, name_len, "blob name"))
             (kind,) = struct.unpack("<B", _read_exact(fh, 1, f"blob kind of {name}"))
             (size,) = struct.unpack("<Q", _read_exact(fh, 8, f"blob size of {name}"))
             payload = _read_exact(fh, size, f"blob {name}")
             if kind == 0:
-                arrays[name] = np.load(io.BytesIO(payload), allow_pickle=False)
+                arrays[name] = _decode(f"blob {name!r}", _npy, payload)
             elif kind == 1:
-                texts[name] = payload.decode("utf-8")
+                texts[name] = _decode(f"blob {name!r}", bytes.decode, payload)
             else:
                 raise ModelFormatError(f"unknown blob kind {kind} for {name}")
-    return meta, arrays, texts
+    return _Entries("metadata key", meta), arrays, texts
 
 
 def csr_to_blobs(name: str, X: sparse.csr_matrix) -> dict[str, np.ndarray]:

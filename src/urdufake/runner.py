@@ -358,8 +358,7 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
         # checked before featurizing, so a bad kernel or solver setting fails
         # before any stage warns
         params = _stage("train_svm", KernelParams, degree=config.svm_degree,
-                        gamma=1.0 if config.svm_gamma is None else config.svm_gamma,
-                        coef0=config.svm_coef0)
+                        gamma=config.svm_gamma, coef0=config.svm_coef0)
         _stage("train_svm", check_solver_params, config.svm_c, config.svm_tol,
                config.svm_max_passes)
         spec = config.ngram_spec()
@@ -370,8 +369,6 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
         order = _stage("chi2_scores", work.chi2_order, spec, X, y_signs)
         mask = _stage("select_k_best", select_top, order, config.k_best)
         X_sel = _stage("apply_mask", apply_mask, X, mask)
-        if config.svm_gamma is None:
-            params = replace(params, gamma=1.0 / max(1, mask.n_kept))
         model = _stage(
             "train_svm", train_svm, X_sel, y_signs,
             params=params, C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes,

@@ -6,6 +6,7 @@ per-class feature mass vs the mass expected from class priors.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -66,6 +67,16 @@ class SelectionMask:
     def n_kept(self) -> int:
         return int(self.kept.size)
 
+    @functools.cached_property
+    def column_map(self) -> np.ndarray:
+        """Each column's index among the kept ones, or -1, for the columns up
+        to one past the last kept; that last -1 stands for every column
+        beyond it."""
+        top = int(self.kept[-1]) + 1 if self.kept.size else 0
+        cmap = np.full(top + 1, -1, dtype=np.int32)
+        cmap[self.kept] = np.arange(self.kept.size, dtype=np.int32)
+        return cmap
+
 
 def feature_order(scores: np.ndarray) -> np.ndarray:
     """Column indices by descending score; ties keep the lower index first."""
@@ -94,13 +105,17 @@ def select_k_best(scores: np.ndarray, k: int) -> SelectionMask:
 
 
 def apply_mask(X: sparse.spmatrix, mask: SelectionMask) -> sparse.csr_matrix:
-    """Column-slice X down to the kept features, re-indexed 0..K-1 in order."""
+    """Column-slice X down to the kept features, re-indexed 0..K-1 in order,
+    without explicit zeros; O(nnz) once the mask has built its column_map."""
     X = sparse.csr_matrix(X)
-    if mask.kept.size and int(mask.kept.max()) >= X.shape[1]:
+    if mask.kept.size and int(mask.kept[-1]) >= X.shape[1]:
         raise SelectionError(
-            f"mask index {int(mask.kept.max())} out of range for {X.shape[1]} columns"
+            f"mask index {int(mask.kept[-1])} out of range for {X.shape[1]} columns"
         )
-    out = sparse.csr_matrix(X[:, mask.kept])
+    cols = mask.column_map.take(X.indices, mode="clip")
+    at = np.flatnonzero(cols >= 0)
+    at = at[X.data[at] != 0]
+    out = sparse.csr_matrix((X.data[at], cols[at], np.searchsorted(at, X.indptr)),
+                            shape=(X.shape[0], mask.n_kept))
     out.sort_indices()
-    out.eliminate_zeros()
     return out

@@ -19,6 +19,13 @@ al., "Improvements to Platt's SMO Algorithm", Neural Computation 2001).
   conditions hold within tol at exit, and a UserWarning reports when they
   do not.
 
+Every kernel value comes from one formula, (gamma <x, z> + coef0)^degree.
+gamma None means 1 / (number of features); train_svm resolves it, so a model
+stores the gamma it was trained with. The Gram matrix is built whole when it
+fits in GRAM_BUDGET_BYTES; otherwise kernel rows are computed on demand from
+the transposed training matrix, built once, and a FIFO cache of that budget
+keeps them.
+
 Label encoding is fixed: Fake = +1, Real = -1, so a positive decision value
 means Fake. Ties (decision exactly 0) go to Fake.
 """
@@ -27,12 +34,16 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 
 from .corpus import Label
+
+#: The largest full Gram matrix train_svm builds, and the size of its row
+#: cache when the full matrix would be larger.
+GRAM_BUDGET_BYTES = 512e6
 
 
 class SvmError(ValueError):
@@ -41,16 +52,17 @@ class SvmError(ValueError):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """K(x, z) = (gamma * <x, z> + coef0) ** degree."""
+    """K(x, z) = (gamma * <x, z> + coef0) ** degree; gamma None means
+    1 / (number of features)."""
 
     degree: int = 1
-    gamma: float = 1.0
+    gamma: float | None = 1.0
     coef0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise SvmError(f"degree must be >= 1, got {self.degree}")
-        if not self.gamma > 0:
+        if self.gamma is not None and not self.gamma > 0:
             raise SvmError(f"gamma must be positive, got {self.gamma}")
 
 
@@ -83,9 +95,9 @@ def signs_to_labels(signs) -> list[Label]:
     return [Label.FAKE if s >= 0 else Label.REAL for s in np.asarray(signs)]
 
 
-def _gram(X: sparse.csr_matrix, params: KernelParams) -> np.ndarray:
-    G = np.asarray((X @ X.T).todense(), dtype=np.float64)
-    return (params.gamma * G + params.coef0) ** params.degree
+def _kernel(params: KernelParams, dots: np.ndarray) -> np.ndarray:
+    """Kernel values from the inner products <x, z>."""
+    return (params.gamma * dots + params.coef0) ** params.degree
 
 
 def check_solver_params(C: float, tol: float, max_passes: int) -> None:
@@ -105,7 +117,6 @@ def train_svm(
     C: float = 1.0,
     tol: float = 1e-3,
     max_passes: int = 200,
-    gram_budget_mb: float = 512.0,
 ) -> SvmModel:
     """SMO on the dual QP. See module docstring for the pair and stop rules.
 
@@ -126,30 +137,30 @@ def train_svm(
     if not np.all(np.isfinite(X.data)):
         raise SvmError("non-finite feature values")
     check_solver_params(C, tol, max_passes)
-    if params is None:
-        params = KernelParams(degree=1, gamma=1.0 / max(1, X.shape[1]), coef0=0.0)
+    params = params or KernelParams(gamma=None)
+    if params.gamma is None:
+        params = replace(params, gamma=1.0 / max(1, X.shape[1]))
 
-    if n * n * 8 <= gram_budget_mb * 1e6:
-        K = _gram(X, params)
+    if n * n * 8 <= GRAM_BUDGET_BYTES:
+        K = _kernel(params, (X @ X.T).toarray())
         kernel_row = lambda i: K[i]
     else:
         # bounded FIFO row cache for corpora too large for a full Gram matrix
         cache: dict[int, np.ndarray] = {}
-        max_rows = max(2, int(gram_budget_mb * 1e6 / (n * 8)))
+        max_rows = max(2, int(GRAM_BUDGET_BYTES / (n * 8)))
+        X_t = X.T.tocsr()
 
         def kernel_row(i: int) -> np.ndarray:
             row = cache.get(i)
             if row is None:
-                row = (params.gamma * np.asarray((X[i] @ X.T).todense()).ravel()
-                       + params.coef0) ** params.degree
+                row = _kernel(params, (X[i] @ X_t).toarray().ravel())
                 if len(cache) >= max_rows:
                     cache.pop(next(iter(cache)))
                 cache[i] = row
             return row
 
     # K_ii from the row norms, so both kernel paths see the same diagonal
-    sq_norms = np.asarray(X.multiply(X).sum(axis=1)).ravel()
-    diag = (params.gamma * sq_norms + params.coef0) ** params.degree
+    diag = _kernel(params, np.asarray(X.multiply(X).sum(axis=1)).ravel())
     alpha = np.zeros(n, dtype=np.float64)
     G = np.full(n, -1.0)  # gradient of the dual objective, Q alpha - 1
     bound_eps = 1e-10 * C
@@ -175,7 +186,7 @@ def train_svm(
     alpha[alpha < bound_eps] = 0.0
     alpha[alpha > C - bound_eps] = C
 
-    g = _margins(X, y, alpha, params, kernel_row, n)
+    g = _margins(alpha * y, kernel_row)
     bias = _final_bias(alpha, y, g, C)
     converged = _kkt_excess(alpha, y, g + bias, C, tol) <= 1e-12
     if not converged:
@@ -213,12 +224,11 @@ def _kkt_excess(alpha, y, f, C, tol) -> float:
     return excess
 
 
-def _margins(X, y, alpha, params, kernel_row, n) -> np.ndarray:
+def _margins(ay, kernel_row) -> np.ndarray:
     """g_i = sum_j alpha_j y_j K(x_j, x_i), the decision values without bias."""
-    ay = alpha * y
     nz = np.nonzero(ay)[0]
     if nz.size == 0:
-        return np.zeros(n, dtype=np.float64)
+        return np.zeros(ay.shape[0], dtype=np.float64)
     G = np.vstack([kernel_row(int(j)) for j in nz])
     return ay[nz] @ G
 
@@ -227,18 +237,12 @@ def _final_bias(alpha, y, g, C) -> float:
     unbounded = (alpha > 0.0) & (alpha < C)
     if unbounded.any():
         return float(np.mean(y[unbounded] - g[unbounded]))
-    # all multipliers at a bound: the KKT inequalities pin b to an interval
-    lower_at0 = (alpha == 0.0) & (y > 0)   # need b >= 1 - g
-    lower_atC = (alpha == C) & (y < 0)     # need b >= -1 - g
-    upper_at0 = (alpha == 0.0) & (y < 0)   # need b <= -1 - g
-    upper_atC = (alpha == C) & (y > 0)     # need b <= 1 - g
-    lows = np.concatenate([(1.0 - g[lower_at0]), (-1.0 - g[lower_atC])])
-    highs = np.concatenate([(-1.0 - g[upper_at0]), (1.0 - g[upper_atC])])
-    if lows.size and highs.size:
-        return float((lows.max() + highs.min()) / 2.0)
-    if lows.size:
-        return float(lows.max())
-    return float(highs.min())
+    # every multiplier at a bound: b lies between max y - g where y * alpha can
+    # grow (alpha = 0, y = +1 or alpha = C, y = -1) and min y - g where it can
+    # shrink; y'alpha = 0 keeps both sets non-empty (Keerthi et al. 2001)
+    up = (y > 0) == (alpha == 0.0)
+    y_minus_g = y - g
+    return float((y_minus_g[up].max() + y_minus_g[~up].min()) / 2.0)
 
 
 def decision_function(model: SvmModel, X) -> np.ndarray:
@@ -248,8 +252,5 @@ def decision_function(model: SvmModel, X) -> np.ndarray:
         raise SvmError(
             f"dimension mismatch: model has {model.n_features} features, input has {X.shape[1]}"
         )
-    if model.n_support == 0:
-        return np.full(X.shape[0], model.bias, dtype=np.float64)
-    D = np.asarray((X @ model.support_vectors_t).todense(), dtype=np.float64)
-    Kmat = (model.kernel.gamma * D + model.kernel.coef0) ** model.kernel.degree
-    return Kmat @ model.dual_coef + model.bias
+    dots = (X @ model.support_vectors_t).toarray()
+    return _kernel(model.kernel, dots) @ model.dual_coef + model.bias

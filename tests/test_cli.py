@@ -175,6 +175,30 @@ BAD_CONFIG_VALUES = {
 }
 
 
+def _saved_model(data_dir):
+    """Train a small SVM and return the path of its model file."""
+    (data_dir / "small.cfg").write_text("k_best = 50\n", encoding="utf-8")
+    assert run(["--out-dir", data_dir / "m", "--config", data_dir / "small.cfg",
+                "train", "--train", data_dir / "train.tsv"]) == 0
+    return data_dir / "m" / "model.ufnd"
+
+
+def _corrupt_model(data_dir, case):
+    """A saved model with its first metadata byte changed, or with its blob
+    count one lower, so the last blob is never read."""
+    blob = bytearray(_saved_model(data_dir).read_bytes())
+    meta_at = 4 + 8 + 8
+    if case == "model_metadata_corrupt":
+        blob[meta_at] ^= 1
+    else:
+        count_at = meta_at + int.from_bytes(blob[12:20], "little")
+        n_blobs = int.from_bytes(blob[count_at:count_at + 4], "little")
+        blob[count_at:count_at + 4] = (n_blobs - 1).to_bytes(4, "little")
+    path = data_dir / f"{case}.ufnd"
+    path.write_bytes(bytes(blob))
+    return path
+
+
 def _bad_input(data_dir, case):
     """Write the bad input of a case and return its command line."""
     train, test = data_dir / "train.tsv", data_dir / "test.tsv"
@@ -185,6 +209,11 @@ def _bad_input(data_dir, case):
         return ["train", "--train", data_dir / "absent.tsv"]
     if case == "not_a_model_file":
         return ["predict", "--model", train, "--input", test]
+    if case in ("model_metadata_corrupt", "model_blob_missing"):
+        return ["predict", "--model", _corrupt_model(data_dir, case), "--input", test]
+    if case == "empty_gold_corpus":
+        (data_dir / "empty.tsv").write_text("", encoding="utf-8")
+        return ["evaluate", "--gold", data_dir / "empty.tsv", "--pred", data_dir / "empty.tsv"]
     if case == "unknown_predicted_label":
         first_id = test.read_text(encoding="utf-8").split("\t", 1)[0]
         (data_dir / "pred.tsv").write_text(f"{first_id}\tMaybe\t0.5\n", encoding="utf-8")
@@ -199,12 +228,10 @@ def _bad_input(data_dir, case):
         (data_dir / "bad.cfg").write_text("[experiment]\nname = a\tb\n", encoding="utf-8")
         return ["--config", data_dir / "bad.cfg", "experiment", "--train", train, "--test", test]
     if case == "other_resources_predict":
-        (data_dir / "small.cfg").write_text("k_best = 50\n", encoding="utf-8")
-        assert run(["--out-dir", data_dir / "m", "--config", data_dir / "small.cfg",
-                    "train", "--train", train]) == 0
+        model = _saved_model(data_dir)
         (data_dir / "sw.txt").write_text("xshared0\n", encoding="utf-8")
-        return ["--stopwords", data_dir / "sw.txt", "predict", "--model",
-                data_dir / "m" / "model.ufnd", "--input", test]
+        return ["--stopwords", data_dir / "sw.txt", "predict", "--model", model,
+                "--input", test]
     if case == "one_class_inspect":
         fake_only = "".join(line for line in train.read_text(encoding="utf-8").splitlines(True)
                             if "\tFake\t" in line)
@@ -217,6 +244,9 @@ def _bad_input(data_dir, case):
     ("unknown_corpus_label", "maybe.tsv:1: unknown label 'Maybe'"),
     ("missing_train_file", "No such file or directory"),
     ("not_a_model_file", "magic-byte check failed"),
+    ("model_metadata_corrupt", "corrupt model file: cannot decode the metadata"),
+    ("model_blob_missing", "model file has no text blob 'vocab.words'"),
+    ("empty_gold_corpus", "cannot evaluate an empty prediction set"),
     ("unknown_predicted_label", "pred.tsv:1: unknown label 'Maybe'"),
     ("unknown_config_key", "unknown config key 'k_bset'"),
     ("one_class_inspect", "needs at least 2 classes"),

@@ -67,6 +67,27 @@ def test_encoder_char_unit_uses_char_stream():
     assert enc.max_len == len("ab c")
 
 
+def _loop_encode(docs, encoder):
+    """The per-position lookup encode replaced, kept as its oracle."""
+    out = np.zeros((len(docs), encoder.max_len), dtype=np.int64)
+    for r, doc in enumerate(docs):
+        for c, term in enumerate(encoder.units_of(doc)[: encoder.max_len]):
+            out[r, c] = encoder.term_to_id.get(term, 0)
+    return out
+
+
+@pytest.mark.parametrize("unit", ["word", "char"])
+def test_encode_matches_per_position_lookup(unit):
+    enc = SequenceEncoder.fit([pdoc(["aa", "b", "aa", "c"]), pdoc(["b", "dd"])], unit=unit,
+                              max_len=5)
+    # truncated, unknown terms ("zz", "q"), empty, and padded docs
+    docs = [pdoc(["aa", "zz", "b", "c", "aa", "b", "dd"]), pdoc([]), pdoc(["q"]), pdoc(["b", "c"])]
+    X = encode(docs, enc)
+    assert X.shape == (4, 5) and X.dtype == np.int64
+    np.testing.assert_array_equal(X, _loop_encode(docs, enc))
+    assert X[2].tolist() == [0] * 5
+
+
 def test_encoder_rejects_mixed_unit():
     with pytest.raises(CnnError):
         SequenceEncoder.fit([pdoc(["a"])], unit="wordchar")

@@ -484,3 +484,18 @@ def test_load_truncated_file(small_train, resources, tmp_path):
     p.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ModelFormatError, match="truncated"):
         load_model(p)
+
+
+def test_load_undecodable_blob_names_it(tmp_path):
+    p = tmp_path / "m.ufnd"
+    persistence.write_container(p, {"kind": "svm"}, {"svm.dual_coef": np.zeros(3)})
+    p.write_bytes(p.read_bytes().replace(b"\x93NUMPY", b"\x93NUMPX"))
+    with pytest.raises(ModelFormatError, match="cannot decode blob 'svm.dual_coef'"):
+        persistence.read_container(p)
+
+
+def test_load_missing_metadata_key_names_it(tmp_path):
+    p = tmp_path / "m.ufnd"
+    persistence.write_container(p, {"kind": "svm"}, {})
+    with pytest.raises(ModelFormatError, match="no metadata key 'config'"):
+        load_model(p)

@@ -175,3 +175,42 @@ def test_apply_mask_out_of_range_rejected():
 def test_mask_indices_must_increase():
     with pytest.raises(SelectionError):
         SelectionMask(kept=np.array([3, 1]))
+
+
+def scipy_column_slice(X, mask):
+    """The column slice apply_mask computes, by scipy fancy indexing: the oracle."""
+    out = sparse.csr_matrix(X[:, mask.kept])
+    out.sort_indices()
+    out.eliminate_zeros()
+    return out
+
+
+def random_masks(rng, v):
+    """An empty mask, masks keeping the first column only and the first and
+    last, and random ones."""
+    yield np.zeros(0, dtype=np.int64)
+    yield np.array([0])
+    yield np.unique([0, v - 1])
+    for density in (0.1, 0.5, 1.0):
+        yield np.flatnonzero(rng.random(v) < density)
+
+
+def test_apply_mask_equals_scipy_column_slice_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        n, v = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+        A = rng.random((n, v)) * (rng.random((n, v)) < 0.4)
+        A[rng.random(n) < 0.3] = 0.0  # empty rows
+        X = sparse.csr_matrix(A.astype(np.float32) if trial % 4 == 0 else A)
+        X.data[rng.random(X.nnz) < 0.1] = 0.0  # explicit zeros
+        for kept in random_masks(rng, v):
+            mask = SelectionMask(kept=kept)
+            expected, out = scipy_column_slice(X, mask), apply_mask(X, mask)
+            assert out.shape == expected.shape == (n, kept.size)
+            for part in ("data", "indices", "indptr"):
+                got, want = getattr(out, part), getattr(expected, part)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), part
+            # a second call reuses the column map the first built
+            again = apply_mask(X, mask)
+            assert again.indices.tobytes() == out.indices.tobytes()
+

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from urdufake import svm
 from urdufake.corpus import Label
 from urdufake.svm import (
     KernelParams,
     SvmError,
+    SvmModel,
     decision_function,
     labels_to_signs,
     signs_to_labels,
@@ -81,6 +83,19 @@ def test_kernel_params_validation():
         KernelParams(gamma=0.0)
 
 
+def test_gamma_none_trains_with_one_over_n_features():
+    rng = np.random.default_rng(5)
+    X = sparse.csr_matrix(rng.normal(size=(8, 7)))
+    y = np.array([1.0, -1.0] * 4)
+    m = train_svm(X, y, KernelParams(degree=2, gamma=None, coef0=1.0))
+    assert m.kernel == KernelParams(degree=2, gamma=1.0 / 7, coef0=1.0)
+    default = train_svm(X, y)
+    assert default.kernel == KernelParams(degree=1, gamma=1.0 / 7, coef0=0.0)
+    explicit = train_svm(X, y, KernelParams(gamma=1.0 / 7))
+    np.testing.assert_array_equal(default.dual_coef, explicit.dual_coef)
+    assert default.bias == explicit.bias
+
+
 # --- training: analytic instance ---------------------------------------------
 
 def analytic_model(C=1.0):
@@ -107,6 +122,14 @@ def test_decision_zero_vector_gives_bias():
     m = analytic_model()
     f = decision_function(m, sparse.csr_matrix(np.zeros((1, 2))))
     assert f[0] == pytest.approx(m.bias, abs=1e-12)
+
+
+def test_model_without_support_vectors_returns_its_bias():
+    m = SvmModel(support_vectors=sparse.csr_matrix((0, 3)), dual_coef=np.zeros(0), bias=-0.375,
+                 kernel=KernelParams(degree=2, gamma=0.5, coef0=1.0), C=1.0, converged=True,
+                 n_features=3)
+    f = decision_function(m, sparse.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])))
+    assert f.tolist() == [-0.375, -0.375]
 
 
 def test_decision_dimension_mismatch():
@@ -218,17 +241,22 @@ def test_dual_constraint_and_box_on_random_instances():
         assert (np.abs(m.dual_coef) > 0).all()
 
 
-def test_row_cache_path_matches_full_gram():
-    # a tiny gram budget forces the bounded row-cache code path; the trained
-    # model must be identical to the full-Gram one
+def test_row_cache_path_matches_full_gram(monkeypatch):
+    # a Gram budget of three rows forces the bounded row-cache code path,
+    # with rows evicted; the trained model must be the full-Gram one, bit
+    # for bit
     rng = np.random.default_rng(12)
-    A = rng.normal(size=(15, 3))
+    A = sparse.csr_matrix(rng.normal(size=(15, 6)) * (rng.random((15, 6)) < 0.5))
     y = np.array([1.0] * 8 + [-1.0] * 7)
-    p = KernelParams(degree=1, gamma=0.5, coef0=0.0)
-    full = train_svm(sparse.csr_matrix(A), y, p, C=1.0, tol=1e-5)
-    cached = train_svm(sparse.csr_matrix(A), y, p, C=1.0, tol=1e-5, gram_budget_mb=1e-3)
-    np.testing.assert_allclose(full.dual_coef, cached.dual_coef, atol=1e-12)
-    assert full.bias == pytest.approx(cached.bias, abs=1e-12)
+    for p in (KernelParams(degree=1, gamma=0.5), KernelParams(degree=2, gamma=0.5, coef0=1.0)):
+        full = train_svm(A, y, p, C=1.0, tol=1e-5)
+        with monkeypatch.context() as m:
+            m.setattr(svm, "GRAM_BUDGET_BYTES", 15 * 8 * 3)
+            cached = train_svm(A, y, p, C=1.0, tol=1e-5)
+        np.testing.assert_array_equal(full.dual_coef, cached.dual_coef)
+        assert full.bias == cached.bias
+        assert (full.support_vectors != cached.support_vectors).nnz == 0
+        assert 0 < full.n_support < 15
 
 
 def test_training_deterministic():
