@@ -220,6 +220,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    if args.top < 1:
+        return _error(f"--top must be >= 1, got {args.top}")
     corpus = load_corpus(args.train, "train")
     config = _configs(args)[0]
     docs = preprocess_corpus(corpus, config.preprocess, _resources(args))

@@ -7,7 +7,7 @@ time, using round-half-even on the unrounded value.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Sequence
 
@@ -88,10 +88,6 @@ class EvalReport:
         return asdict(self)
 
 
-#: Column order used when a report is serialized as a TSV row.
-REPORT_COLUMNS = ("k_best", *(f.name for f in fields(EvalReport)))
-
-
 def summarize(m: ConfusionMatrix) -> EvalReport:
     if m.total <= 0:
         raise MetricsError("confusion matrix is empty")
@@ -115,5 +111,7 @@ def format4(x: float) -> str:
 
 
 def report_tsv_row(report: EvalReport, k_best: int | str) -> str:
-    """One TSV row in REPORT_COLUMNS order with 4-dp presentation values."""
+    """One TSV row with 4-dp presentation values: k_best, then the
+    EvalReport fields in order (precision_fake, recall_fake, f1_fake,
+    precision_real, recall_real, f1_real, f1_macro, accuracy)."""
     return "\t".join([str(k_best), *(format4(v) for v in report.as_dict().values())])

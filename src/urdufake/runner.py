@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -59,6 +60,7 @@ from .vectorize import (
     apply_tfidf,
     build_vocabulary,
     count_terms,
+    transform,
 )
 
 
@@ -265,13 +267,9 @@ class FittedPipeline:
     def values_of(self, docs: list[PreprocessedDoc]) -> np.ndarray:
         """decision_values of already preprocessed docs."""
         if self.kind == "svm":
-            return self.margins(count_terms(docs, self.vocabulary, self.config.ngram_spec()))
+            X = transform(docs, self.vocabulary, self.config.ngram_spec())
+            return decision_function(self.svm, apply_mask(X, self.mask))
         return cnn_forward(self.cnn, encode(docs, self.encoder))
-
-    def margins(self, counts: sparse.csr_matrix) -> np.ndarray:
-        """SVM decision values of raw term counts over the vocabulary."""
-        X = apply_tfidf(counts, self.vocabulary)
-        return decision_function(self.svm, apply_mask(X, self.mask))
 
     def labels(self, values: np.ndarray) -> list[Label]:
         """Fake when the SVM margin is >= 0 or the CNN probability >= 0.5."""
@@ -295,10 +293,12 @@ class _SharedWork:
 
     Each split is preprocessed once. The SVM rows share one vocabulary of
     the union of their n-gram specs, with the raw term counts of both
-    splits, and the chi-squared feature order of each distinct spec; each row
-    restricts the union to its own spec (Vocabulary.restrict), which gives
-    the bytes fitting the row on its own would. Everything is computed on
-    first use, so it is charged to the first row that needs it.
+    splits. Each distinct spec is restricted from the union once
+    (Vocabulary.restrict, the bytes fitting it on its own gives), then
+    TF-IDF weighted on both splits and chi-squared ordered once; these
+    features are dropped when every row with that spec has fetched them.
+    Everything is computed on first use, so it is charged to the first row
+    that needs it.
     """
 
     def __init__(self, train: Corpus, test: Corpus | None, configs: list[ExperimentConfig],
@@ -306,30 +306,25 @@ class _SharedWork:
         self.splits = {"train": train, "test": test}
         self.preprocess = configs[0].preprocess
         self.resources = resources
-        self.configs = configs
         self._docs: dict[str, list[PreprocessedDoc]] = {}
+        # an SVM row whose own spec is invalid fails on it before it gets here
+        self._rows_left: Counter[NgramSpec] = Counter()
+        for config in configs:
+            if config.classifier == "svm":
+                try:
+                    self._rows_left[config.ngram_spec()] += 1
+                except VectorizeError:
+                    pass
+        self.spec = NgramSpec.union(self._rows_left) if self._rows_left else None
         self._vocabulary: Vocabulary | None = None
         self._test_counts: sparse.csr_matrix | None = None
-        self._order: dict[NgramSpec, np.ndarray] = {}
+        self._features: dict[NgramSpec, tuple] = {}
 
     def docs(self, split: str) -> list[PreprocessedDoc]:
         if split not in self._docs:
             self._docs[split] = preprocess_corpus(self.splits[split], self.preprocess,
                                                   self.resources)
         return self._docs[split]
-
-    @property
-    def spec(self) -> NgramSpec:
-        """The union of the SVM rows' specs; a row whose own spec is invalid
-        fails on it before it gets here."""
-        specs = []
-        for config in self.configs:
-            if config.classifier == "svm":
-                try:
-                    specs.append(config.ngram_spec())
-                except VectorizeError:
-                    pass
-        return NgramSpec.union(specs)
 
     def vocabulary(self) -> Vocabulary:
         if self._vocabulary is None:
@@ -341,17 +336,26 @@ class _SharedWork:
             self._test_counts = count_terms(self.docs("test"), self.vocabulary(), self.spec)
         return self._test_counts
 
-    def chi2_order(self, spec: NgramSpec, X: sparse.csr_matrix, y: np.ndarray) -> np.ndarray:
-        """The chi-squared feature_order of the spec's training matrix X;
-        equal specs give equal X."""
-        if spec not in self._order:
-            self._order[spec] = feature_order(chi2_scores(X, y))
-        return self._order[spec]
+    def features(self, spec: NgramSpec) -> tuple:
+        """spec's Vocabulary (without counts), TF-IDF rows of the train and
+        test split (None without one) and chi-squared feature_order."""
+        if spec not in self._features:
+            union = _stage("build_vocabulary", self.vocabulary)
+            vocab, cols = _stage("build_vocabulary", union.restrict, spec)
+            X = _stage("transform", apply_tfidf, vocab.counts, vocab)
+            y = labels_to_signs([d.label for d in self.splits["train"]])
+            order = feature_order(_stage("chi2_scores", chi2_scores, X, y))
+            X_test = (None if self.splits["test"] is None
+                      else apply_tfidf(self.test_counts()[:, cols], vocab))
+            self._features[spec] = (replace(vocab, counts=None), X, X_test, order)
+        self._rows_left[spec] -= 1
+        return self._features[spec] if self._rows_left[spec] else self._features.pop(spec)
 
 
-def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, np.ndarray | None]:
-    """Fit one row from the shared work; for an SVM also the row's columns
-    in the shared vocabulary."""
+def _fit(work: _SharedWork, config: ExperimentConfig
+         ) -> tuple[FittedPipeline, sparse.csr_matrix | None]:
+    """Fit one row from the shared work; for an SVM also the row's selected
+    TF-IDF test rows, if the work has a test split."""
     docs = _stage("preprocess", work.docs, "train")
     gold = [d.label for d in work.splits["train"]]
     if config.classifier == "svm":
@@ -361,20 +365,16 @@ def _fit(work: _SharedWork, config: ExperimentConfig) -> tuple[FittedPipeline, n
                         gamma=config.svm_gamma, coef0=config.svm_coef0)
         _stage("train_svm", check_solver_params, config.svm_c, config.svm_tol,
                config.svm_max_passes)
-        spec = config.ngram_spec()
-        union = _stage("build_vocabulary", work.vocabulary)
-        vocab, cols = _stage("build_vocabulary", union.restrict, spec)
-        X = _stage("transform", apply_tfidf, vocab.counts, vocab)
-        y_signs = labels_to_signs(gold)
-        order = _stage("chi2_scores", work.chi2_order, spec, X, y_signs)
+        vocab, X, X_test, order = work.features(config.ngram_spec())
         mask = _stage("select_k_best", select_top, order, config.k_best)
         X_sel = _stage("apply_mask", apply_mask, X, mask)
         model = _stage(
-            "train_svm", train_svm, X_sel, y_signs,
+            "train_svm", train_svm, X_sel, labels_to_signs(gold),
             params=params, C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes,
         )
-        return FittedPipeline(config=config, kind="svm", vocabulary=replace(vocab, counts=None),
-                              mask=mask, svm=model, resources_digest=work.resources.digest), cols
+        fitted = FittedPipeline(config=config, kind="svm", vocabulary=vocab, mask=mask,
+                                svm=model, resources_digest=work.resources.digest)
+        return fitted, None if X_test is None else apply_mask(X_test, mask)
 
     encoder = _stage("fit_encoder", SequenceEncoder.fit, docs,
                      unit=config.cnn_unit, max_len=config.cnn_max_len)
@@ -444,9 +444,9 @@ def _run_row(work: _SharedWork, config: ExperimentConfig, sn: int
              ) -> tuple[ResultRow, FittedPipeline]:
     """Fit on train, predict on test, evaluate with Fake as positive class."""
     start = time.perf_counter()
-    fitted, cols = _fit(work, config)
+    fitted, X_test = _fit(work, config)
     if fitted.kind == "svm":
-        values = fitted.margins(work.test_counts()[:, cols])
+        values = decision_function(fitted.svm, X_test)
     else:
         values = fitted.values_of(work.docs("test"))
     test = work.splits["test"]
@@ -483,7 +483,7 @@ def run_grid(
     """Run every config in order; a failing row is recorded, the grid continues.
 
     Rows that preprocess alike share their preprocessing and, for SVM rows,
-    their n-gram counts and chi-squared scores (see _SharedWork); each row's
+    their n-gram counts and each spec's features (see _SharedWork); each row's
     results are those of run_config on it alone. on_fitted gets each ok
     row's fitted pipeline as soon as the row is done, so a caller can keep
     it without the grid holding every row's model. A warning a row raises is

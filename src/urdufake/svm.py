@@ -33,6 +33,7 @@ means Fake. Ties (decision exactly 0) go to Fake.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -50,6 +51,12 @@ class SvmError(ValueError):
     pass
 
 
+def _check_finite(**values: float | None) -> None:
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise SvmError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """K(x, z) = (gamma * <x, z> + coef0) ** degree; gamma None means
@@ -62,6 +69,7 @@ class KernelParams:
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise SvmError(f"degree must be >= 1, got {self.degree}")
+        _check_finite(gamma=self.gamma, coef0=self.coef0)
         if self.gamma is not None and not self.gamma > 0:
             raise SvmError(f"gamma must be positive, got {self.gamma}")
 
@@ -102,6 +110,7 @@ def _kernel(params: KernelParams, dots: np.ndarray) -> np.ndarray:
 
 def check_solver_params(C: float, tol: float, max_passes: int) -> None:
     """Refuse a box bound C, stop tolerance or step cap SMO cannot train with."""
+    _check_finite(C=C, tol=tol)
     if not C > 0:
         raise SvmError(f"C must be positive, got {C}")
     if not tol > 0:

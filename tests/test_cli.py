@@ -170,6 +170,10 @@ BAD_CONFIG_VALUES = {
     "svm_c_0": "svm_c = 0\n",
     "svm_tol_negative": "svm_tol = -1\nsvm_max_passes = 2\n",
     "svm_max_passes_negative": "svm_max_passes = -3\n",
+    "svm_gamma_inf": "svm_gamma = inf\n",
+    "svm_coef0_nan": "svm_coef0 = nan\n",
+    "svm_c_inf": "svm_c = inf\n",
+    "svm_tol_inf": "svm_tol = inf\n",
     "cnn_epochs_0": "classifier = cnn\ncnn_epochs = 0\n",
     "cnn_dropout_1.5": "classifier = cnn\ncnn_embedding_dropout = 1.5\n",
 }
@@ -237,6 +241,8 @@ def _bad_input(data_dir, case):
                             if "\tFake\t" in line)
         (data_dir / "fake.tsv").write_text(fake_only, encoding="utf-8")
         return ["inspect", "--train", data_dir / "fake.tsv"]
+    if case == "inspect_top_negative":
+        return ["inspect", "--train", train, "--top", "-3"]
     raise AssertionError(case)
 
 
@@ -250,6 +256,7 @@ def _bad_input(data_dir, case):
     ("unknown_predicted_label", "pred.tsv:1: unknown label 'Maybe'"),
     ("unknown_config_key", "unknown config key 'k_bset'"),
     ("one_class_inspect", "needs at least 2 classes"),
+    ("inspect_top_negative", "--top must be >= 1, got -3"),
     ("tab_in_row_name", "name must not contain '#', '|', a tab"),
     ("other_resources_predict", "the model was fitted with other stopwords, lemmas or "
                                 "normalization map"),
@@ -258,6 +265,10 @@ def _bad_input(data_dir, case):
     ("svm_c_0", "stage 'train_svm': C must be positive, got 0.0"),
     ("svm_tol_negative", "stage 'train_svm': tol must be positive, got -1.0"),
     ("svm_max_passes_negative", "stage 'train_svm': max_passes must be >= 1, got -3"),
+    ("svm_gamma_inf", "stage 'train_svm': gamma must be finite, got inf"),
+    ("svm_coef0_nan", "stage 'train_svm': coef0 must be finite, got nan"),
+    ("svm_c_inf", "stage 'train_svm': C must be finite, got inf"),
+    ("svm_tol_inf", "stage 'train_svm': tol must be finite, got inf"),
     ("cnn_epochs_0", "stage 'train_cnn': epochs and batch_size must be positive"),
     ("cnn_dropout_1.5", "stage 'train_cnn': embedding_dropout must be in [0, 1)"),
 ])

@@ -9,13 +9,14 @@ fit_pipeline/run_config must agree with both.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urdufake import persistence
+from urdufake import persistence, runner
 from urdufake.corpus import generate_synthetic
 from urdufake.metrics import confusion, summarize
 from urdufake.preprocess import PreprocessConfig, PreprocessedDoc, preprocess_corpus
@@ -25,6 +26,7 @@ from urdufake.runner import (
     PipelineError,
     ResultRow,
     fit_pipeline,
+    parse_config_file,
     render_results_tsv,
     run_config,
     run_grid,
@@ -57,6 +59,8 @@ from reference_vectorize import (
     reference_terms,
     reference_transform,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -196,6 +200,60 @@ def test_every_row_keeps_the_select_k_best_columns(resources):
         assert kept[config.name].tobytes() == masks[config.name].tobytes(), config.name
     # one spec at two K values that both cut
     assert masks["w1234_c23456_b"].size == 150 < masks["w1234_c23456_a"].size == 400
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_shipped_grid_featurizes_each_spec_once(resources, monkeypatch):
+    """The 9-row shipped grid has 4 distinct specs: each is restricted,
+    weighted on both splits and chi-squared scored once, and its features
+    are let go after its last row. Each row's test margins are those its
+    fitted pipeline gives the test split, bit for bit."""
+    train = generate_synthetic(3, 20, (FAKE_POOL, REAL_POOL), (5, 10), split="train")
+    test = generate_synthetic(4, 8, (FAKE_POOL, REAL_POOL), (5, 10), split="test")
+    configs = parse_config_file(ROOT / "configs" / "shared_task_grid.cfg")
+    calls = {"restrict": 0, "apply_tfidf": 0, "chi2_scores": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Vocabulary, "restrict", counted("restrict", Vocabulary.restrict))
+    monkeypatch.setattr(runner, "apply_tfidf", counted("apply_tfidf", runner.apply_tfidf))
+    monkeypatch.setattr(runner, "chi2_scores", counted("chi2_scores", runner.chi2_scores))
+    margins = []
+
+    def recorded(model, X):
+        margins.append(decision_function(model, X))
+        return margins[-1]
+
+    monkeypatch.setattr(runner, "decision_function", recorded)
+    works = []
+
+    class RecordedWork(runner._SharedWork):
+        def __init__(self, *args):
+            super().__init__(*args)
+            works.append(self)
+
+    monkeypatch.setattr(runner, "_SharedWork", RecordedWork)
+    specs = [config.ngram_spec() for config in configs]
+    kept, fitted_rows = {}, []
+
+    def keep(row, fitted):
+        kept[row.sn] = set(works[0]._features)
+        fitted_rows.append(fitted)
+
+    rows = run_grid(train, test, configs, resources, on_fitted=keep)
+    grid_margins = list(margins)
+
+    assert [r.ok for r in rows] == [True] * 9 and len(set(specs)) == 4 and len(works) == 1
+    assert calls == {"restrict": 4, "apply_tfidf": 8, "chi2_scores": 4}
+    for sn in range(1, 10):
+        assert kept[sn] == set(specs[:sn]) & set(specs[sn:]), sn
+    assert len(grid_margins) == len(fitted_rows) == 9
+    for values, fitted in zip(grid_margins, fitted_rows):
+        assert values.tobytes() == fitted.decision_values(test, resources).tobytes()
 
 
 # --- integer keys and restriction against the reference featurizer ---------

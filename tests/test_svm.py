@@ -83,6 +83,14 @@ def test_kernel_params_validation():
         KernelParams(gamma=0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("gamma", np.inf), ("gamma", -np.inf), ("gamma", np.nan), ("coef0", np.inf), ("coef0", np.nan),
+])
+def test_kernel_params_refuse_non_finite(name, value):
+    with pytest.raises(SvmError, match=f"^{name} must be finite, got {value}$"):
+        KernelParams(**{name: value})
+
+
 def test_gamma_none_trains_with_one_over_n_features():
     rng = np.random.default_rng(5)
     X = sparse.csr_matrix(rng.normal(size=(8, 7)))
@@ -302,6 +310,9 @@ def test_single_class_rejected():
     ({"tol": 0.0}, "tol must be positive"),
     ({"tol": -1.0}, "tol must be positive"),
     ({"max_passes": 0}, "max_passes must be >= 1"),
+    ({"C": np.inf}, "C must be finite, got inf"),
+    ({"tol": np.inf}, "tol must be finite, got inf"),
+    ({"tol": np.nan}, "tol must be finite, got nan"),
 ])
 def test_solver_settings_rejected(kwargs, message):
     X = sparse.csr_matrix(np.eye(2))
