@@ -177,6 +177,8 @@ def _cmd_evaluate(args) -> int:
             fields = line.split("\t")
             if len(fields) < 2:
                 return _error(f"{args.pred.name}:{lineno}: expected at least 2 columns")
+            if fields[0] in pred:
+                return _error(f"{args.pred.name}:{lineno}: duplicate id {fields[0]!r}")
             try:
                 pred[fields[0]] = Label.parse(fields[1])
             except ValueError as exc:

@@ -25,6 +25,7 @@ from scipy import sparse
 
 from . import persistence
 from .cnn import (
+    CnnError,
     CnnModel,
     SequenceEncoder,
     TrainConfig,
@@ -46,6 +47,7 @@ from .preprocess import (
 from .selection import SelectionMask, apply_mask, chi2_scores, feature_order, select_top
 from .svm import (
     KernelParams,
+    SvmError,
     SvmModel,
     check_solver_params,
     decision_function,
@@ -616,6 +618,14 @@ def save_model(path: str | Path, fitted: FittedPipeline) -> None:
     persistence.write_container(path, meta, arrays, texts)
 
 
+def _from_model_file(build, **values):
+    """build(**values), reporting a value out of range as a corrupt model file."""
+    try:
+        return build(**values)
+    except (SvmError, CnnError) as exc:
+        raise persistence.ModelFormatError(f"corrupt model file: {exc}") from exc
+
+
 def load_model(path: str | Path) -> FittedPipeline:
     meta, arrays, texts = persistence.read_container(path)
     config = parse_config_text(meta["config"])[0]
@@ -625,12 +635,19 @@ def load_model(path: str | Path) -> FittedPipeline:
         vocab = Vocabulary.from_blobs(arrays, texts)
         mask = SelectionMask(kept=arrays["mask.kept"])
         s = arrays["svm.scalars"]
+        support_vectors = persistence.csr_from_blobs("svm.sv", arrays)
+        dual_coef = arrays["svm.dual_coef"]
+        if dual_coef.shape != (support_vectors.shape[0],):
+            raise persistence.ModelFormatError(
+                f"corrupt model file: svm.dual_coef has {dual_coef.size} entries for "
+                f"{support_vectors.shape[0]} support vectors")
         model = SvmModel(
-            support_vectors=persistence.csr_from_blobs("svm.sv", arrays),
-            dual_coef=arrays["svm.dual_coef"],
+            support_vectors=support_vectors,
+            dual_coef=dual_coef,
             bias=float(s[0]),
             C=float(s[1]),
-            kernel=KernelParams(degree=int(s[4]), gamma=float(s[2]), coef0=float(s[3])),
+            kernel=_from_model_file(KernelParams, degree=int(s[4]), gamma=float(s[2]),
+                                    coef0=float(s[3])),
             converged=bool(s[5]),
             n_features=int(s[6]),
         )
@@ -650,7 +667,8 @@ def load_model(path: str | Path) -> FittedPipeline:
             max_len=int(arrays["cnn.max_len"][0]),
         )
         terms = texts["encoder.terms"].split("\n") if texts["encoder.terms"] else []
-        encoder = SequenceEncoder(
+        encoder = _from_model_file(
+            SequenceEncoder,
             unit=meta["encoder.unit"],
             term_to_id={t: i + 1 for i, t in enumerate(terms)},
             max_len=int(meta["encoder.max_len"]),

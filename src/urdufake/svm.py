@@ -21,10 +21,13 @@ al., "Improvements to Platt's SMO Algorithm", Neural Computation 2001).
 
 Every kernel value comes from one formula, (gamma <x, z> + coef0)^degree.
 gamma None means 1 / (number of features); train_svm resolves it, so a model
-stores the gamma it was trained with. The Gram matrix is built whole when it
-fits in GRAM_BUDGET_BYTES; otherwise kernel rows are computed on demand from
-the transposed training matrix, built once, and a FIFO cache of that budget
-keeps them.
+stores the gamma it was trained with. SMO reads kernel rows from one source:
+blocks of consecutive rows, each one sparse product with the transposed
+training matrix (built once), kept in a FIFO cache of GRAM_BUDGET_BYTES. A
+block is the whole Gram matrix when that fits in the budget, and one row
+otherwise. The margins g_i = sum_j a_j y_j K_ij that the final bias and the
+KKT check need are read from the dual gradient, g_i = y_i (G_i + 1), so the
+trainer holds O(n) floats beyond the cache.
 
 Label encoding is fixed: Fake = +1, Real = -1, so a positive decision value
 means Fake. Ties (decision exactly 0) go to Fake.
@@ -42,8 +45,8 @@ from scipy import sparse
 
 from .corpus import Label
 
-#: The largest full Gram matrix train_svm builds, and the size of its row
-#: cache when the full matrix would be larger.
+#: The size of train_svm's kernel-row cache: the whole Gram matrix when it
+#: fits, else as many single rows as fit (at least two).
 GRAM_BUDGET_BYTES = 512e6
 
 
@@ -150,25 +153,22 @@ def train_svm(
     if params.gamma is None:
         params = replace(params, gamma=1.0 / max(1, X.shape[1]))
 
-    if n * n * 8 <= GRAM_BUDGET_BYTES:
-        K = _kernel(params, (X @ X.T).toarray())
-        kernel_row = lambda i: K[i]
-    else:
-        # bounded FIFO row cache for corpora too large for a full Gram matrix
-        cache: dict[int, np.ndarray] = {}
-        max_rows = max(2, int(GRAM_BUDGET_BYTES / (n * 8)))
-        X_t = X.T.tocsr()
+    block = n if n * n * 8 <= GRAM_BUDGET_BYTES else 1
+    max_blocks = max(2, int(GRAM_BUDGET_BYTES / (block * n * 8)))
+    cache: dict[int, np.ndarray] = {}
+    X_t = X.T.tocsr()
 
-        def kernel_row(i: int) -> np.ndarray:
-            row = cache.get(i)
-            if row is None:
-                row = _kernel(params, (X[i] @ X_t).toarray().ravel())
-                if len(cache) >= max_rows:
-                    cache.pop(next(iter(cache)))
-                cache[i] = row
-            return row
+    def kernel_row(i: int) -> np.ndarray:
+        start = i - i % block
+        rows = cache.get(start)
+        if rows is None:
+            rows = _kernel(params, (X[start:start + block] @ X_t).toarray())
+            if len(cache) >= max_blocks:
+                cache.pop(next(iter(cache)))
+            cache[start] = rows
+        return rows[i - start]
 
-    # K_ii from the row norms, so both kernel paths see the same diagonal
+    # K_ii from the row norms, so the diagonal needs no kernel row
     diag = _kernel(params, np.asarray(X.multiply(X).sum(axis=1)).ravel())
     alpha = np.zeros(n, dtype=np.float64)
     G = np.full(n, -1.0)  # gradient of the dual objective, Q alpha - 1
@@ -195,7 +195,7 @@ def train_svm(
     alpha[alpha < bound_eps] = 0.0
     alpha[alpha > C - bound_eps] = C
 
-    g = _margins(alpha * y, kernel_row)
+    g = y * (G + 1.0)  # g_i = sum_j alpha_j y_j K_ij, since G = Q alpha - 1
     bias = _final_bias(alpha, y, g, C)
     converged = _kkt_excess(alpha, y, g + bias, C, tol) <= 1e-12
     if not converged:
@@ -231,15 +231,6 @@ def _kkt_excess(alpha, y, f, C, tol) -> float:
     if mid.any():
         excess = max(excess, float(np.max(np.abs(yf[mid] - 1.0) - tol, initial=0.0)))
     return excess
-
-
-def _margins(ay, kernel_row) -> np.ndarray:
-    """g_i = sum_j alpha_j y_j K(x_j, x_i), the decision values without bias."""
-    nz = np.nonzero(ay)[0]
-    if nz.size == 0:
-        return np.zeros(ay.shape[0], dtype=np.float64)
-    G = np.vstack([kernel_row(int(j)) for j in nz])
-    return ay[nz] @ G
 
 
 def _final_bias(alpha, y, g, C) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import urdufake
+from urdufake import persistence
 from urdufake.cli import main
 from urdufake.corpus import generate_synthetic, save_corpus
 
@@ -179,9 +180,9 @@ BAD_CONFIG_VALUES = {
 }
 
 
-def _saved_model(data_dir):
-    """Train a small SVM and return the path of its model file."""
-    (data_dir / "small.cfg").write_text("k_best = 50\n", encoding="utf-8")
+def _saved_model(data_dir, config="k_best = 50\n"):
+    """Train a small model (an SVM by default) and return the path of its file."""
+    (data_dir / "small.cfg").write_text(config, encoding="utf-8")
     assert run(["--out-dir", data_dir / "m", "--config", data_dir / "small.cfg",
                 "train", "--train", data_dir / "train.tsv"]) == 0
     return data_dir / "m" / "model.ufnd"
@@ -203,6 +204,26 @@ def _corrupt_model(data_dir, case):
     return path
 
 
+def _out_of_range_model(data_dir, case):
+    """A saved model rewritten with one value out of range."""
+    config = ("classifier = cnn\ncnn_epochs = 1\ncnn_channels = 1\n"
+              if case.startswith("cnn_model") else "k_best = 50\n")
+    meta, arrays, texts = persistence.read_container(_saved_model(data_dir, config))
+    if case == "model_gamma_nan":
+        arrays["svm.scalars"][2] = np.nan
+    elif case == "model_degree_0":
+        arrays["svm.scalars"][4] = 0.0
+    elif case == "model_dual_coef_short":
+        arrays["svm.dual_coef"] = arrays["svm.dual_coef"][:-1]
+    elif case == "cnn_model_max_len_0":
+        meta["encoder.max_len"] = 0
+    else:
+        meta["encoder.unit"] = "byte"
+    path = data_dir / f"{case}.ufnd"
+    persistence.write_container(path, dict(meta), dict(arrays), dict(texts))
+    return path
+
+
 def _bad_input(data_dir, case):
     """Write the bad input of a case and return its command line."""
     train, test = data_dir / "train.tsv", data_dir / "test.tsv"
@@ -215,6 +236,9 @@ def _bad_input(data_dir, case):
         return ["predict", "--model", train, "--input", test]
     if case in ("model_metadata_corrupt", "model_blob_missing"):
         return ["predict", "--model", _corrupt_model(data_dir, case), "--input", test]
+    if case in ("model_gamma_nan", "model_degree_0", "model_dual_coef_short",
+                "cnn_model_max_len_0", "cnn_model_unit_byte"):
+        return ["predict", "--model", _out_of_range_model(data_dir, case), "--input", test]
     if case == "empty_gold_corpus":
         (data_dir / "empty.tsv").write_text("", encoding="utf-8")
         return ["evaluate", "--gold", data_dir / "empty.tsv", "--pred", data_dir / "empty.tsv"]
@@ -222,6 +246,10 @@ def _bad_input(data_dir, case):
         first_id = test.read_text(encoding="utf-8").split("\t", 1)[0]
         (data_dir / "pred.tsv").write_text(f"{first_id}\tMaybe\t0.5\n", encoding="utf-8")
         return ["evaluate", "--gold", test, "--pred", data_dir / "pred.tsv"]
+    if case == "duplicate_predicted_id":
+        (data_dir / "gold.tsv").write_text("x1\tFake\tsome text\n", encoding="utf-8")
+        (data_dir / "pred.tsv").write_text("x1\tFake\nx1\tReal\n", encoding="utf-8")
+        return ["evaluate", "--gold", data_dir / "gold.tsv", "--pred", data_dir / "pred.tsv"]
     if case == "unknown_config_key":
         (data_dir / "bad.cfg").write_text("k_bset = 10\n", encoding="utf-8")
         return ["--config", data_dir / "bad.cfg", "train", "--train", train]
@@ -252,8 +280,14 @@ def _bad_input(data_dir, case):
     ("not_a_model_file", "magic-byte check failed"),
     ("model_metadata_corrupt", "corrupt model file: cannot decode the metadata"),
     ("model_blob_missing", "model file has no text blob 'vocab.words'"),
+    ("model_gamma_nan", "corrupt model file: gamma must be finite, got nan"),
+    ("model_degree_0", "corrupt model file: degree must be >= 1, got 0"),
+    ("model_dual_coef_short", "corrupt model file: svm.dual_coef has "),
+    ("cnn_model_max_len_0", "corrupt model file: max_len must be >= 1"),
+    ("cnn_model_unit_byte", "corrupt model file: unit must be 'word' or 'char', got 'byte'"),
     ("empty_gold_corpus", "cannot evaluate an empty prediction set"),
     ("unknown_predicted_label", "pred.tsv:1: unknown label 'Maybe'"),
+    ("duplicate_predicted_id", "pred.tsv:2: duplicate id 'x1'"),
     ("unknown_config_key", "unknown config key 'k_bset'"),
     ("one_class_inspect", "needs at least 2 classes"),
     ("inspect_top_negative", "--top must be >= 1, got -3"),

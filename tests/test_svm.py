@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -265,6 +267,22 @@ def test_row_cache_path_matches_full_gram(monkeypatch):
         assert full.bias == cached.bias
         assert (full.support_vectors != cached.support_vectors).nnz == 0
         assert 0 < full.n_support < 15
+
+
+def test_training_memory_is_bounded_by_the_gram_budget(monkeypatch):
+    # a 1 MB budget holds about 100 of the 1,200 kernel rows; nothing else
+    # train_svm keeps may grow with n_SV * n
+    X = sparse.random(1200, 300, density=0.05, format="csr", random_state=7)
+    y = np.where(np.arange(1200) % 2 == 0, 1.0, -1.0)
+    monkeypatch.setattr(svm, "GRAM_BUDGET_BYTES", 1e6)
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="did not converge"):
+            train_svm(X, y, KernelParams(degree=1, gamma=1.0), C=1.0, max_passes=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_training_deterministic():
