@@ -177,6 +177,9 @@ def _cmd_evaluate(args) -> int:
             fields = line.split("\t")
             if len(fields) < 2:
                 return _error(f"{args.pred.name}:{lineno}: expected at least 2 columns")
+            if fields[0] not in gold:
+                return _error(f"{args.pred.name}:{lineno}: id {fields[0]!r} is not in the gold "
+                              "corpus")
             if fields[0] in pred:
                 return _error(f"{args.pred.name}:{lineno}: duplicate id {fields[0]!r}")
             try:

@@ -138,6 +138,16 @@ class CnnModel:
     channels: tuple[int, ...]
     max_len: int
 
+    def __post_init__(self) -> None:
+        """Refuses arrays of other shapes than init_cnn gives for the
+        embedding's row count, max_len and channels, or with non-finite values."""
+        shapes = _param_shapes(self.embedding.shape[0], self.max_len, self.channels)
+        for name, arr in self.param_groups():
+            if arr.shape != shapes[name]:
+                raise CnnError(f"{name} has shape {arr.shape}, expected {shapes[name]}")
+            if not np.isfinite(arr).all():
+                raise CnnError(f"{name} holds a non-finite value")
+
     def param_groups(self) -> list[tuple[str, np.ndarray]]:
         """Stable (name, array) ordering used by the optimizer and grad check."""
         groups: list[tuple[str, np.ndarray]] = [("embedding", self.embedding)]
@@ -156,31 +166,48 @@ def pooled_length(seq_len: int, kernel: int) -> int:
     return (seq_len - kernel + 1) // 2
 
 
-def init_cnn(vocab_size: int, max_len: int, channels: Sequence[int], seed: int) -> CnnModel:
-    """Seeded initialization: embedding U(-0.05, 0.05), weights Glorot uniform,
-    biases zero. Identical seeds give bit-identical parameters."""
-    channels = tuple(sorted(set(int(k) for k in channels)))
+def _param_shapes(vocab_size: int, max_len: int, channels: tuple[int, ...]
+                  ) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter group (named as in CnnModel.param_groups)
+    of a model with these sizes. Refuses channels that are not distinct,
+    ascending kernel sizes >= 1, each with a non-empty pooled map."""
     if not channels:
         raise CnnError("need at least one channel")
     if min(channels) < 1:
         raise CnnError("kernel sizes must be >= 1")
+    if list(channels) != sorted(set(channels)):
+        raise CnnError(f"channels must be distinct and ascending, got {channels}")
     if max_len < max(channels):
         raise CnnError(
             f"max_len={max_len} is shorter than the largest kernel size {max(channels)}"
         )
     if any(pooled_length(max_len, k) < 1 for k in channels):
         raise CnnError(f"max_len={max_len} leaves an empty pooled map for some channel")
+    concat_dim = sum(N_FILTERS * pooled_length(max_len, k) for k in channels)
+    shapes = {"embedding": (vocab_size, EMBED_DIM)}
+    for k in channels:
+        shapes[f"conv_w[{k}]"] = (N_FILTERS, k, EMBED_DIM)
+        shapes[f"conv_b[{k}]"] = (N_FILTERS,)
+    shapes.update(dense_w=(concat_dim, HIDDEN_UNITS), dense_b=(HIDDEN_UNITS,),
+                  out_w=(HIDDEN_UNITS,), out_b=(1,))
+    return shapes
+
+
+def init_cnn(vocab_size: int, max_len: int, channels: Sequence[int], seed: int) -> CnnModel:
+    """Seeded initialization: embedding U(-0.05, 0.05), weights Glorot uniform,
+    biases zero. Identical seeds give bit-identical parameters."""
+    channels = tuple(sorted(set(int(k) for k in channels)))
+    shapes = _param_shapes(vocab_size, max_len, channels)
     rng = np.random.default_rng(seed)
-    emb = rng.uniform(-0.05, 0.05, size=(vocab_size, EMBED_DIM))
+    emb = rng.uniform(-0.05, 0.05, size=shapes["embedding"])
     conv_w: dict[int, np.ndarray] = {}
     conv_b: dict[int, np.ndarray] = {}
     for k in channels:
         limit = np.sqrt(6.0 / (k * EMBED_DIM + N_FILTERS))
-        conv_w[k] = rng.uniform(-limit, limit, size=(N_FILTERS, k, EMBED_DIM))
+        conv_w[k] = rng.uniform(-limit, limit, size=shapes[f"conv_w[{k}]"])
         conv_b[k] = np.zeros(N_FILTERS)
-    concat_dim = sum(N_FILTERS * pooled_length(max_len, k) for k in channels)
-    limit = np.sqrt(6.0 / (concat_dim + HIDDEN_UNITS))
-    dense_w = rng.uniform(-limit, limit, size=(concat_dim, HIDDEN_UNITS))
+    limit = np.sqrt(6.0 / (shapes["dense_w"][0] + HIDDEN_UNITS))
+    dense_w = rng.uniform(-limit, limit, size=shapes["dense_w"])
     limit = np.sqrt(6.0 / (HIDDEN_UNITS + 1))
     out_w = rng.uniform(-limit, limit, size=HIDDEN_UNITS)
     return CnnModel(

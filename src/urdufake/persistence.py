@@ -149,8 +149,18 @@ def csr_to_blobs(name: str, X: sparse.csr_matrix) -> dict[str, np.ndarray]:
 
 
 def csr_from_blobs(name: str, arrays: dict[str, np.ndarray]) -> sparse.csr_matrix:
+    """The matrix of csr_to_blobs. Blobs that are not a valid CSR matrix
+    (scipy's full format check: every index in [0, columns), a non-decreasing
+    indptr) raise a ValueError naming them, before native code reads them."""
     shape = tuple(int(v) for v in arrays[f"{name}.shape"])
-    return sparse.csr_matrix(
-        (arrays[f"{name}.data"], arrays[f"{name}.indices"], arrays[f"{name}.indptr"]),
-        shape=shape,
-    )
+    try:
+        X = sparse.csr_matrix(
+            (arrays[f"{name}.data"], arrays[f"{name}.indices"], arrays[f"{name}.indptr"]),
+            shape=shape,
+        )
+        X.check_format(full_check=True)
+        if np.any(np.diff(X.indptr) < 0):  # scipy checks this only when nnz > 0
+            raise ValueError("indptr must be a non-decreasing sequence")
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    return X

@@ -17,7 +17,7 @@ import time
 import warnings
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from scipy import sparse
 
 from . import persistence
 from .cnn import (
-    CnnError,
     CnnModel,
     SequenceEncoder,
     TrainConfig,
@@ -47,7 +46,6 @@ from .preprocess import (
 from .selection import SelectionMask, apply_mask, chi2_scores, feature_order, select_top
 from .svm import (
     KernelParams,
-    SvmError,
     SvmModel,
     check_solver_params,
     decision_function,
@@ -577,102 +575,104 @@ def render_results_md(rows: list[ResultRow]) -> str:
     return "\n".join(out) + "\n"
 
 
+#: The entries of the svm.scalars blob, in their order.
+_SVM_SCALARS = ("bias", "C", "gamma", "coef0", "degree", "converged", "n_features")
+
+#: The cnn.<name> array blobs, each the CnnModel field of that name, besides
+#: the per-channel cnn.conv_w.<k> and cnn.conv_b.<k>.
+_CNN_ARRAYS = ("embedding", "dense_w", "dense_b", "out_w", "out_b", "channels", "max_len")
+
+
 def save_model(path: str | Path, fitted: FittedPipeline) -> None:
     """Persist a fitted pipeline; loading reproduces its predictions exactly."""
-    cfg = fitted.config
-    meta = {
-        "kind": fitted.kind,
-        "config": serialize_configs([cfg]),
-    }
+    meta = {"kind": fitted.kind, "config": serialize_configs([fitted.config])}
     if fitted.resources_digest is not None:
         meta["resources"] = fitted.resources_digest
-    arrays: dict[str, np.ndarray] = {}
-    texts: dict[str, str] = {}
     if fitted.kind == "svm":
+        svm = fitted.svm
         arrays, texts = fitted.vocabulary.blobs()
         arrays["mask.kept"] = fitted.mask.kept
-        arrays.update(persistence.csr_to_blobs("svm.sv", fitted.svm.support_vectors))
-        arrays["svm.dual_coef"] = fitted.svm.dual_coef
-        arrays["svm.scalars"] = np.asarray(
-            [fitted.svm.bias, fitted.svm.C, fitted.svm.kernel.gamma,
-             fitted.svm.kernel.coef0, float(fitted.svm.kernel.degree),
-             1.0 if fitted.svm.converged else 0.0, float(fitted.svm.n_features)],
-            dtype=np.float64,
-        )
+        arrays.update(persistence.csr_to_blobs("svm.sv", svm.support_vectors))
+        arrays["svm.dual_coef"] = svm.dual_coef
+        scalars = dict(asdict(svm.kernel), bias=svm.bias, C=svm.C, converged=svm.converged,
+                       n_features=svm.n_features)
+        arrays["svm.scalars"] = np.asarray([float(scalars[name]) for name in _SVM_SCALARS])
     else:
-        arrays["cnn.embedding"] = fitted.cnn.embedding
-        for k in fitted.cnn.channels:
-            arrays[f"cnn.conv_w.{k}"] = fitted.cnn.conv_w[k]
-            arrays[f"cnn.conv_b.{k}"] = fitted.cnn.conv_b[k]
-        arrays["cnn.dense_w"] = fitted.cnn.dense_w
-        arrays["cnn.dense_b"] = fitted.cnn.dense_b
-        arrays["cnn.out_w"] = fitted.cnn.out_w
-        arrays["cnn.out_b"] = fitted.cnn.out_b
-        arrays["cnn.channels"] = np.asarray(fitted.cnn.channels, dtype=np.int64)
-        arrays["cnn.max_len"] = np.asarray([fitted.cnn.max_len], dtype=np.int64)
+        cnn = fitted.cnn
+        arrays = {f"cnn.{name}": np.atleast_1d(getattr(cnn, name)) for name in _CNN_ARRAYS}
+        for k in cnn.channels:
+            arrays[f"cnn.conv_w.{k}"] = cnn.conv_w[k]
+            arrays[f"cnn.conv_b.{k}"] = cnn.conv_b[k]
         meta["encoder.unit"] = fitted.encoder.unit
         meta["encoder.max_len"] = fitted.encoder.max_len
-        texts["encoder.terms"] = "\n".join(
+        texts = {"encoder.terms": "\n".join(
             term for term, _ in sorted(fitted.encoder.term_to_id.items(), key=lambda kv: kv[1])
-        )
+        )}
     persistence.write_container(path, meta, arrays, texts)
 
 
-def _from_model_file(build, **values):
-    """build(**values), reporting a value out of range as a corrupt model file."""
+def load_model(path: str | Path) -> FittedPipeline:
+    """The pipeline save_model wrote; any bad file raises ModelFormatError."""
+    meta, arrays, texts = persistence.read_container(path)
     try:
-        return build(**values)
-    except (SvmError, CnnError) as exc:
+        return _pipeline_of(meta, arrays, texts)
+    except persistence.ModelFormatError:
+        raise
+    except (ValueError, TypeError, IndexError, OverflowError) as exc:
         raise persistence.ModelFormatError(f"corrupt model file: {exc}") from exc
 
 
-def load_model(path: str | Path) -> FittedPipeline:
-    meta, arrays, texts = persistence.read_container(path)
+def _pipeline_of(meta: dict, arrays: dict, texts: dict) -> FittedPipeline:
+    """The pipeline of a model file's contents; a bad value raises what it provokes."""
+    for key in ("config", "resources"):  # a bad kind or encoder.unit is refused below
+        if not isinstance(meta.get(key, ""), str):
+            raise TypeError(f"metadata {key!r} is {type(meta[key]).__name__}, not str")
     config = parse_config_text(meta["config"])[0]
     kind = meta["kind"]
     digest = meta.get("resources")
     if kind == "svm":
         vocab = Vocabulary.from_blobs(arrays, texts)
         mask = SelectionMask(kept=arrays["mask.kept"])
-        s = arrays["svm.scalars"]
         support_vectors = persistence.csr_from_blobs("svm.sv", arrays)
+        n_sv, n_cols = support_vectors.shape
         dual_coef = arrays["svm.dual_coef"]
-        if dual_coef.shape != (support_vectors.shape[0],):
-            raise persistence.ModelFormatError(
-                f"corrupt model file: svm.dual_coef has {dual_coef.size} entries for "
-                f"{support_vectors.shape[0]} support vectors")
-        model = SvmModel(
-            support_vectors=support_vectors,
-            dual_coef=dual_coef,
-            bias=float(s[0]),
-            C=float(s[1]),
-            kernel=_from_model_file(KernelParams, degree=int(s[4]), gamma=float(s[2]),
-                                    coef0=float(s[3])),
-            converged=bool(s[5]),
-            n_features=int(s[6]),
-        )
+        if dual_coef.shape != (n_sv,):
+            raise ValueError(f"svm.dual_coef has {dual_coef.size} entries for "
+                             f"{n_sv} support vectors")
+        if arrays["svm.scalars"].shape != (len(_SVM_SCALARS),):
+            raise ValueError(f"svm.scalars has {arrays['svm.scalars'].size} entries, "
+                             f"expected {len(_SVM_SCALARS)}: {', '.join(_SVM_SCALARS)}")
+        s = dict(zip(_SVM_SCALARS, arrays["svm.scalars"].tolist()))
+        if not mask.kept.shape == (s["n_features"],) == (n_cols,):
+            raise ValueError(f"mask.kept keeps {mask.n_kept} columns, svm.scalars gives "
+                             f"n_features {s['n_features']} and svm.sv has {n_cols} columns")
+        if mask.n_kept and not (mask.kept[0] >= 0 and mask.kept[-1] < vocab.size):
+            raise ValueError(f"mask.kept holds a column outside [0, {vocab.size})")
+        if not all(np.isfinite(v).all() for v in (s["bias"], dual_coef, support_vectors.data)):
+            raise ValueError("svm.scalars bias, svm.dual_coef or svm.sv.data is not finite")
+        if not float(s["degree"]).is_integer():
+            raise ValueError(f"degree must be a whole number, got {s['degree']}")
+        kernel = KernelParams(degree=int(s["degree"]), gamma=s["gamma"], coef0=s["coef0"])
+        model = SvmModel(support_vectors=support_vectors, dual_coef=dual_coef, bias=s["bias"],
+                         C=s["C"], kernel=kernel, converged=bool(s["converged"]),
+                         n_features=n_cols)
         return FittedPipeline(config=config, kind="svm", vocabulary=vocab, mask=mask, svm=model,
                               resources_digest=digest)
     if kind == "cnn":
-        channels = tuple(int(k) for k in arrays["cnn.channels"])
-        cnn = CnnModel(
-            embedding=arrays["cnn.embedding"],
-            conv_w={k: arrays[f"cnn.conv_w.{k}"] for k in channels},
-            conv_b={k: arrays[f"cnn.conv_b.{k}"] for k in channels},
-            dense_w=arrays["cnn.dense_w"],
-            dense_b=arrays["cnn.dense_b"],
-            out_w=arrays["cnn.out_w"],
-            out_b=arrays["cnn.out_b"],
-            channels=channels,
-            max_len=int(arrays["cnn.max_len"][0]),
-        )
+        values = {name: arrays[f"cnn.{name}"] for name in _CNN_ARRAYS}
+        channels = tuple(int(k) for k in values.pop("channels"))
+        max_len = int(values.pop("max_len")[0])
+        cnn = CnnModel(**values, channels=channels, max_len=max_len,
+                       conv_w={k: arrays[f"cnn.conv_w.{k}"] for k in channels},
+                       conv_b={k: arrays[f"cnn.conv_b.{k}"] for k in channels})
         terms = texts["encoder.terms"].split("\n") if texts["encoder.terms"] else []
-        encoder = _from_model_file(
-            SequenceEncoder,
-            unit=meta["encoder.unit"],
-            term_to_id={t: i + 1 for i, t in enumerate(terms)},
-            max_len=int(meta["encoder.max_len"]),
-        )
+        encoder = SequenceEncoder(unit=meta["encoder.unit"], max_len=meta["encoder.max_len"],
+                                  term_to_id={t: i + 1 for i, t in enumerate(terms)})
+        if encoder.max_len != cnn.max_len:
+            raise ValueError(f"encoder.max_len {encoder.max_len} != cnn.max_len {cnn.max_len}")
+        if len(cnn.embedding) != encoder.vocab_size:
+            raise ValueError(f"cnn.embedding has {len(cnn.embedding)} rows for "
+                             f"{encoder.vocab_size} ids")
         return FittedPipeline(config=config, kind="cnn", encoder=encoder, cnn=cnn,
                               resources_digest=digest)
     raise persistence.ModelFormatError(f"unknown pipeline kind {kind!r}")

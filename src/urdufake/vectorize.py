@@ -371,17 +371,39 @@ class Vocabulary:
     @classmethod
     def from_blobs(cls, arrays: dict[str, np.ndarray], texts: dict[str, str]) -> Vocabulary:
         """A vocabulary from blobs(), or from the term list of a file in
-        model format major 1 or 2."""
+        model format major 1 or 2.
+
+        Refuses a code-point table or a namespace's keys that are not strictly
+        ascending (count_terms binary-searches them), a key with more digits
+        than its order over the rank tables, and a doc_freq that is not one
+        entry in 1..n_docs per term (the idf divides by 1 + df).
+        """
         doc_freq, n_docs = arrays["doc_freq"], int(arrays["vocab.n_docs"][0])
         if "vocab.terms" in texts:
             terms = texts["vocab.terms"].split("\n") if texts["vocab.terms"] else []
-            return cls.from_terms(terms, doc_freq, n_docs)
-        symbols = Symbols(alphabet=arrays["vocab.alphabet"],
-                          words=tuple(texts["vocab.words"].split("\n")[:-1]))
-        prefix = "vocab.keys."
-        keys = {name[len(prefix):] + ":": _keys_of_blob(blob)
-                for name, blob in sorted(arrays.items()) if name.startswith(prefix)}
-        return cls(symbols=symbols, keys=keys, doc_freq=doc_freq, n_docs=n_docs)
+            vocab = cls.from_terms(terms, doc_freq, n_docs)
+        else:
+            symbols = Symbols(alphabet=arrays["vocab.alphabet"],
+                              words=tuple(texts["vocab.words"].split("\n")[:-1]))
+            prefix = "vocab.keys."
+            keys = {name[len(prefix):] + ":": _keys_of_blob(blob)
+                    for name, blob in sorted(arrays.items()) if name.startswith(prefix)}
+            vocab = cls(symbols=symbols, keys=keys, doc_freq=doc_freq, n_docs=n_docs)
+        alphabet = vocab.symbols.alphabet
+        if alphabet.ndim != 1 or np.any(alphabet[1:] <= alphabet[:-1]):
+            raise VectorizeError("vocab.alphabet is not strictly ascending")
+        for ns, k in vocab.keys.items():
+            base = alphabet.size if ns[0] == "c" else len(vocab.symbols.words)
+            if np.any(k[1:] <= k[:-1]):
+                raise VectorizeError(f"vocab.keys.{ns[:-1]} is not strictly ascending")
+            if k.size and int(k[-1]) >= base ** int(ns[1]):
+                raise VectorizeError(f"vocab.keys.{ns[:-1]} holds a key past its rank tables")
+        n_terms = sum(k.size for k in vocab.keys.values())
+        if vocab.doc_freq.shape != (n_terms,):
+            raise VectorizeError(f"doc_freq has {vocab.doc_freq.size} entries for {n_terms} terms")
+        if n_terms and not (vocab.doc_freq.min() >= 1 and vocab.doc_freq.max() <= n_docs):
+            raise VectorizeError(f"doc_freq entries must lie in 1..{n_docs} (vocab.n_docs)")
+        return vocab
 
 
 def _count_matrix(doc_parts: list[np.ndarray], col_parts: list[np.ndarray], n_docs: int,

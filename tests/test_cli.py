@@ -205,7 +205,8 @@ def _corrupt_model(data_dir, case):
 
 
 def _out_of_range_model(data_dir, case):
-    """A saved model rewritten with one value out of range."""
+    """A saved model rewritten with one value out of range, or with one blob
+    that disagrees with the others."""
     config = ("classifier = cnn\ncnn_epochs = 1\ncnn_channels = 1\n"
               if case.startswith("cnn_model") else "k_best = 50\n")
     meta, arrays, texts = persistence.read_container(_saved_model(data_dir, config))
@@ -215,8 +216,18 @@ def _out_of_range_model(data_dir, case):
         arrays["svm.scalars"][4] = 0.0
     elif case == "model_dual_coef_short":
         arrays["svm.dual_coef"] = arrays["svm.dual_coef"][:-1]
+    elif case == "model_sv_index_out_of_range":
+        arrays["svm.sv.indices"][0] = 10**9
+    elif case == "model_doc_freq_short":
+        arrays["doc_freq"] = arrays["doc_freq"][:-3]
+    elif case == "model_n_features_wrong":
+        arrays["svm.scalars"][6] = 1e6
     elif case == "cnn_model_max_len_0":
         meta["encoder.max_len"] = 0
+    elif case == "cnn_model_max_len_mismatch":
+        meta["encoder.max_len"] += 3
+    elif case == "cnn_model_embedding_short":
+        arrays["cnn.embedding"] = arrays["cnn.embedding"][:3]
     else:
         meta["encoder.unit"] = "byte"
     path = data_dir / f"{case}.ufnd"
@@ -237,7 +248,9 @@ def _bad_input(data_dir, case):
     if case in ("model_metadata_corrupt", "model_blob_missing"):
         return ["predict", "--model", _corrupt_model(data_dir, case), "--input", test]
     if case in ("model_gamma_nan", "model_degree_0", "model_dual_coef_short",
-                "cnn_model_max_len_0", "cnn_model_unit_byte"):
+                "model_sv_index_out_of_range", "model_doc_freq_short", "model_n_features_wrong",
+                "cnn_model_max_len_0", "cnn_model_max_len_mismatch", "cnn_model_embedding_short",
+                "cnn_model_unit_byte"):
         return ["predict", "--model", _out_of_range_model(data_dir, case), "--input", test]
     if case == "empty_gold_corpus":
         (data_dir / "empty.tsv").write_text("", encoding="utf-8")
@@ -249,6 +262,10 @@ def _bad_input(data_dir, case):
     if case == "duplicate_predicted_id":
         (data_dir / "gold.tsv").write_text("x1\tFake\tsome text\n", encoding="utf-8")
         (data_dir / "pred.tsv").write_text("x1\tFake\nx1\tReal\n", encoding="utf-8")
+        return ["evaluate", "--gold", data_dir / "gold.tsv", "--pred", data_dir / "pred.tsv"]
+    if case == "predicted_id_not_in_gold":
+        (data_dir / "gold.tsv").write_text("x1\tFake\tsome text\n", encoding="utf-8")
+        (data_dir / "pred.tsv").write_text("x1\tFake\nzz9\tReal\n", encoding="utf-8")
         return ["evaluate", "--gold", data_dir / "gold.tsv", "--pred", data_dir / "pred.tsv"]
     if case == "unknown_config_key":
         (data_dir / "bad.cfg").write_text("k_bset = 10\n", encoding="utf-8")
@@ -283,11 +300,17 @@ def _bad_input(data_dir, case):
     ("model_gamma_nan", "corrupt model file: gamma must be finite, got nan"),
     ("model_degree_0", "corrupt model file: degree must be >= 1, got 0"),
     ("model_dual_coef_short", "corrupt model file: svm.dual_coef has "),
+    ("model_sv_index_out_of_range", "corrupt model file: svm.sv: indices must be < "),
+    ("model_doc_freq_short", "corrupt model file: doc_freq has "),
+    ("model_n_features_wrong", "corrupt model file: mask.kept keeps "),
     ("cnn_model_max_len_0", "corrupt model file: max_len must be >= 1"),
+    ("cnn_model_max_len_mismatch", "corrupt model file: encoder.max_len "),
+    ("cnn_model_embedding_short", "corrupt model file: cnn.embedding has 3 rows for "),
     ("cnn_model_unit_byte", "corrupt model file: unit must be 'word' or 'char', got 'byte'"),
     ("empty_gold_corpus", "cannot evaluate an empty prediction set"),
     ("unknown_predicted_label", "pred.tsv:1: unknown label 'Maybe'"),
     ("duplicate_predicted_id", "pred.tsv:2: duplicate id 'x1'"),
+    ("predicted_id_not_in_gold", "pred.tsv:2: id 'zz9' is not in the gold corpus"),
     ("unknown_config_key", "unknown config key 'k_bset'"),
     ("one_class_inspect", "needs at least 2 classes"),
     ("inspect_top_negative", "--top must be >= 1, got -3"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urdufake.cli import _INPUT_ERRORS
 from urdufake.corpus import Corpus, Document, Label, generate_synthetic
 from urdufake import persistence
 from urdufake.persistence import MAGIC, ModelFormatError
@@ -499,3 +500,54 @@ def test_load_missing_metadata_key_names_it(tmp_path):
     persistence.write_container(p, {"kind": "svm"}, {})
     with pytest.raises(ModelFormatError, match="no metadata key 'config'"):
         load_model(p)
+
+
+#: The array blobs of the CNN model file the damaged-blob sweep saves.
+SWEEP_CNN_ARRAYS = {
+    "cnn.embedding", "cnn.dense_w", "cnn.dense_b", "cnn.out_w", "cnn.out_b", "cnn.channels",
+    "cnn.max_len", "cnn.conv_w.1", "cnn.conv_b.1", "cnn.conv_w.2", "cnn.conv_b.2",
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_models(synthetic_train, resources, tmp_path_factory):
+    """kind -> an SVM or CNN model file fitted on the synthetic train split."""
+    out = tmp_path_factory.mktemp("sweep")
+    paths = {}
+    for kind, config, blobs in (
+            ("svm", ExperimentConfig(name="sweep-svm", k_best=200), MAJOR_3_SVM_ARRAYS),
+            ("cnn", ExperimentConfig(name="sweep-cnn", classifier="cnn", cnn_epochs=1,
+                                     cnn_channels=(1, 2)), SWEEP_CNN_ARRAYS)):
+        paths[kind] = out / f"{kind}.ufnd"
+        save_model(paths[kind], fit_pipeline(synthetic_train, config, resources))
+        assert set(persistence.read_container(paths[kind])[1]) == blobs
+    return paths
+
+
+def _damaged(arr: np.ndarray, change: str) -> np.ndarray:
+    """arr without its first or last entry, or with its middle entry set to
+    -1, which an unsigned dtype holds as its max."""
+    if change == "drop_first":
+        return arr[1:]
+    if change == "drop_last":
+        return arr[:-1]
+    arr = arr.copy()
+    arr.flat[arr.size // 2] = np.array(-1).astype(arr.dtype)
+    return arr
+
+
+@pytest.mark.parametrize("change", ["drop_first", "drop_last", "middle_minus_1"])
+@pytest.mark.parametrize("kind, blob", [("svm", b) for b in sorted(MAJOR_3_SVM_ARRAYS)]
+                         + [("cnn", b) for b in sorted(SWEEP_CNN_ARRAYS)])
+def test_a_damaged_array_blob_predicts_or_gives_an_input_error(
+        sweep_models, synthetic_test, resources, tmp_path, kind, blob, change):
+    """A model file with one array blob damaged either still predicts or
+    raises an error the CLI reports on one line: no crash, no traceback."""
+    meta, arrays, texts = persistence.read_container(sweep_models[kind])
+    arrays[blob] = _damaged(arrays[blob], change)
+    path = tmp_path / "damaged.ufnd"
+    persistence.write_container(path, meta, arrays, texts)
+    try:
+        load_model(path).decision_values(synthetic_test, resources)
+    except _INPUT_ERRORS:
+        pass
