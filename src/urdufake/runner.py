@@ -234,7 +234,6 @@ class FittedPipeline:
     """Everything fitted on the training split, enough to predict new text."""
 
     config: ExperimentConfig
-    kind: str  # "svm" | "cnn"
     vocabulary: Vocabulary | None = None
     mask: SelectionMask | None = None
     svm: SvmModel | None = None
@@ -242,6 +241,11 @@ class FittedPipeline:
     cnn: CnnModel | None = None
     history: list | None = None  # per-epoch stats (cnn only, not persisted)
     resources_digest: str | None = None  # Resources.digest at fit; None in major-1/2 files
+
+    @property
+    def kind(self) -> str:
+        """The config's classifier: "svm" or "cnn"."""
+        return self.config.classifier
 
     @property
     def total_features(self) -> int:
@@ -267,7 +271,7 @@ class FittedPipeline:
     def values_of(self, docs: list[PreprocessedDoc]) -> np.ndarray:
         """decision_values of already preprocessed docs."""
         if self.kind == "svm":
-            X = transform(docs, self.vocabulary, self.config.ngram_spec())
+            X = transform(docs, self.vocabulary)
             return decision_function(self.svm, apply_mask(X, self.mask))
         return cnn_forward(self.cnn, encode(docs, self.encoder))
 
@@ -333,7 +337,7 @@ class _SharedWork:
 
     def test_counts(self) -> sparse.csr_matrix:
         if self._test_counts is None:
-            self._test_counts = count_terms(self.docs("test"), self.vocabulary(), self.spec)
+            self._test_counts = count_terms(self.docs("test"), self.vocabulary())
         return self._test_counts
 
     def features(self, spec: NgramSpec) -> tuple:
@@ -365,15 +369,15 @@ def _fit(work: _SharedWork, config: ExperimentConfig
                         gamma=config.svm_gamma, coef0=config.svm_coef0)
         _stage("train_svm", check_solver_params, config.svm_c, config.svm_tol,
                config.svm_max_passes)
-        vocab, X, X_test, order = work.features(config.ngram_spec())
+        vocab, X, X_test, order = work.features(_stage("build_vocabulary", config.ngram_spec))
         mask = _stage("select_k_best", select_top, order, config.k_best)
         X_sel = _stage("apply_mask", apply_mask, X, mask)
         model = _stage(
             "train_svm", train_svm, X_sel, labels_to_signs(gold),
             params=params, C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes,
         )
-        fitted = FittedPipeline(config=config, kind="svm", vocabulary=vocab, mask=mask,
-                                svm=model, resources_digest=work.resources.digest)
+        fitted = FittedPipeline(config=config, vocabulary=vocab, mask=mask, svm=model,
+                                resources_digest=work.resources.digest)
         return fitted, None if X_test is None else apply_mask(X_test, mask)
 
     encoder = _stage("fit_encoder", SequenceEncoder.fit, docs,
@@ -392,7 +396,7 @@ def _fit(work: _SharedWork, config: ExperimentConfig
         embedding_dropout=config.cnn_embedding_dropout,
     )
     cnn, history = _stage("train_cnn", train_cnn, cnn, X_ids, gold, train_cfg)
-    return FittedPipeline(config=config, kind="cnn", encoder=encoder, cnn=cnn, history=history,
+    return FittedPipeline(config=config, encoder=encoder, cnn=cnn, history=history,
                           resources_digest=work.resources.digest), None
 
 
@@ -585,6 +589,7 @@ _CNN_ARRAYS = ("embedding", "dense_w", "dense_b", "out_w", "out_b", "channels", 
 
 def save_model(path: str | Path, fitted: FittedPipeline) -> None:
     """Persist a fitted pipeline; loading reproduces its predictions exactly."""
+    # "kind" restates the config's classifier for readers that dispatch on it
     meta = {"kind": fitted.kind, "config": serialize_configs([fitted.config])}
     if fitted.resources_digest is not None:
         meta["resources"] = fitted.resources_digest
@@ -624,13 +629,15 @@ def load_model(path: str | Path) -> FittedPipeline:
 
 def _pipeline_of(meta: dict, arrays: dict, texts: dict) -> FittedPipeline:
     """The pipeline of a model file's contents; a bad value raises what it provokes."""
-    for key in ("config", "resources"):  # a bad kind or encoder.unit is refused below
+    for key in ("config", "resources"):  # a bad encoder.unit is refused below
         if not isinstance(meta.get(key, ""), str):
             raise TypeError(f"metadata {key!r} is {type(meta[key]).__name__}, not str")
     config = parse_config_text(meta["config"])[0]
-    kind = meta["kind"]
+    if meta["kind"] != config.classifier:
+        raise ValueError(f"metadata kind {meta['kind']!r} disagrees with the config's "
+                         f"classifier {config.classifier!r}")
     digest = meta.get("resources")
-    if kind == "svm":
+    if config.classifier == "svm":
         vocab = Vocabulary.from_blobs(arrays, texts)
         mask = SelectionMask(kept=arrays["mask.kept"])
         support_vectors = persistence.csr_from_blobs("svm.sv", arrays)
@@ -654,25 +661,21 @@ def _pipeline_of(meta: dict, arrays: dict, texts: dict) -> FittedPipeline:
             raise ValueError(f"degree must be a whole number, got {s['degree']}")
         kernel = KernelParams(degree=int(s["degree"]), gamma=s["gamma"], coef0=s["coef0"])
         model = SvmModel(support_vectors=support_vectors, dual_coef=dual_coef, bias=s["bias"],
-                         C=s["C"], kernel=kernel, converged=bool(s["converged"]),
-                         n_features=n_cols)
-        return FittedPipeline(config=config, kind="svm", vocabulary=vocab, mask=mask, svm=model,
+                         C=s["C"], kernel=kernel, converged=bool(s["converged"]))
+        return FittedPipeline(config=config, vocabulary=vocab, mask=mask, svm=model,
                               resources_digest=digest)
-    if kind == "cnn":
-        values = {name: arrays[f"cnn.{name}"] for name in _CNN_ARRAYS}
-        channels = tuple(int(k) for k in values.pop("channels"))
-        max_len = int(values.pop("max_len")[0])
-        cnn = CnnModel(**values, channels=channels, max_len=max_len,
-                       conv_w={k: arrays[f"cnn.conv_w.{k}"] for k in channels},
-                       conv_b={k: arrays[f"cnn.conv_b.{k}"] for k in channels})
-        terms = texts["encoder.terms"].split("\n") if texts["encoder.terms"] else []
-        encoder = SequenceEncoder(unit=meta["encoder.unit"], max_len=meta["encoder.max_len"],
-                                  term_to_id={t: i + 1 for i, t in enumerate(terms)})
-        if encoder.max_len != cnn.max_len:
-            raise ValueError(f"encoder.max_len {encoder.max_len} != cnn.max_len {cnn.max_len}")
-        if len(cnn.embedding) != encoder.vocab_size:
-            raise ValueError(f"cnn.embedding has {len(cnn.embedding)} rows for "
-                             f"{encoder.vocab_size} ids")
-        return FittedPipeline(config=config, kind="cnn", encoder=encoder, cnn=cnn,
-                              resources_digest=digest)
-    raise persistence.ModelFormatError(f"unknown pipeline kind {kind!r}")
+    values = {name: arrays[f"cnn.{name}"] for name in _CNN_ARRAYS}
+    channels = tuple(int(k) for k in values.pop("channels"))
+    max_len = int(values.pop("max_len")[0])
+    cnn = CnnModel(**values, channels=channels, max_len=max_len,
+                   conv_w={k: arrays[f"cnn.conv_w.{k}"] for k in channels},
+                   conv_b={k: arrays[f"cnn.conv_b.{k}"] for k in channels})
+    terms = texts["encoder.terms"].split("\n") if texts["encoder.terms"] else []
+    encoder = SequenceEncoder(unit=meta["encoder.unit"], max_len=meta["encoder.max_len"],
+                              term_to_id={t: i + 1 for i, t in enumerate(terms)})
+    if encoder.max_len != cnn.max_len:
+        raise ValueError(f"encoder.max_len {encoder.max_len} != cnn.max_len {cnn.max_len}")
+    if len(cnn.embedding) != encoder.vocab_size:
+        raise ValueError(f"cnn.embedding has {len(cnn.embedding)} rows for "
+                         f"{encoder.vocab_size} ids")
+    return FittedPipeline(config=config, encoder=encoder, cnn=cnn, resources_digest=digest)

@@ -85,7 +85,10 @@ class SvmModel:
     kernel: KernelParams
     C: float
     converged: bool
-    n_features: int
+
+    @property
+    def n_features(self) -> int:
+        return int(self.support_vectors.shape[1])
 
     @property
     def n_support(self) -> int:
@@ -210,7 +213,6 @@ def train_svm(
         kernel=params,
         C=C,
         converged=converged,
-        n_features=X.shape[1],
     )
     return model
 

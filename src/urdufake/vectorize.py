@@ -33,11 +33,14 @@ run per namespace: exactly the lexicographic term order.
 
 Counting and weighting are separate steps: build_vocabulary/count_terms
 give raw per-doc term counts, apply_tfidf weights them by the vocabulary's
-idf and normalizes them. The vocabulary is the one owner of the weighting:
-its idf is derived from its document frequencies, never stored apart. So
-the counts of a spec that covers several others can be built once and
-restricted to each (Vocabulary.restrict) with the same bytes as building
-each on its own.
+idf and normalizes them. The vocabulary is the one owner of what is
+counted and how it is weighted: count_terms and transform count the n-gram
+orders whose namespaces it holds, and its idf is derived from its document
+frequencies, never stored apart. Only building a vocabulary
+(build_vocabulary) and restricting one (Vocabulary.restrict) take an
+NgramSpec. So the counts of a spec that covers several others can be built
+once and restricted to each with the same bytes as building each on its
+own.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -158,7 +161,7 @@ class Symbols:
 
 
 def _windows(ranks: np.ndarray, lead: np.ndarray, known: np.ndarray,
-             lengths: list[int], base: int, orders: frozenset[int]
+             lengths: list[int], base: int, orders: set[int]
              ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Keys and document indices of every window of n known symbols inside
     one document, for each order n: the base-`base` number of the window's
@@ -190,12 +193,13 @@ def _windows(ranks: np.ndarray, lead: np.ndarray, known: np.ndarray,
     return out
 
 
-def _ngrams(docs: Sequence[PreprocessedDoc], spec: NgramSpec, symbols: Symbols
+def _ngrams(docs: Sequence[PreprocessedDoc], namespaces: Collection[str], symbols: Symbols
             ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """namespace -> (keys, document indices) of every n-gram of docs made of
-    symbols in the tables, in document order; namespaces in column order."""
+    """namespace -> (keys, document indices) of every n-gram in namespaces made
+    of symbols in the tables, in document order; namespaces in column order."""
+    orders = {kind: {int(ns[1]) for ns in namespaces if ns[0] == kind} for kind in "cw"}
     out = {}
-    if spec.char_orders:
+    if orders["c"]:
         streams = [d.char_stream for d in docs]
         cps = _codepoints(streams)
         alphabet = symbols.alphabet
@@ -203,16 +207,16 @@ def _ngrams(docs: Sequence[PreprocessedDoc], spec: NgramSpec, symbols: Symbols
         known = ranks < alphabet.size
         known[known] = alphabet[ranks[known]] == cps[known]
         windows = _windows(ranks, ranks, known, list(map(len, streams)), alphabet.size,
-                           spec.char_orders)
+                           orders["c"])
         out.update((f"c{n}:", kd) for n, kd in windows.items())
-    if spec.word_orders:
+    if orders["w"]:
         tokens = list(itertools.chain.from_iterable(d.tokens for d in docs))
         ranks = np.fromiter(map(symbols.word_rank.get, tokens, itertools.repeat(-1)),
                             np.int64, len(tokens))
         known = ranks >= 0
         lead = symbols.lead_rank[np.where(known, ranks, 0)] if symbols.words else ranks
         windows = _windows(ranks, lead, known, [len(d.tokens) for d in docs],
-                           len(symbols.words), spec.word_orders)
+                           len(symbols.words), orders["w"])
         out.update((f"w{n}:", kd) for n, kd in windows.items())
     return out
 
@@ -350,11 +354,9 @@ class Vocabulary:
                               words=Symbols.fit(words, NgramSpec(word_orders={1})).words)
         keys = {}
         for ns, ns_docs in docs.items():
-            n = int(ns[1])
-            spec = NgramSpec(char_orders={n}) if ns[0] == "c" else NgramSpec(word_orders={n})
-            found, doc = _ngrams(ns_docs, spec, symbols).get(ns, ((), ()))
+            found, doc = _ngrams(ns_docs, (ns,), symbols).get(ns, ((), ()))
             if not np.array_equal(doc, np.arange(len(ns_docs))) or np.any(found[1:] <= found[:-1]):
-                raise VectorizeError(f"{ns} terms are not distinct, sorted {n}-grams "
+                raise VectorizeError(f"{ns} terms are not distinct, sorted {ns[1]}-grams "
                                      "of the rank tables' symbols")
             keys[ns] = found
         return cls(symbols=symbols, keys=keys, doc_freq=np.asarray(doc_freq, dtype=np.int64),
@@ -374,9 +376,10 @@ class Vocabulary:
         model format major 1 or 2.
 
         Refuses a code-point table or a namespace's keys that are not strictly
-        ascending (count_terms binary-searches them), a key with more digits
-        than its order over the rank tables, and a doc_freq that is not one
-        entry in 1..n_docs per term (the idf divides by 1 + df).
+        ascending (count_terms binary-searches them), a word list that is not
+        (word n-gram keys are ranks in it), a key with more digits than its
+        order over the rank tables, and a doc_freq that is not one entry in
+        1..n_docs per term (the idf divides by 1 + df).
         """
         doc_freq, n_docs = arrays["doc_freq"], int(arrays["vocab.n_docs"][0])
         if "vocab.terms" in texts:
@@ -392,6 +395,9 @@ class Vocabulary:
         alphabet = vocab.symbols.alphabet
         if alphabet.ndim != 1 or np.any(alphabet[1:] <= alphabet[:-1]):
             raise VectorizeError("vocab.alphabet is not strictly ascending")
+        words = vocab.symbols.words
+        if list(words) != sorted(words) or len(vocab.symbols.word_rank) != len(words):
+            raise VectorizeError("vocab.words is not strictly ascending")
         for ns, k in vocab.keys.items():
             base = alphabet.size if ns[0] == "c" else len(vocab.symbols.words)
             if np.any(k[1:] <= k[:-1]):
@@ -427,7 +433,7 @@ def build_vocabulary(docs: Sequence[PreprocessedDoc], spec: NgramSpec) -> Vocabu
     if not docs:
         raise VectorizeError("cannot build a vocabulary from an empty corpus")
     symbols = Symbols.fit(docs, spec)
-    ngrams = _ngrams(docs, spec, symbols)
+    ngrams = _ngrams(docs, spec.namespaces(), symbols)
     keys, doc_parts, col_parts = {}, [], []
     size = 0
     for ns in sorted(ngrams):
@@ -449,17 +455,14 @@ def build_vocabulary(docs: Sequence[PreprocessedDoc], spec: NgramSpec) -> Vocabu
     )
 
 
-def count_terms(
-    docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary, spec: NgramSpec
-) -> sparse.csr_matrix:
+def count_terms(docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary) -> sparse.csr_matrix:
     """Raw in-vocabulary term counts, one int64 row per doc, columns ascending.
 
-    Terms absent from the vocabulary are ignored (test-time OOV).
+    Only the n-gram orders whose namespaces the vocabulary holds are counted;
+    terms absent from the vocabulary are ignored (test-time OOV).
     """
     doc_parts, col_parts = [], []
-    for ns, (keys, doc) in _ngrams(docs, spec, vocabulary.symbols).items():
-        if ns not in vocabulary.keys:
-            continue
+    for ns, (keys, doc) in _ngrams(docs, vocabulary.keys, vocabulary.symbols).items():
         # binary searches for keys in ascending order stay in the cache
         order = np.argsort(keys)
         keys, doc = keys[order], doc[order]
@@ -503,11 +506,9 @@ def apply_tfidf(counts: sparse.csr_matrix, vocabulary: Vocabulary) -> sparse.csr
     return X
 
 
-def transform(
-    docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary, spec: NgramSpec
-) -> sparse.csr_matrix:
+def transform(docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary) -> sparse.csr_matrix:
     """TF-IDF rows of docs: apply_tfidf of their count_terms."""
-    return apply_tfidf(count_terms(docs, vocabulary, spec), vocabulary)
+    return apply_tfidf(count_terms(docs, vocabulary), vocabulary)
 
 
 def write_vocabulary_tsv(vocabulary: Vocabulary, path: str | Path) -> None:

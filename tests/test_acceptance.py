@@ -113,7 +113,7 @@ def test_criterion_4_tfidf_hand_example():
 
     docs = [PreprocessedDoc.from_tokens(["a", "b"]), PreprocessedDoc.from_tokens(["a", "a"])]
     spec = NgramSpec(word_orders={1})
-    X = transform(docs, build_vocabulary(docs, spec), spec).toarray()
+    X = transform(docs, build_vocabulary(docs, spec)).toarray()
     # independent oracle: idf = ln((1+N)/(1+df)) + 1, raw counts, L2 row norm
     idf_a = math.log(3 / 3) + 1
     idf_b = math.log(3 / 2) + 1

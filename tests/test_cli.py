@@ -222,6 +222,12 @@ def _out_of_range_model(data_dir, case):
         arrays["doc_freq"] = arrays["doc_freq"][:-3]
     elif case == "model_n_features_wrong":
         arrays["svm.scalars"][6] = 1e6
+    elif case == "model_words_unordered":
+        words = texts["vocab.words"].split("\n")[:-1]
+        words[0], words[-1] = words[-1], words[0]
+        texts["vocab.words"] = "".join(w + "\n" for w in words)
+    elif case == "model_config_classifier_mismatch":
+        meta["config"] = meta["config"].replace("classifier = svm\n", "classifier = cnn\n")
     elif case == "cnn_model_max_len_0":
         meta["encoder.max_len"] = 0
     elif case == "cnn_model_max_len_mismatch":
@@ -249,6 +255,7 @@ def _bad_input(data_dir, case):
         return ["predict", "--model", _corrupt_model(data_dir, case), "--input", test]
     if case in ("model_gamma_nan", "model_degree_0", "model_dual_coef_short",
                 "model_sv_index_out_of_range", "model_doc_freq_short", "model_n_features_wrong",
+                "model_words_unordered", "model_config_classifier_mismatch",
                 "cnn_model_max_len_0", "cnn_model_max_len_mismatch", "cnn_model_embedding_short",
                 "cnn_model_unit_byte"):
         return ["predict", "--model", _out_of_range_model(data_dir, case), "--input", test]
@@ -303,6 +310,9 @@ def _bad_input(data_dir, case):
     ("model_sv_index_out_of_range", "corrupt model file: svm.sv: indices must be < "),
     ("model_doc_freq_short", "corrupt model file: doc_freq has "),
     ("model_n_features_wrong", "corrupt model file: mask.kept keeps "),
+    ("model_words_unordered", "corrupt model file: vocab.words is not strictly ascending"),
+    ("model_config_classifier_mismatch", "corrupt model file: metadata kind 'svm' disagrees "
+                                         "with the config's classifier 'cnn'"),
     ("cnn_model_max_len_0", "corrupt model file: max_len must be >= 1"),
     ("cnn_model_max_len_mismatch", "corrupt model file: encoder.max_len "),
     ("cnn_model_embedding_short", "corrupt model file: cnn.embedding has 3 rows for "),

@@ -85,7 +85,7 @@ def reference_fit_svm(train, config, resources) -> FittedPipeline:
                    params=KernelParams(degree=config.svm_degree, gamma=gamma,
                                        coef0=config.svm_coef0),
                    C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes)
-    return FittedPipeline(config=config, kind="svm", vocabulary=vocab, mask=mask, svm=model,
+    return FittedPipeline(config=config, vocabulary=vocab, mask=mask, svm=model,
                           resources_digest=resources.digest)
 
 
@@ -315,12 +315,12 @@ def check_against_reference(train, test, spec, union_spec):
     assert csr_bytes(apply_tfidf(vocab.counts, vocab)) == \
         csr_bytes(reference_transform(train_docs, ref_vocab, spec))
 
-    restricted = count_terms(test_docs, union, union_spec)[:, cols]
+    restricted = count_terms(test_docs, union)[:, cols]
     assert csr_bytes(apply_tfidf(restricted, vocab)) == \
         csr_bytes(reference_transform(test_docs, ref_vocab, spec))
-    assert csr_bytes(transform(test_docs, vocab, spec)) == \
+    assert csr_bytes(transform(test_docs, vocab)) == \
         csr_bytes(reference_transform(test_docs, ref_vocab, spec))
-    assert csr_bytes(count_terms(test_docs, vocab, union_spec)) == \
+    assert csr_bytes(count_terms(test_docs, vocab)) == \
         csr_bytes(reference_counts(test_docs, terms, union_spec))
     return union
 
@@ -380,7 +380,7 @@ def test_keys_past_64_bits_survive_a_model_file(tmp_path, tokens, spec, wide):
     loaded = Vocabulary.from_blobs(*persistence.read_container(path)[1:])
     assert vocabulary_bytes(loaded) == vocabulary_bytes(vocab)
     assert loaded.terms_by_index() == vocab.terms_by_index()
-    assert csr_bytes(count_terms(docs, loaded, spec)) == csr_bytes(count_terms(docs, vocab, spec))
+    assert csr_bytes(count_terms(docs, loaded)) == csr_bytes(count_terms(docs, vocab))
 
 
 @pytest.mark.parametrize("tokens, spec", [

@@ -254,6 +254,19 @@ def test_failing_cnn_row_writes_k_best_0(small_train, small_test, resources):
     assert cells[:4] == ["2", "bad", "", "0"]
 
 
+def test_invalid_ngram_orders_fail_their_row_at_the_build_vocabulary_stage(
+        small_train, small_test, resources):
+    first = ExperimentConfig(name="first", k_best=50, word_orders=(1,), char_orders=(2,))
+    bad = ExperimentConfig(name="bad", k_best=50, word_orders=(1, 5), char_orders=())
+    last = ExperimentConfig(name="last", k_best=100, word_orders=(1, 2), char_orders=())
+    rows = run_grid(small_train, small_test, [first, bad, last], resources)
+    assert rows[1].error == ("stage 'build_vocabulary': word orders [5] outside supported "
+                             "range 1..4")
+    for sn, config in ((1, first), (3, last)):
+        alone = run_config(small_train, small_test, config, resources, sn=sn)
+        assert replace(rows[sn - 1], seconds=0.0) == replace(alone, seconds=0.0)
+
+
 def test_run_grid_single_config(small_train, small_test, resources):
     rows = run_grid(small_train, small_test,
                     [ExperimentConfig(name="solo", k_best=100)], resources)
@@ -326,6 +339,22 @@ def test_save_load_round_trip_svm(small_train, small_test, resources, tmp_path):
     )
     assert fitted.predict(small_test, resources) == loaded.predict(small_test, resources)
     assert loaded.config == cfg
+
+
+def test_a_model_counts_the_orders_its_vocabulary_holds_not_those_its_config_names(
+        small_train, small_test, resources, tmp_path):
+    cfg = ExperimentConfig(name="w12_c23456", word_orders=(1, 2), char_orders=(2, 3, 4, 5, 6),
+                           k_best=500)
+    path, edited = tmp_path / "m.ufnd", tmp_path / "edited.ufnd"
+    save_model(path, fit_pipeline(small_train, cfg, resources))
+    meta, arrays, texts = persistence.read_container(path)
+    config = meta["config"].replace("word_orders = 1,2\n", "word_orders = 1\n")
+    assert config != meta["config"]
+    persistence.write_container(edited, dict(meta, config=config), dict(arrays), dict(texts))
+    loaded = load_model(edited)
+    assert loaded.config.word_orders == (1,)
+    assert loaded.decision_values(small_test, resources).tobytes() == \
+        load_model(path).decision_values(small_test, resources).tobytes()
 
 
 def test_save_load_round_trip_cnn(small_train, small_test, resources, tmp_path):

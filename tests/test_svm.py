@@ -136,8 +136,7 @@ def test_decision_zero_vector_gives_bias():
 
 def test_model_without_support_vectors_returns_its_bias():
     m = SvmModel(support_vectors=sparse.csr_matrix((0, 3)), dual_coef=np.zeros(0), bias=-0.375,
-                 kernel=KernelParams(degree=2, gamma=0.5, coef0=1.0), C=1.0, converged=True,
-                 n_features=3)
+                 kernel=KernelParams(degree=2, gamma=0.5, coef0=1.0), C=1.0, converged=True)
     f = decision_function(m, sparse.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])))
     assert f.tolist() == [-0.375, -0.375]
 

@@ -132,7 +132,7 @@ def test_transform_hand_example():
     docs = [pdoc(["a", "b"]), pdoc(["a", "a"])]
     spec = NgramSpec(word_orders={1})
     vocab = build_vocabulary(docs, spec)
-    X = transform(docs, vocab, spec).toarray()
+    X = transform(docs, vocab).toarray()
     # independent straight-line derivation of the expected row values
     idf_a, idf_b = 1.0, math.log(3.0 / 2.0) + 1.0
     norm1 = math.hypot(idf_a, idf_b)
@@ -145,14 +145,14 @@ def test_transform_hand_example():
 def test_transform_empty_doc_zero_row():
     docs = [pdoc(["a"]), pdoc([])]
     spec = NgramSpec(word_orders={1})
-    X = transform(docs, build_vocabulary(docs, spec), spec)
+    X = transform(docs, build_vocabulary(docs, spec))
     assert X[1].nnz == 0
 
 
 def test_transform_oov_only_doc_zero_row():
     train = [pdoc(["a"]), pdoc(["b"])]
     spec = NgramSpec(word_orders={1})
-    X = transform([pdoc(["zzz", "qqq"])], build_vocabulary(train, spec), spec)
+    X = transform([pdoc(["zzz", "qqq"])], build_vocabulary(train, spec))
     assert X.nnz == 0
 
 
@@ -160,7 +160,7 @@ def test_transform_column_count_is_vocab_size():
     docs = [pdoc(["a", "b", "c"]), pdoc(["d"])]
     for spec in (NgramSpec(word_orders={1}), NgramSpec(word_orders={1, 2}, char_orders={2, 3})):
         vocab = build_vocabulary(docs, spec)
-        X = transform(docs, vocab, spec)
+        X = transform(docs, vocab)
         assert X.shape == (2, vocab.size)
 
 
@@ -178,7 +178,7 @@ def test_transform_rows_nonneg_and_unit_norm(token_lists):
         return
     spec = NgramSpec(word_orders={1, 2}, char_orders={2})
     vocab = build_vocabulary(docs, spec)
-    X = transform(docs, vocab, spec)
+    X = transform(docs, vocab)
     assert (X.data >= 0).all()
     assert X.has_canonical_format
     norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
@@ -192,7 +192,7 @@ def test_transform_rows_nonneg_and_unit_norm(token_lists):
 def test_csr_invariants_sorted_indices_no_zeros():
     docs = [pdoc(["b", "a", "b"]), pdoc(["c"])]
     spec = NgramSpec(word_orders={1}, char_orders={2})
-    X = transform(docs, build_vocabulary(docs, spec), spec)
+    X = transform(docs, build_vocabulary(docs, spec))
     for r in range(X.shape[0]):
         row = X.indices[X.indptr[r]:X.indptr[r + 1]]
         assert (np.diff(row) > 0).all()
