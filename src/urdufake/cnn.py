@@ -4,8 +4,15 @@ One shared embedding table feeds several channels; channel k applies 32
 valid convolution filters of width k (so the channel reads k-grams of the
 input unit), ReLU, width-2/stride-2 max pooling, and flattening. Channel
 outputs are concatenated into a dense ReLU layer (10 units) and a single
-logistic output unit. Everything is float64 numpy; gradients are derived by
-hand and validated against central finite differences.
+logistic output unit. Gradients are derived by hand and validated against
+central finite differences on a float64 copy of the model.
+
+The parameters' dtype is the model's: init_cnn makes float32 parameters, as
+Keras trains this network, and every pass, gradient and Adam moment takes
+the dtype of the parameters it serves, so a float64 model (a file written
+in float64, or a copy made with CnnModel.astype) runs in float64 on the same
+code. Only the output sigmoid is taken from float64 logits: in float32,
+sigmoid(17) rounds to exactly 1.
 
 A batch holds far fewer distinct ids U than positions B*L (a char batch:
 about 40 of 42,000), so the convolution runs over the ids, not the
@@ -23,7 +30,7 @@ in the batch get a zero gradient.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Sequence
 
@@ -58,6 +65,10 @@ _FORWARD_BLOCK = 16
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# _adam_step updates this many parameters at a time, so its operands and its
+# two scratch arrays stay in cache between its passes
+_ADAM_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -140,13 +151,32 @@ class CnnModel:
 
     def __post_init__(self) -> None:
         """Refuses arrays of other shapes than init_cnn gives for the
-        embedding's row count, max_len and channels, or with non-finite values."""
+        embedding's row count, max_len and channels, with non-finite values,
+        or that are not all float32 or all float64."""
         shapes = _param_shapes(self.embedding.shape[0], self.max_len, self.channels)
+        dtypes = {arr.dtype for _, arr in self.param_groups()}
+        if len(dtypes) != 1 or self.dtype not in (np.float32, np.float64):
+            raise CnnError("parameters must be all float32 or all float64, got "
+                           + ", ".join(sorted(map(str, dtypes))))
         for name, arr in self.param_groups():
             if arr.shape != shapes[name]:
                 raise CnnError(f"{name} has shape {arr.shape}, expected {shapes[name]}")
             if not np.isfinite(arr).all():
                 raise CnnError(f"{name} holds a non-finite value")
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter group, and of the passes over them."""
+        return self.embedding.dtype
+
+    def astype(self, dtype) -> "CnnModel":
+        """A copy of the model with every parameter group cast to dtype."""
+        return replace(
+            self, embedding=self.embedding.astype(dtype),
+            conv_w={k: w.astype(dtype) for k, w in self.conv_w.items()},
+            conv_b={k: b.astype(dtype) for k, b in self.conv_b.items()},
+            dense_w=self.dense_w.astype(dtype), dense_b=self.dense_b.astype(dtype),
+            out_w=self.out_w.astype(dtype), out_b=self.out_b.astype(dtype))
 
     def param_groups(self) -> list[tuple[str, np.ndarray]]:
         """Stable (name, array) ordering used by the optimizer and grad check."""
@@ -195,7 +225,9 @@ def _param_shapes(vocab_size: int, max_len: int, channels: tuple[int, ...]
 
 def init_cnn(vocab_size: int, max_len: int, channels: Sequence[int], seed: int) -> CnnModel:
     """Seeded initialization: embedding U(-0.05, 0.05), weights Glorot uniform,
-    biases zero. Identical seeds give bit-identical parameters."""
+    biases zero, in float32. The values are drawn in float64 and rounded, so a
+    seed draws the values it drew when models were float64. Identical seeds
+    give bit-identical parameters."""
     channels = tuple(sorted(set(int(k) for k in channels)))
     shapes = _param_shapes(vocab_size, max_len, channels)
     rng = np.random.default_rng(seed)
@@ -220,7 +252,7 @@ def init_cnn(vocab_size: int, max_len: int, channels: Sequence[int], seed: int) 
         out_b=np.zeros(1),
         channels=channels,
         max_len=max_len,
-    )
+    ).astype(np.float32)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -233,7 +265,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(model: CnnModel, ids: np.ndarray, drop_mask: np.ndarray | None = None):
-    """Forward pass keeping every intermediate needed for backprop."""
+    """Forward pass keeping every intermediate needed for backprop, in the
+    model's dtype up to the logits; "o" and "p" are float64."""
     if ids.shape[1] != model.max_len:
         raise CnnError(f"batch width {ids.shape[1]} != model max_len {model.max_len}")
     B, L = ids.shape
@@ -242,7 +275,7 @@ def _forward_cached(model: CnnModel, ids: np.ndarray, drop_mask: np.ndarray | No
     E_u = model.embedding[uniq]                           # (U, D)
     U, D = E_u.shape
     cache: dict = {"uniq": uniq, "E_u": E_u, "channels": {}}
-    Z = np.empty((B, model.dense_w.shape[0]))            # (B, concat)
+    Z = np.empty((B, model.dense_w.shape[0]), model.dtype)  # (B, concat)
     offset = 0
     for k in model.channels:
         W = model.conv_w[k]                               # (F, k, D)
@@ -252,8 +285,8 @@ def _forward_cached(model: CnnModel, ids: np.ndarray, drop_mask: np.ndarray | No
         # A[b * T + t, u * k + dt] = the weight of position t + dt of doc b
         # when it holds id u, so pre[b, t] = bias + sum_dt weight * R row
         cols = (sliding_window_view(inv, k, axis=1) * k + np.arange(k)).ravel()
-        weights = (np.ones(cols.size) if drop_mask is None
-                   else sliding_window_view(drop_mask, k, axis=1).ravel())
+        weights = (np.ones(cols.size, model.dtype) if drop_mask is None
+                   else sliding_window_view(drop_mask, k, axis=1).astype(model.dtype).ravel())
         A = sparse.csr_matrix((weights, cols, np.arange(0, cols.size + 1, k)),
                               shape=(B * T, U * k))
         pre = (A @ R).reshape(B, T, F)
@@ -269,7 +302,7 @@ def _forward_cached(model: CnnModel, ids: np.ndarray, drop_mask: np.ndarray | No
         cache["channels"][k] = {"A": A, "pre": pre, "arg": arg, "T": T, "P": P, "F": F}
     h_pre = Z @ model.dense_w + model.dense_b
     h = np.maximum(h_pre, 0.0)
-    o = h @ model.out_w + model.out_b[0]                  # (B,) logits
+    o = (h @ model.out_w + model.out_b[0]).astype(np.float64)  # (B,) logits
     p = _sigmoid(o)
     cache.update({"Z": Z, "h_pre": h_pre, "h": h, "o": o, "p": p})
     return p, cache
@@ -290,10 +323,10 @@ def bce_loss(o: np.ndarray, targets: np.ndarray) -> float:
 def _backward(model: CnnModel, cache: dict, targets: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of mean BCE w.r.t. every parameter group."""
     B = targets.shape[0]
-    do = (cache["p"] - targets) / B                       # (B,)
+    do = ((cache["p"] - targets) / B).astype(model.dtype)  # (B,)
     grads: dict[str, np.ndarray] = {}
     grads["out_w"] = cache["h"].T @ do
-    grads["out_b"] = np.array([do.sum()])
+    grads["out_b"] = do.sum(keepdims=True)
     dh = np.outer(do, model.out_w)
     dh_pre = dh * (cache["h_pre"] > 0.0)
     grads["dense_w"] = cache["Z"].T @ dh_pre
@@ -314,7 +347,7 @@ def _backward(model: CnnModel, cache: dict, targets: np.ndarray) -> dict[str, np
         d_kept = d_flat * (cache["Z"][:, offset : offset + width].reshape(B, P, F) > 0.0)
         offset += width
         grads[f"conv_b[{k}]"] = d_kept.sum(axis=(0, 1))
-        d_pre = np.empty((B, T, F))
+        d_pre = np.empty((B, T, F), model.dtype)
         np.multiply(d_kept, ~ch["arg"], out=d_pre[:, 0 : 2 * P : 2])
         np.multiply(d_kept, ch["arg"], out=d_pre[:, 1 : 2 * P : 2])
         d_pre[:, 2 * P :] = 0.0                           # an odd T's last element
@@ -378,14 +411,14 @@ def train_cnn(
     returns it with the per-epoch loss/accuracy history (see write_history_tsv).
     """
     X = np.asarray(X, dtype=np.int64)
-    targets = _targets_01(y)
+    targets = _targets_01(y).astype(model.dtype)
     if X.shape[0] != targets.shape[0]:
         raise CnnError(f"got {X.shape[0]} rows but {targets.shape[0]} labels")
     rng = np.random.default_rng(config.seed)
     groups = model.param_groups()
     m = {name: np.zeros_like(arr) for name, arr in groups}
     v = {name: np.zeros_like(arr) for name, arr in groups}
-    scratch = {name: (np.empty_like(arr), np.empty_like(arr)) for name, arr in groups}
+    scratch = (np.empty(_ADAM_BLOCK, model.dtype), np.empty(_ADAM_BLOCK, model.dtype))
     t = 0
     history: list[EpochStats] = []
     n = X.shape[0]
@@ -399,7 +432,7 @@ def train_cnn(
             drop_mask = None
             if config.embedding_dropout > 0.0:
                 keep = 1.0 - config.embedding_dropout
-                drop_mask = (rng.random(ids.shape) < keep) / keep
+                drop_mask = ((rng.random(ids.shape) < keep) / keep).astype(model.dtype)
             _, cache = _forward_cached(model, ids, drop_mask)
             loss = bce_loss(cache["o"], tgt)
             if np.isnan(loss):
@@ -412,7 +445,7 @@ def train_cnn(
             t += 1
             for name, arr in groups:
                 _adam_step(arr, grads[name], m[name], v[name], t, config.learning_rate,
-                           scratch[name])
+                           scratch)
         history.append(EpochStats(epoch=epoch, loss=float(np.mean(batch_losses)),
                                   accuracy=correct / n))
     return model, history
@@ -420,29 +453,35 @@ def train_cnn(
 
 def _adam_step(param: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
                lr: float, scratch: tuple[np.ndarray, np.ndarray]) -> None:
-    """Adam step t (from 1) on param, m and v in place, through two scratch
-    arrays of param's shape. The operations and their order are those of
+    """Adam step t (from 1) on the C-contiguous param, m and v in place, over
+    blocks of _ADAM_BLOCK entries through two scratch arrays of that size.
+    Each entry's operations and their order are those of
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         param -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
 
     so the results are bit-identical to it, without its temporaries."""
-    s1, s2 = scratch
-    m *= ADAM_BETA1
-    np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
-    m += s1
-    v *= ADAM_BETA2
-    np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
-    s1 *= g
-    v += s1
-    np.divide(m, 1.0 - ADAM_BETA1**t, out=s1)
-    s1 *= lr
-    np.divide(v, 1.0 - ADAM_BETA2**t, out=s2)
-    np.sqrt(s2, out=s2)
-    s2 += ADAM_EPS
-    s1 /= s2
-    param -= s1
+    if not param.flags.c_contiguous:  # m and v are laid out like param
+        raise CnnError("Adam updates C-contiguous parameters in place")
+    flat = [a.reshape(-1) for a in (param, g, m, v)]
+    for start in range(0, param.size, _ADAM_BLOCK):
+        p_, g_, m_, v_ = (a[start : start + _ADAM_BLOCK] for a in flat)
+        s1, s2 = (s[: p_.size] for s in scratch)
+        m_ *= ADAM_BETA1
+        np.multiply(g_, 1.0 - ADAM_BETA1, out=s1)
+        m_ += s1
+        v_ *= ADAM_BETA2
+        np.multiply(g_, 1.0 - ADAM_BETA2, out=s1)
+        s1 *= g_
+        v_ += s1
+        np.divide(m_, 1.0 - ADAM_BETA1**t, out=s1)
+        s1 *= lr
+        np.divide(v_, 1.0 - ADAM_BETA2**t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += ADAM_EPS
+        s1 /= s2
+        p_ -= s1
 
 
 def _targets_01(y) -> np.ndarray:
@@ -477,7 +516,9 @@ def grad_check(
     h: float = 1e-5,
     seed: int = 0,
 ) -> GradCheckReport:
-    """Analytic vs central-finite-difference gradients on sampled entries.
+    """Analytic vs central-finite-difference gradients on sampled entries of
+    a float64 copy of the model (differences at h = 1e-5 mean nothing in
+    float32); the passes are the same code in either dtype.
 
     Relative error per entry is |analytic - numeric| / max(|numeric|, 1e-6),
     so a gradient scaled by a factor c reports an error of about |c - 1|.
@@ -487,6 +528,7 @@ def grad_check(
     gradient gives consistent numeric estimates and is still caught.
     n_samples = 0 yields an empty report.
     """
+    model = model.astype(np.float64)
     ids = np.asarray(ids, dtype=np.int64)
     targets = _targets_01(y)
     _, cache = _forward_cached(model, ids)

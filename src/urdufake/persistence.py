@@ -18,6 +18,11 @@ rank tables and integer term keys (vocab.alphabet, vocab.words,
 vocab.keys.<namespace>) in place of the vocab.terms text, and the fitted
 resources' digest in the metadata; the terms of a major-1/2 file are coded
 into keys when it loads.
+Array blobs are npy format 1.0 as np.save writes a C-order bool, integer or
+float array; the reader parses exactly that header, and refuses any other
+(a pickled object array, Fortran order, another npy version) or a payload
+whose size disagrees with its shape. A blob's dtype travels in its header,
+so a float32 or float64 CNN loads as it was saved.
 Writing is deterministic: identical pipelines serialize to identical bytes.
 """
 
@@ -25,6 +30,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import re
 import struct
 from pathlib import Path
 
@@ -98,8 +105,35 @@ def _decode(what: str, decode, payload: bytes):
         raise ModelFormatError(f"corrupt model file: cannot decode {what}") from exc
 
 
+#: The header np.save writes for a C-order array of a bool, integer or float
+#: dtype, after the magic, the version 1.0 and the u16 header length
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '([<>|][biuf][0-9]+)', 'fortran_order': False, "
+    rb"'shape': \(([0-9, ]*)\), \} *\n")
+
+
 def _npy(payload: bytes) -> np.ndarray:
-    return np.load(io.BytesIO(payload), allow_pickle=False)
+    """The array of an npy payload as np.save writes it (format 1.0, C
+    order, a bool, integer or float dtype), read without np.load's generic
+    header parser. Any other payload, or one whose data is not the size its
+    header gives, raises ValueError."""
+    if payload[:8] != b"\x93NUMPY\x01\x00":
+        raise ValueError("not an npy format 1.0 array")
+    start = 10 + int.from_bytes(payload[8:10], "little")
+    header = _NPY_HEADER.fullmatch(payload, 10, start)
+    if header is None:
+        raise ValueError("unsupported npy header")
+    shape_text = header[2].decode()
+    shape = tuple(int(n) for n in shape_text.split(",") if n.strip())
+    try:
+        dtype = np.dtype(header[1].decode())
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
+    if str(shape) != f"({shape_text})":
+        raise ValueError(f"unsupported npy shape ({shape_text})")
+    if len(payload) - start != dtype.itemsize * math.prod(shape):
+        raise ValueError("npy data is not the size of its shape")
+    return np.frombuffer(payload, dtype, offset=start).reshape(shape).copy()
 
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict[str, str]]:

@@ -234,6 +234,8 @@ def _out_of_range_model(data_dir, case):
         meta["encoder.max_len"] += 3
     elif case == "cnn_model_embedding_short":
         arrays["cnn.embedding"] = arrays["cnn.embedding"][:3]
+    elif case == "cnn_model_mixed_dtype":
+        arrays["cnn.dense_w"] = arrays["cnn.dense_w"].astype(np.float16)
     else:
         meta["encoder.unit"] = "byte"
     path = data_dir / f"{case}.ufnd"
@@ -257,7 +259,7 @@ def _bad_input(data_dir, case):
                 "model_sv_index_out_of_range", "model_doc_freq_short", "model_n_features_wrong",
                 "model_words_unordered", "model_config_classifier_mismatch",
                 "cnn_model_max_len_0", "cnn_model_max_len_mismatch", "cnn_model_embedding_short",
-                "cnn_model_unit_byte"):
+                "cnn_model_mixed_dtype", "cnn_model_unit_byte"):
         return ["predict", "--model", _out_of_range_model(data_dir, case), "--input", test]
     if case == "empty_gold_corpus":
         (data_dir / "empty.tsv").write_text("", encoding="utf-8")
@@ -316,6 +318,8 @@ def _bad_input(data_dir, case):
     ("cnn_model_max_len_0", "corrupt model file: max_len must be >= 1"),
     ("cnn_model_max_len_mismatch", "corrupt model file: encoder.max_len "),
     ("cnn_model_embedding_short", "corrupt model file: cnn.embedding has 3 rows for "),
+    ("cnn_model_mixed_dtype", "corrupt model file: parameters must be all float32 or all "
+                              "float64, got float16, float32"),
     ("cnn_model_unit_byte", "corrupt model file: unit must be 'word' or 'char', got 'byte'"),
     ("empty_gold_corpus", "cannot evaluate an empty prediction set"),
     ("unknown_predicted_label", "pred.tsv:1: unknown label 'Maybe'"),

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from urdufake import cnn
@@ -169,7 +171,7 @@ def test_forward_output_strictly_in_unit_interval():
 
 def test_forward_runs_in_blocks_equal_to_per_doc(monkeypatch):
     rng = np.random.default_rng(8)
-    m = init_cnn(30, 12, (1, 2, 3), seed=8)
+    m = init_cnn(30, 12, (1, 2, 3), seed=8).astype(np.float64)
     ids = rng.integers(0, 30, size=(37, 12))
     per_doc = np.concatenate([forward(m, ids[i : i + 1]) for i in range(37)])
     seen = []
@@ -210,6 +212,7 @@ def test_grad_check_tiny_model_under_1e4(tiny_setup):
 
 def test_grad_check_detects_corrupted_dense_gradient(tiny_setup):
     model, ids, y = tiny_setup
+    model = model.astype(np.float64)
     _, cache = _forward_cached(model, ids)
     analytic = _backward(model, cache, y)
 
@@ -270,7 +273,7 @@ def test_passes_match_einsum_reference(batch, channels, vocab, dropout, seed, da
     # one more than the largest kernel leaves every channel a pooled map
     max_len = data.draw(st.integers(max(channels) + 1, 40), label="max_len")
     rng = np.random.default_rng(seed)
-    model = init_cnn(vocab, max_len, channels, seed=seed)
+    model = init_cnn(vocab, max_len, channels, seed=seed).astype(np.float64)
     for k in model.channels:                          # move some ReLUs off zero
         model.conv_b[k] = rng.uniform(-0.05, 0.05, size=model.conv_b[k].shape)
     ids = rng.integers(0, vocab, size=(batch, max_len))
@@ -301,7 +304,7 @@ def test_id_table_passes_match_reference_on_large_vocabularies(batch, channels, 
     n_pos = batch * max_len
     n_ids = data.draw(st.integers(1, min(vocab, n_pos)), label="distinct ids")
     rng = np.random.default_rng(seed)
-    model = init_cnn(vocab, max_len, channels, seed=seed)
+    model = init_cnn(vocab, max_len, channels, seed=seed).astype(np.float64)
     for k in model.channels:                          # move some ReLUs off zero
         model.conv_b[k] = rng.uniform(-0.05, 0.05, size=model.conv_b[k].shape)
     present = rng.choice(vocab, size=n_ids, replace=False)
@@ -318,11 +321,114 @@ def test_id_table_passes_match_reference_on_large_vocabularies(batch, channels, 
     assert (grads["embedding"][absent] == 0.0).all()
 
 
+def same_kinks(cache, ref_cache) -> bool:
+    """Whether two passes made the same ReLU and pooling choices."""
+    return all(
+        ((ch["pre"] > 0.0) == (ref_cache["channels"][k]["pre"] > 0.0)).all()
+        and (ch["arg"] == (ref_cache["channels"][k]["arg"] == 1)).all()
+        for k, ch in cache["channels"].items()
+    ) and ((cache["h_pre"] > 0.0) == (ref_cache["h_pre"] > 0.0)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 5),
+    channels=st.sets(st.integers(1, 6), min_size=1),
+    vocab=st.integers(1, 500),
+    dropout=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_float32_passes_match_the_reference_on_a_float64_copy(batch, channels, vocab, dropout,
+                                                             seed, data):
+    """A float32 model's passes against the einsum reference run on the same
+    parameters in float64. Over 3,000 random cases the probabilities were
+    within 6.3e-8 absolute and every gradient within 0.18 of the bound below.
+
+    do = (p - y) / B is rounded to float32 (2**-24 of each entry), and the
+    groups whose entries are sums of do terms that cancel (out_b, dense_b,
+    out_w) carry that rounding at the scale of |do|, not of their own largest
+    entry; hence the bound's second term. A case where float32 rounding moves
+    an activation across 0 or past its pooling partner takes the other side
+    of a kink, where the gradients rightly differ: it is discarded (none was
+    in those 3,000 cases)."""
+    max_len = data.draw(st.integers(max(channels) + 1, 40), label="max_len")
+    rng = np.random.default_rng(seed)
+    model = init_cnn(vocab, max_len, channels, seed=seed)
+    for k in model.channels:                          # move some ReLUs off zero
+        model.conv_b[k] = rng.uniform(-0.05, 0.05, size=cnn.N_FILTERS).astype(np.float32)
+    ids = rng.integers(0, vocab, size=(batch, max_len))
+    y = rng.integers(0, 2, size=batch).astype(float)
+    drop_mask = (rng.random(ids.shape) < 0.75) / 0.75 if dropout else None
+
+    p, cache = _forward_cached(model, ids, drop_mask)
+    grads = _backward(model, cache, y)
+    copy = model.astype(np.float64)
+    ref_p, ref_cache = reference_forward_cached(copy, ids, drop_mask)
+    assume(same_kinks(cache, ref_cache))
+    ref_grads = reference_backward(copy, ref_cache, y)
+    np.testing.assert_allclose(p, ref_p, rtol=0.0, atol=5e-7)
+    do_scale = np.abs((ref_p - y) / batch).max()
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert grads[name].dtype == np.float32, name
+        np.testing.assert_allclose(grads[name], ref, rtol=0.0, err_msg=name,
+                                   atol=1e-5 * np.abs(ref).max() + 1e-6 * do_scale)
+
+
+def test_a_float32_model_is_float32_end_to_end(monkeypatch):
+    """Parameters, every cached array of a pass, the gradients, the Adam
+    moments and scratch arrays, and the model after training are float32;
+    only the logits and probabilities are float64."""
+    X, y = sep_dataset(n=4, L=10, seed=8)
+    model = init_cnn(20, 10, (1, 2), seed=4)
+    assert {arr.dtype for _, arr in model.param_groups()} == {np.dtype(np.float32)}
+    drop_mask = np.full(X[:4].shape, 1.25, dtype=np.float32)
+    p, cache = _forward_cached(model, X[:4], drop_mask)
+    for key in ("E_u", "Z", "h_pre", "h"):
+        assert cache[key].dtype == np.float32, key
+    for ch in cache["channels"].values():
+        assert ch["A"].dtype == np.float32 and ch["pre"].dtype == np.float32
+    assert cache["o"].dtype == p.dtype == np.float64
+    grads = _backward(model, cache, y[:4])
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
+    seen = set()
+    inner = cnn._adam_step
+
+    def spy(param, g, m, v, t, lr, scratch):
+        seen.update(a.dtype for a in (param, g, m, v, *scratch))
+        inner(param, g, m, v, t, lr, scratch)
+
+    monkeypatch.setattr(cnn, "_adam_step", spy)
+    model, _ = train_cnn(model, X, y, TrainConfig(epochs=1, seed=1, embedding_dropout=0.2))
+    assert seen == {np.dtype(np.float32)}
+    assert {arr.dtype for _, arr in model.param_groups()} == {np.dtype(np.float32)}
+
+
+def test_float32_init_rounds_the_float64_draws():
+    """A seed draws the values it drew when models were float64."""
+    model = init_cnn(30, 12, (1, 3), seed=5)
+    rng = np.random.default_rng(5)
+    emb = rng.uniform(-0.05, 0.05, size=(30, cnn.EMBED_DIM))
+    np.testing.assert_array_equal(model.embedding, emb.astype(np.float32))
+
+
+def test_a_model_with_mixed_or_non_float_parameters_is_refused():
+    model = init_cnn(10, 8, (1, 2), seed=0)
+    with pytest.raises(CnnError, match="all float32 or all float64, got float32, float64"):
+        replace(model, dense_w=model.dense_w.astype(np.float64))
+    for dtype in (np.float16, np.int64):
+        with pytest.raises(CnnError, match="all float32 or all float64"):
+            model.astype(dtype)
+    assert model.astype(np.float64).dtype == np.float64
+
+
 def test_pooling_tie_goes_to_first_element():
     """Identical embedding rows and a positive bias tie every pooling pair at
     a positive value; the pooled gradient must go where the reference sends
     it, to the first element of each pair."""
-    model = init_cnn(7, 15, (1, 2, 3, 4), seed=2)
+    model = init_cnn(7, 15, (1, 2, 3, 4), seed=2).astype(np.float64)
     model.embedding[:] = model.embedding[3]
     for k in model.channels:
         model.conv_b[k][:] = 1.0
@@ -412,25 +518,33 @@ def test_embedding_dropout_training_runs():
     assert len(history) == 3
 
 
-def test_adam_step_in_place_is_bit_identical_to_the_formula():
-    """The in-place update against the expression it replaced, on arrays
-    of a dense_w's shape, three steps in a row."""
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_in_place_is_bit_identical_to_the_formula(dtype):
+    """The blocked in-place update against the expression it replaced, on
+    arrays of a dense_w's shape spanning several blocks and a partial last
+    block, three steps in a row."""
     b1, b2, eps, lr = cnn.ADAM_BETA1, cnn.ADAM_BETA2, cnn.ADAM_EPS, 1e-3
     rng = np.random.default_rng(0)
-    shape = (300, 10)
-    param = rng.standard_normal(shape)
-    m, v = np.zeros(shape), np.zeros(shape)
+    shape = (3 * cnn._ADAM_BLOCK // 10 + 7, 10)
+    assert cnn._ADAM_BLOCK * 3 < shape[0] * shape[1] < cnn._ADAM_BLOCK * 4
+    param = rng.standard_normal(shape).astype(dtype)
+    m, v = np.zeros(shape, dtype), np.zeros(shape, dtype)
     ref_param, ref_m, ref_v = param.copy(), m.copy(), v.copy()
-    scratch = (np.empty(shape), np.empty(shape))
+    scratch = (np.empty(cnn._ADAM_BLOCK, dtype), np.empty(cnn._ADAM_BLOCK, dtype))
     for t in (1, 2, 3):
-        g = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3, size=shape)
+        g = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3, size=shape)).astype(dtype)
         cnn._adam_step(param, g, m, v, t, lr, scratch)
         ref_m = b1 * ref_m + (1.0 - b1) * g
         ref_v = b2 * ref_v + (1.0 - b2) * g * g
         ref_param -= lr * (ref_m / (1.0 - b1**t)) / (np.sqrt(ref_v / (1.0 - b2**t)) + eps)
+        assert ref_param.dtype == ref_m.dtype == ref_v.dtype == dtype
         np.testing.assert_array_equal(param, ref_param)
         np.testing.assert_array_equal(m, ref_m)
         np.testing.assert_array_equal(v, ref_v)
+    # a flat view of another layout would be a copy, and the update lost
+    fortran = np.asfortranarray(param)
+    with pytest.raises(CnnError, match="C-contiguous"):
+        cnn._adam_step(fortran, g, np.zeros_like(fortran), np.zeros_like(fortran), 4, lr, scratch)
 
 
 def test_train_config_validation():
@@ -453,3 +567,15 @@ def test_predict_threshold_rules():
     m.embedding[0, :] = 0.0
     m.out_b[0] = 0.0
     assert probs_to_labels(forward(m, ids)) == [Label.FAKE]   # p = 0.5 exactly
+
+
+def test_float32_probabilities_stay_strictly_inside_the_unit_interval():
+    """float32 rounds sigmoid(17) to 1; the sigmoid is taken in float64."""
+    m = init_cnn(10, 8, (1,), seed=0)
+    m.embedding[0, :] = 0.0
+    ids = np.zeros((1, 8), dtype=np.int64)
+    for logit in (30.0, -30.0):
+        m.out_b[0] = logit
+        p = forward(m, ids)
+        assert p.dtype == np.float64 and 0.0 < p[0] < 1.0
+        assert p[0] == cnn._sigmoid(np.array([logit]))[0]

@@ -1,3 +1,4 @@
+import io
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -369,6 +370,32 @@ def test_save_load_round_trip_cnn(small_train, small_test, resources, tmp_path):
         loaded.decision_values(small_test, resources),
     )
     assert fitted.predict(small_test, resources) == loaded.predict(small_test, resources)
+    _, arrays, _ = persistence.read_container(path)
+    assert {arrays[name].dtype for name in arrays if name not in ("cnn.channels", "cnn.max_len")
+            } == {np.dtype(np.float32)}
+
+
+def test_a_float64_cnn_file_loads_and_predicts_in_float64(small_train, small_test, resources,
+                                                           tmp_path):
+    """A CNN file written in float64, as models were before they became
+    float32, runs in float64 and predicts bit-identically to the float64
+    model in memory."""
+    cfg = ExperimentConfig(name="f64-cnn", classifier="cnn", cnn_epochs=2,
+                           cnn_channels=(1, 2), seed=1)
+    fitted = fit_pipeline(small_train, cfg, resources)
+    fitted = replace(fitted, cnn=fitted.cnn.astype(np.float64))
+    path = tmp_path / "m.ufnd"
+    save_model(path, fitted)
+    _, arrays, _ = persistence.read_container(path)
+    assert arrays["cnn.dense_w"].dtype == np.float64
+    loaded = load_model(path)
+    assert loaded.cnn.dtype == np.float64
+    expected = fitted.decision_values(small_test, resources)
+    assert expected.dtype == np.float64
+    np.testing.assert_array_equal(loaded.decision_values(small_test, resources), expected)
+    # half the size of the float64 file
+    save_model(tmp_path / "f32.ufnd", replace(fitted, cnn=fitted.cnn.astype(np.float32)))
+    assert (tmp_path / "f32.ufnd").stat().st_size < 0.6 * path.stat().st_size
 
 
 #: The blobs of an SVM model file in format major 3: the vocabulary as its
@@ -522,6 +549,51 @@ def test_load_undecodable_blob_names_it(tmp_path):
     p.write_bytes(p.read_bytes().replace(b"\x93NUMPY", b"\x93NUMPX"))
     with pytest.raises(ModelFormatError, match="cannot decode blob 'svm.dual_coef'"):
         persistence.read_container(p)
+
+
+def _npy_bytes(arr: np.ndarray, **kwargs) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, **kwargs)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("case, payload", [
+    ("pickled_object", _npy_bytes(np.array([{}], dtype=object), allow_pickle=True)),
+    ("fortran_order", _npy_bytes(np.asfortranarray(np.ones((2, 3))))),
+    ("version_2", _npy_bytes(np.ones(3), version=(2, 0))),
+    ("data_short", _npy_bytes(np.ones(3))[:-8]),
+    ("data_long", _npy_bytes(np.ones(3)) + b"\0" * 8),
+    ("shape_text", _npy_bytes(np.ones(3)).replace(b"(3,), }", b"(03,), }")
+                                         .replace(b"  \n", b" \n")),
+    ("unknown_dtype", _npy_bytes(np.ones(3)).replace(b"<f8", b"<f3")),
+])
+def test_an_npy_blob_other_than_np_save_writes_is_one_corrupt_file_line(
+        tmp_path, monkeypatch, case, payload):
+    monkeypatch.setattr(persistence, "_array_bytes", lambda arr: payload)
+    p = tmp_path / "m.ufnd"
+    persistence.write_container(p, {"kind": "svm"}, {"svm.dual_coef": np.zeros(3)})
+    with pytest.raises(ModelFormatError) as err:
+        persistence.read_container(p)
+    assert str(err.value) == "corrupt model file: cannot decode blob 'svm.dual_coef'"
+
+
+@pytest.mark.parametrize("kind", ["svm", "cnn"])
+def test_every_blob_decodes_as_np_load_reads_it(sweep_models, monkeypatch, kind):
+    payloads = []
+    decode = persistence._npy
+
+    def spy(payload):
+        payloads.append(payload)
+        return decode(payload)
+
+    monkeypatch.setattr(persistence, "_npy", spy)
+    _, arrays, _ = persistence.read_container(sweep_models[kind])
+    assert len(payloads) == len(arrays)
+    for payload, arr in zip(payloads, (arrays[name] for name in arrays)):
+        expected = np.load(io.BytesIO(payload), allow_pickle=False)
+        assert arr.dtype == expected.dtype and arr.shape == expected.shape
+        assert arr.flags.writeable and arr.flags.c_contiguous
+        np.testing.assert_array_equal(arr, expected)
 
 
 def test_load_missing_metadata_key_names_it(tmp_path):
