@@ -28,7 +28,7 @@ from .runner import (
     run_grid,
     save_model,
 )
-from .selection import SelectionError, chi2_scores, feature_order
+from .selection import SelectionError, chi2_scores, select_k_best
 from .svm import labels_to_signs
 from .vectorize import VectorizeError, apply_tfidf, build_vocabulary, write_vocabulary_tsv
 
@@ -230,15 +230,14 @@ def _cmd_inspect(args) -> int:
     corpus = load_corpus(args.train, "train")
     config = _configs(args)[0]
     docs = preprocess_corpus(corpus, config.preprocess, _resources(args))
-    spec = config.ngram_spec()
-    vocab = build_vocabulary(docs, spec)
+    vocab = build_vocabulary(docs, config.ngram_spec())
     X = apply_tfidf(vocab.counts, vocab)
     scores = chi2_scores(X, labels_to_signs([d.label for d in corpus]))
-    order = feature_order(scores)[: args.top]
-    terms = vocab.terms_by_index(order)
+    top = select_k_best(scores, min(args.top, scores.size)).kept
+    order = top[(-scores[top]).argsort(kind="stable")]
     out = args.out_dir / "top_features.tsv"
     with open(out, "w", encoding="utf-8") as fh:
-        for rank, (col, term) in enumerate(zip(order, terms), start=1):
+        for rank, (col, term) in enumerate(zip(order, vocab.terms_by_index(order)), start=1):
             fh.write(f"{rank}\t{term}\t{float(scores[col])!r}\n")
     print(f"wrote {out} (top {len(order)} of {vocab.size} features)")
     return 0

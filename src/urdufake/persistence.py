@@ -31,6 +31,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import re
 import struct
 from pathlib import Path
@@ -138,6 +139,7 @@ def _npy(payload: bytes) -> np.ndarray:
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict[str, str]]:
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size  # a bad stated length, capped at it, reads short
         magic = fh.read(4)
         if magic != MAGIC:
             raise ModelFormatError(
@@ -152,7 +154,7 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict[
             )
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata length"))
         meta = _decode("the metadata", lambda b: json.loads(b.decode("utf-8")),
-                       _read_exact(fh, meta_len, "metadata"))
+                       _read_exact(fh, min(meta_len, end), "metadata"))
         if not isinstance(meta, dict):
             raise ModelFormatError("corrupt model file: the metadata is not a JSON object")
         (n_blobs,) = struct.unpack("<I", _read_exact(fh, 4, "blob count"))
@@ -163,7 +165,7 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict[
             name = _decode("a blob name", bytes.decode, _read_exact(fh, name_len, "blob name"))
             (kind,) = struct.unpack("<B", _read_exact(fh, 1, f"blob kind of {name}"))
             (size,) = struct.unpack("<Q", _read_exact(fh, 8, f"blob size of {name}"))
-            payload = _read_exact(fh, size, f"blob {name}")
+            payload = _read_exact(fh, min(size, end), f"blob {name}")
             if kind == 0:
                 arrays[name] = _decode(f"blob {name!r}", _npy, payload)
             elif kind == 1:

@@ -43,7 +43,7 @@ from .preprocess import (
     Resources,
     preprocess_corpus,
 )
-from .selection import SelectionMask, apply_mask, chi2_scores, feature_order, select_top
+from .selection import SelectionMask, apply_mask, chi2_scores, select_k_best
 from .svm import (
     KernelParams,
     SvmModel,
@@ -299,7 +299,7 @@ class _SharedWork:
     the union of their n-gram specs, with the raw term counts of both
     splits. Each distinct spec is restricted from the union once
     (Vocabulary.restrict, the bytes fitting it on its own gives), then
-    TF-IDF weighted on both splits and chi-squared ordered once; these
+    TF-IDF weighted on both splits and chi-squared scored once; these
     features are dropped when every row with that spec has fetched them.
     Everything is computed on first use, so it is charged to the first row
     that needs it.
@@ -342,16 +342,16 @@ class _SharedWork:
 
     def features(self, spec: NgramSpec) -> tuple:
         """spec's Vocabulary (without counts), TF-IDF rows of the train and
-        test split (None without one) and chi-squared feature_order."""
+        test split (None without one) and chi-squared scores."""
         if spec not in self._features:
             union = _stage("build_vocabulary", self.vocabulary)
             vocab, cols = _stage("build_vocabulary", union.restrict, spec)
             X = _stage("transform", apply_tfidf, vocab.counts, vocab)
             y = labels_to_signs([d.label for d in self.splits["train"]])
-            order = feature_order(_stage("chi2_scores", chi2_scores, X, y))
+            scores = _stage("chi2_scores", chi2_scores, X, y)
             X_test = (None if self.splits["test"] is None
                       else apply_tfidf(self.test_counts()[:, cols], vocab))
-            self._features[spec] = (replace(vocab, counts=None), X, X_test, order)
+            self._features[spec] = (replace(vocab, counts=None), X, X_test, scores)
         self._rows_left[spec] -= 1
         return self._features[spec] if self._rows_left[spec] else self._features.pop(spec)
 
@@ -369,8 +369,8 @@ def _fit(work: _SharedWork, config: ExperimentConfig
                         gamma=config.svm_gamma, coef0=config.svm_coef0)
         _stage("train_svm", check_solver_params, config.svm_c, config.svm_tol,
                config.svm_max_passes)
-        vocab, X, X_test, order = work.features(_stage("build_vocabulary", config.ngram_spec))
-        mask = _stage("select_k_best", select_top, order, config.k_best)
+        vocab, X, X_test, scores = work.features(_stage("build_vocabulary", config.ngram_spec))
+        mask = _stage("select_k_best", select_k_best, scores, config.k_best)
         X_sel = _stage("apply_mask", apply_mask, X, mask)
         model = _stage(
             "train_svm", train_svm, X_sel, labels_to_signs(gold),
@@ -629,9 +629,10 @@ def load_model(path: str | Path) -> FittedPipeline:
 
 def _pipeline_of(meta: dict, arrays: dict, texts: dict) -> FittedPipeline:
     """The pipeline of a model file's contents; a bad value raises what it provokes."""
-    for key in ("config", "resources"):  # a bad encoder.unit is refused below
-        if not isinstance(meta.get(key, ""), str):
-            raise TypeError(f"metadata {key!r} is {type(meta[key]).__name__}, not str")
+    # exact types: a bool is no int, and a float max_len passes the check below
+    for key, kind in (("config", str), ("resources", str), ("encoder.max_len", int)):
+        if type(meta.get(key, kind())) is not kind:
+            raise TypeError(f"metadata {key!r} is {type(meta[key]).__name__}, not {kind.__name__}")
     config = parse_config_text(meta["config"])[0]
     if meta["kind"] != config.classifier:
         raise ValueError(f"metadata kind {meta['kind']!r} disagrees with the config's "

@@ -1,7 +1,8 @@
 """Chi-squared feature scoring and K-best selection.
 
 Scores are computed on the (non-negative) TF-IDF values directly: observed
-per-class feature mass vs the mass expected from class priors.
+per-class feature mass vs the mass expected from class priors. K-best cuts
+the columns at the K-th largest score, without sorting them.
 """
 
 from __future__ import annotations
@@ -78,30 +79,27 @@ class SelectionMask:
         return cmap
 
 
-def feature_order(scores: np.ndarray) -> np.ndarray:
-    """Column indices by descending score; ties keep the lower index first."""
-    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-
-
-def select_top(order: np.ndarray, k: int) -> SelectionMask:
-    """Mask of the first K columns of a feature_order.
-
-    K larger than the feature count clamps to all features with a warning.
-    """
-    if k < 1:
-        raise SelectionError(f"K must be >= 1, got {k}")
-    v = order.shape[0]
-    if k > v:
-        warnings.warn(f"K={k} exceeds feature count V={v}; keeping all features", stacklevel=2)
-    return SelectionMask(kept=np.sort(order[: min(k, v)]))
-
-
 def select_k_best(scores: np.ndarray, k: int) -> SelectionMask:
     """Mask of the K highest-scoring features; ties break to the lower index.
 
-    K larger than the feature count clamps to all features with a warning.
+    The first K columns of a stable descending sort, found in O(V) from the
+    K-th largest score. K larger than the feature count clamps to all
+    features with a warning; non-finite scores are refused.
     """
-    return select_top(feature_order(scores), k)
+    if k < 1:
+        raise SelectionError(f"K must be >= 1, got {k}")
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise SelectionError("scores must be finite")
+    v = scores.shape[0]
+    if k > v:
+        warnings.warn(f"K={k} exceeds feature count V={v}; keeping all features", stacklevel=2)
+    if k >= v:
+        return SelectionMask(kept=np.arange(v))
+    threshold = np.partition(scores, v - k)[v - k]
+    keep = scores > threshold
+    keep[np.flatnonzero(scores == threshold)[: k - np.count_nonzero(keep)]] = True
+    return SelectionMask(kept=np.flatnonzero(keep))
 
 
 def apply_mask(X: sparse.spmatrix, mask: SelectionMask) -> sparse.csr_matrix:

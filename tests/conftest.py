@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from urdufake.corpus import generate_synthetic
@@ -5,6 +6,12 @@ from urdufake.preprocess import Resources
 
 FAKE_POOL = tuple(f"jhoot{i}" for i in range(30))
 REAL_POOL = tuple(f"sach{i}" for i in range(30))
+
+
+def stable_k_best(scores, k):
+    """The K-best rule as a sort, the oracle for selection.select_k_best: the
+    first K columns of a stable sort by descending score, ascending."""
+    return np.sort(np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")[:k])
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,12 @@ import pytest
 import urdufake
 from urdufake import persistence
 from urdufake.cli import main
-from urdufake.corpus import generate_synthetic, save_corpus
+from urdufake.corpus import generate_synthetic, load_corpus, save_corpus
+from urdufake.preprocess import Resources, preprocess_corpus
+from urdufake.runner import parse_config_file
+from urdufake.selection import chi2_scores
+from urdufake.svm import labels_to_signs
+from urdufake.vectorize import apply_tfidf, build_vocabulary
 
 from conftest import FAKE_POOL, REAL_POOL
 
@@ -145,6 +151,33 @@ def test_inspect_command(data_dir, capsys):
     assert rank == "1" and float(score) >= float(lines[-1].split("\t")[2])
 
 
+def test_inspect_ranks_as_the_full_stable_order(data_dir, capsys):
+    """Each --top M writes the first M lines of the ranking a stable sort of
+    every score by descending score gives: ranks, terms, score reprs and
+    ties in ascending column order. Some M cut inside a run of tied scores;
+    an M beyond the vocabulary writes every feature without a warning."""
+    corpus = load_corpus(data_dir / "train.tsv", "train")
+    config = parse_config_file(data_dir / "grid.cfg")[0]
+    vocab = build_vocabulary(preprocess_corpus(corpus, config.preprocess, Resources.default()),
+                             config.ngram_spec())
+    scores = chi2_scores(apply_tfidf(vocab.counts, vocab),
+                         labels_to_signs([d.label for d in corpus]))
+    order = np.argsort(-scores, kind="stable")
+    lines = [f"{rank}\t{term}\t{float(scores[col])!r}\n" for rank, (col, term)
+             in enumerate(zip(order, vocab.terms_by_index(order)), start=1)]
+    v = len(lines)
+    tops = [1, 2, 7, 10, 33, v // 2, v - 1, v, 10**6]
+    assert any(scores[order[m - 1]] == scores[order[m]] for m in tops if m < v)
+    for m in tops:
+        out = data_dir / f"top{m}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--out-dir", out, "--config", data_dir / "grid.cfg",
+                        "inspect", "--train", data_dir / "train.tsv", "--top", m]) == 0
+        assert (out / "top_features.tsv").read_text(encoding="utf-8") == "".join(lines[:m]), m
+    assert f"(top {v} of {v} features)" in capsys.readouterr().out.splitlines()[-1]
+
+
 def test_seed_flag_overrides_config(data_dir):
     out = data_dir / "seeded"
     rc = run(["--out-dir", out, "--config", data_dir / "grid.cfg", "--seed", "99",
@@ -189,16 +222,22 @@ def _saved_model(data_dir, config="k_best = 50\n"):
 
 
 def _corrupt_model(data_dir, case):
-    """A saved model with its first metadata byte changed, or with its blob
-    count one lower, so the last blob is never read."""
+    """A saved model with its first metadata byte changed, with its blob
+    count one lower, so the last blob is never read, or with the stated
+    size of its metadata or its first blob far beyond the end of the file."""
     blob = bytearray(_saved_model(data_dir).read_bytes())
     meta_at = 4 + 8 + 8
+    count_at = meta_at + int.from_bytes(blob[12:20], "little")
     if case == "model_metadata_corrupt":
         blob[meta_at] ^= 1
-    else:
-        count_at = meta_at + int.from_bytes(blob[12:20], "little")
+    elif case == "model_blob_missing":
         n_blobs = int.from_bytes(blob[count_at:count_at + 4], "little")
         blob[count_at:count_at + 4] = (n_blobs - 1).to_bytes(4, "little")
+    elif case == "model_metadata_size_2_62":
+        blob[12:20] = (2**62).to_bytes(8, "little")
+    else:  # the u64 after the first blob's u16 name length, name and u8 kind
+        size_at = count_at + 4 + 2 + int.from_bytes(blob[count_at + 4:count_at + 6], "little") + 1
+        blob[size_at:size_at + 8] = (2 ** int(case.rsplit("_", 1)[1])).to_bytes(8, "little")
     path = data_dir / f"{case}.ufnd"
     path.write_bytes(bytes(blob))
     return path
@@ -230,6 +269,8 @@ def _out_of_range_model(data_dir, case):
         meta["config"] = meta["config"].replace("classifier = svm\n", "classifier = cnn\n")
     elif case == "cnn_model_max_len_0":
         meta["encoder.max_len"] = 0
+    elif case == "cnn_model_max_len_float":  # equal to cnn.max_len, but not an int
+        meta["encoder.max_len"] = float(meta["encoder.max_len"])
     elif case == "cnn_model_max_len_mismatch":
         meta["encoder.max_len"] += 3
     elif case == "cnn_model_embedding_short":
@@ -253,12 +294,14 @@ def _bad_input(data_dir, case):
         return ["train", "--train", data_dir / "absent.tsv"]
     if case == "not_a_model_file":
         return ["predict", "--model", train, "--input", test]
-    if case in ("model_metadata_corrupt", "model_blob_missing"):
+    if case in ("model_metadata_corrupt", "model_blob_missing", "model_metadata_size_2_62",
+                "model_blob_size_2_62", "model_blob_size_2_40"):
         return ["predict", "--model", _corrupt_model(data_dir, case), "--input", test]
     if case in ("model_gamma_nan", "model_degree_0", "model_dual_coef_short",
                 "model_sv_index_out_of_range", "model_doc_freq_short", "model_n_features_wrong",
                 "model_words_unordered", "model_config_classifier_mismatch",
-                "cnn_model_max_len_0", "cnn_model_max_len_mismatch", "cnn_model_embedding_short",
+                "cnn_model_max_len_0", "cnn_model_max_len_float", "cnn_model_max_len_mismatch",
+                "cnn_model_embedding_short",
                 "cnn_model_mixed_dtype", "cnn_model_unit_byte"):
         return ["predict", "--model", _out_of_range_model(data_dir, case), "--input", test]
     if case == "empty_gold_corpus":
@@ -306,6 +349,9 @@ def _bad_input(data_dir, case):
     ("not_a_model_file", "magic-byte check failed"),
     ("model_metadata_corrupt", "corrupt model file: cannot decode the metadata"),
     ("model_blob_missing", "model file has no text blob 'vocab.words'"),
+    ("model_metadata_size_2_62", "truncated model file while reading metadata"),
+    ("model_blob_size_2_62", "truncated model file while reading blob "),
+    ("model_blob_size_2_40", "truncated model file while reading blob "),
     ("model_gamma_nan", "corrupt model file: gamma must be finite, got nan"),
     ("model_degree_0", "corrupt model file: degree must be >= 1, got 0"),
     ("model_dual_coef_short", "corrupt model file: svm.dual_coef has "),
@@ -316,6 +362,8 @@ def _bad_input(data_dir, case):
     ("model_config_classifier_mismatch", "corrupt model file: metadata kind 'svm' disagrees "
                                          "with the config's classifier 'cnn'"),
     ("cnn_model_max_len_0", "corrupt model file: max_len must be >= 1"),
+    ("cnn_model_max_len_float", "corrupt model file: metadata 'encoder.max_len' is float, "
+                                "not int"),
     ("cnn_model_max_len_mismatch", "corrupt model file: encoder.max_len "),
     ("cnn_model_embedding_short", "corrupt model file: cnn.embedding has 3 rows for "),
     ("cnn_model_mixed_dtype", "corrupt model file: parameters must be all float32 or all "

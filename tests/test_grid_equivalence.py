@@ -50,7 +50,7 @@ from urdufake.vectorize import (
     transform,
 )
 
-from conftest import FAKE_POOL, REAL_POOL
+from conftest import FAKE_POOL, REAL_POOL, stable_k_best
 from reference_vectorize import (
     csr_bytes,
     reference_build_vocabulary,
@@ -182,8 +182,8 @@ def test_mixed_grid_matches_per_row_reference(resources, tmp_path):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_every_row_keeps_the_select_k_best_columns(resources):
-    """The grid ranks each spec's features once and cuts every K of the
-    spec from that one order."""
+    """The grid scores each spec's features once and cuts every K of the
+    spec from those scores, keeping the columns a stable sort keeps."""
     train = generate_synthetic(3, 20, (FAKE_POOL, REAL_POOL), (2, 3), split="train")
     test = generate_synthetic(4, 8, (FAKE_POOL, REAL_POOL), (2, 3), split="test")
     configs = [c for c in mixed_grid() if c.classifier == "svm" and c.name != "w4_only"]
@@ -196,7 +196,7 @@ def test_every_row_keeps_the_select_k_best_columns(resources):
         docs = preprocess_corpus(train, config.preprocess, resources)
         vocab = build_vocabulary(docs, config.ngram_spec())
         scores = chi2_scores(apply_tfidf(vocab.counts, vocab), y)
-        masks[config.name] = select_k_best(scores, config.k_best).kept
+        masks[config.name] = stable_k_best(scores, config.k_best)
         assert kept[config.name].tobytes() == masks[config.name].tobytes(), config.name
     # one spec at two K values that both cut
     assert masks["w1234_c23456_b"].size == 150 < masks["w1234_c23456_a"].size == 400

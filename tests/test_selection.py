@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from urdufake.selection import (
     chi2_scores,
     select_k_best,
 )
+
+from conftest import stable_k_best
 
 
 def brute_force_chi2(X_dense: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -136,13 +140,37 @@ def test_kept_scores_dominate_dropped():
 @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=40),
        st.integers(1, 40))
 def test_select_k_best_size_property(scores, k):
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         mask = select_k_best(np.array(scores), k)
     assert mask.n_kept == min(k, len(scores))
     assert (np.diff(mask.kept) > 0).all() or mask.n_kept <= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.5]), min_size=1, max_size=60), st.data())
+def test_select_k_best_keeps_the_stable_sort_cut_on_ties(scores, data):
+    """Scores from a four-value set tie in long runs, so the K-th largest
+    score is tied at almost every K; the kept columns are those the stable
+    sort keeps, and the clamp warns exactly when K exceeds V."""
+    scores = np.array(scores)
+    k = data.draw(st.integers(1, scores.size + 2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kept = select_k_best(scores, k).kept
+    assert kept.dtype == np.int64
+    assert kept.tobytes() == stable_k_best(scores, k).tobytes()
+    assert [str(w.message) for w in caught] == (
+        [f"K={k} exceeds feature count V={scores.size}; keeping all features"]
+        if k > scores.size else [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_select_k_best_refuses_non_finite_scores(bad):
+    # a NaN would break the threshold: [nan, 1, 2] at K=2 would keep one column
+    for k in (1, 2, 3, 4):
+        with pytest.raises(SelectionError, match="finite"):
+            select_k_best(np.array([bad, 1.0, 2.0]), k)
 
 
 # --- apply_mask --------------------------------------------------------------
