@@ -8,21 +8,17 @@ Layout (little-endian):
   u32      blob count; per blob: u16 name length + name, u8 kind
            (0 = npy array, 1 = UTF-8 text), u64 payload length + payload
 
-Loading refuses files whose major version is newer than this module. It
-reports truncation, bad magic, undecodable metadata or blobs, and a metadata
-key or blob a reader asks for but the file lacks, each as a
-ModelFormatError. Major 2 stopped writing two SVM blobs that other blobs
-imply, the idf and the requested K; major-1 files still load, because the
-reader ignores blobs it does not use. Major 3 stores an SVM vocabulary as its
-rank tables and integer term keys (vocab.alphabet, vocab.words,
-vocab.keys.<namespace>) in place of the vocab.terms text, and the fitted
-resources' digest in the metadata; the terms of a major-1/2 file are coded
-into keys when it loads.
+Loading reads major version 4 only and refuses any other, newer or older.
+It reports truncation, bad magic, undecodable metadata or blobs, a blob name
+that occurs twice, bytes after the last blob, and a metadata key or blob a
+reader asks for but the file lacks, each as a ModelFormatError.
 Array blobs are npy format 1.0 as np.save writes a C-order bool, integer or
 float array; the reader parses exactly that header, and refuses any other
 (a pickled object array, Fortran order, another npy version) or a payload
 whose size disagrees with its shape. A blob's dtype travels in its header,
-so a float32 or float64 CNN loads as it was saved.
+so a float32 or float64 CNN loads as it was saved. An integer array with no
+negative entry is written in the smallest unsigned dtype that holds its
+maximum; its reader widens it back to the dtype it computes with.
 Writing is deterministic: identical pipelines serialize to identical bytes.
 """
 
@@ -40,7 +36,7 @@ import numpy as np
 from scipy import sparse
 
 MAGIC = b"UFND"
-MAJOR = 3
+MAJOR = 4
 MINOR = 0
 
 
@@ -58,6 +54,10 @@ def _write_blob(fh, name: str, kind: int, payload: bytes) -> None:
 
 
 def _array_bytes(arr: np.ndarray) -> bytes:
+    """The npy bytes of arr; of an integer arr with no negative entry, in the
+    smallest unsigned dtype that holds its maximum."""
+    if arr.dtype.kind in "iu" and arr.min(initial=0) >= 0:
+        arr = arr.astype(np.min_scalar_type(arr.max(initial=0)))
     buf = io.BytesIO()
     np.save(buf, np.ascontiguousarray(arr), allow_pickle=False)
     return buf.getvalue()
@@ -147,10 +147,10 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict[
                 "(not a model file written by this package)"
             )
         major, minor = struct.unpack("<II", _read_exact(fh, 8, "version header"))
-        if major > MAJOR:
+        if major != MAJOR:
             raise ModelFormatError(
-                f"model format major version {major} is newer than supported {MAJOR}; "
-                "upgrade the package to load this file"
+                f"model format major version {major} is not the supported {MAJOR}; "
+                "train the model again, or load it with the version that wrote it"
             )
         (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata length"))
         meta = _decode("the metadata", lambda b: json.loads(b.decode("utf-8")),
@@ -166,32 +166,39 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict[
             (kind,) = struct.unpack("<B", _read_exact(fh, 1, f"blob kind of {name}"))
             (size,) = struct.unpack("<Q", _read_exact(fh, 8, f"blob size of {name}"))
             payload = _read_exact(fh, min(size, end), f"blob {name}")
+            if name in arrays or name in texts:
+                raise ModelFormatError(f"corrupt model file: blob {name!r} occurs twice")
             if kind == 0:
                 arrays[name] = _decode(f"blob {name!r}", _npy, payload)
             elif kind == 1:
                 texts[name] = _decode(f"blob {name!r}", bytes.decode, payload)
             else:
                 raise ModelFormatError(f"unknown blob kind {kind} for {name}")
+        if fh.tell() != end:
+            raise ModelFormatError("corrupt model file: bytes after the last blob")
     return _Entries("metadata key", meta), arrays, texts
 
 
 def csr_to_blobs(name: str, X: sparse.csr_matrix) -> dict[str, np.ndarray]:
     return {
         f"{name}.data": X.data,
-        f"{name}.indices": X.indices.astype(np.int64),
-        f"{name}.indptr": X.indptr.astype(np.int64),
+        f"{name}.indices": X.indices,
+        f"{name}.indptr": X.indptr,
         f"{name}.shape": np.asarray(X.shape, dtype=np.int64),
     }
 
 
 def csr_from_blobs(name: str, arrays: dict[str, np.ndarray]) -> sparse.csr_matrix:
-    """The matrix of csr_to_blobs. Blobs that are not a valid CSR matrix
-    (scipy's full format check: every index in [0, columns), a non-decreasing
-    indptr) raise a ValueError naming them, before native code reads them."""
+    """The matrix of csr_to_blobs, its index arrays widened to int64. Blobs
+    that are not a valid CSR matrix (scipy's full format check: every index
+    in [0, columns), a non-decreasing indptr) raise a ValueError naming
+    them, before native code reads them."""
     shape = tuple(int(v) for v in arrays[f"{name}.shape"])
     try:
         X = sparse.csr_matrix(
-            (arrays[f"{name}.data"], arrays[f"{name}.indices"], arrays[f"{name}.indptr"]),
+            (arrays[f"{name}.data"],
+             *(arrays[f"{name}.{part}"].astype(np.int64, casting="same_kind")
+               for part in ("indices", "indptr"))),
             shape=shape,
         )
         X.check_format(full_check=True)

@@ -17,7 +17,7 @@ import time
 import warnings
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -234,13 +234,13 @@ class FittedPipeline:
     """Everything fitted on the training split, enough to predict new text."""
 
     config: ExperimentConfig
+    resources_digest: str  # Resources.digest of the resources it was fitted with
     vocabulary: Vocabulary | None = None
     mask: SelectionMask | None = None
     svm: SvmModel | None = None
     encoder: SequenceEncoder | None = None
     cnn: CnnModel | None = None
     history: list | None = None  # per-epoch stats (cnn only, not persisted)
-    resources_digest: str | None = None  # Resources.digest at fit; None in major-1/2 files
 
     @property
     def kind(self) -> str:
@@ -262,7 +262,7 @@ class FittedPipeline:
     def decision_values(self, corpus: Corpus, resources: Resources) -> np.ndarray:
         """Signed margin for SVM; Fake probability for CNN. Refuses resources
         other than those the pipeline was fitted with."""
-        if self.resources_digest is not None and resources.digest != self.resources_digest:
+        if resources.digest != self.resources_digest:
             raise ResourceError(
                 f"the model was fitted with other stopwords, lemmas or normalization map "
                 f"(resource digest {self.resources_digest[:12]}, given {resources.digest[:12]})")
@@ -579,8 +579,9 @@ def render_results_md(rows: list[ResultRow]) -> str:
     return "\n".join(out) + "\n"
 
 
-#: The entries of the svm.scalars blob, in their order.
-_SVM_SCALARS = ("bias", "C", "gamma", "coef0", "degree", "converged", "n_features")
+#: The entries of the svm.scalars blob, in their order: the fitted values the
+#: config does not hold (gamma resolved from "auto").
+_SVM_SCALARS = ("bias", "gamma", "converged")
 
 #: The cnn.<name> array blobs, each the CnnModel field of that name, besides
 #: the per-channel cnn.conv_w.<k> and cnn.conv_b.<k>.
@@ -589,18 +590,14 @@ _CNN_ARRAYS = ("embedding", "dense_w", "dense_b", "out_w", "out_b", "channels", 
 
 def save_model(path: str | Path, fitted: FittedPipeline) -> None:
     """Persist a fitted pipeline; loading reproduces its predictions exactly."""
-    # "kind" restates the config's classifier for readers that dispatch on it
-    meta = {"kind": fitted.kind, "config": serialize_configs([fitted.config])}
-    if fitted.resources_digest is not None:
-        meta["resources"] = fitted.resources_digest
+    meta = {"config": serialize_configs([fitted.config]), "resources": fitted.resources_digest}
     if fitted.kind == "svm":
         svm = fitted.svm
         arrays, texts = fitted.vocabulary.blobs()
         arrays["mask.kept"] = fitted.mask.kept
         arrays.update(persistence.csr_to_blobs("svm.sv", svm.support_vectors))
         arrays["svm.dual_coef"] = svm.dual_coef
-        scalars = dict(asdict(svm.kernel), bias=svm.bias, C=svm.C, converged=svm.converged,
-                       n_features=svm.n_features)
+        scalars = dict(bias=svm.bias, gamma=svm.kernel.gamma, converged=svm.converged)
         arrays["svm.scalars"] = np.asarray([float(scalars[name]) for name in _SVM_SCALARS])
     else:
         cnn = fitted.cnn
@@ -608,8 +605,6 @@ def save_model(path: str | Path, fitted: FittedPipeline) -> None:
         for k in cnn.channels:
             arrays[f"cnn.conv_w.{k}"] = cnn.conv_w[k]
             arrays[f"cnn.conv_b.{k}"] = cnn.conv_b[k]
-        meta["encoder.unit"] = fitted.encoder.unit
-        meta["encoder.max_len"] = fitted.encoder.max_len
         texts = {"encoder.terms": "\n".join(
             term for term, _ in sorted(fitted.encoder.term_to_id.items(), key=lambda kv: kv[1])
         )}
@@ -628,19 +623,17 @@ def load_model(path: str | Path) -> FittedPipeline:
 
 
 def _pipeline_of(meta: dict, arrays: dict, texts: dict) -> FittedPipeline:
-    """The pipeline of a model file's contents; a bad value raises what it provokes."""
-    # exact types: a bool is no int, and a float max_len passes the check below
-    for key, kind in (("config", str), ("resources", str), ("encoder.max_len", int)):
-        if type(meta.get(key, kind())) is not kind:
-            raise TypeError(f"metadata {key!r} is {type(meta[key]).__name__}, not {kind.__name__}")
+    """The pipeline of a model file's contents; a bad value raises what it
+    provokes. The config is the one owner of every setting it names: the
+    classifier, the kernel's degree and coef0, C and the CNN's unit."""
+    for key in ("config", "resources"):
+        if type(meta[key]) is not str:
+            raise TypeError(f"metadata {key!r} is {type(meta[key]).__name__}, not str")
     config = parse_config_text(meta["config"])[0]
-    if meta["kind"] != config.classifier:
-        raise ValueError(f"metadata kind {meta['kind']!r} disagrees with the config's "
-                         f"classifier {config.classifier!r}")
-    digest = meta.get("resources")
+    digest = meta["resources"]
     if config.classifier == "svm":
         vocab = Vocabulary.from_blobs(arrays, texts)
-        mask = SelectionMask(kept=arrays["mask.kept"])
+        mask = SelectionMask(kept=arrays["mask.kept"].astype(np.int64, casting="same_kind"))
         support_vectors = persistence.csr_from_blobs("svm.sv", arrays)
         n_sv, n_cols = support_vectors.shape
         dual_coef = arrays["svm.dual_coef"]
@@ -651,18 +644,16 @@ def _pipeline_of(meta: dict, arrays: dict, texts: dict) -> FittedPipeline:
             raise ValueError(f"svm.scalars has {arrays['svm.scalars'].size} entries, "
                              f"expected {len(_SVM_SCALARS)}: {', '.join(_SVM_SCALARS)}")
         s = dict(zip(_SVM_SCALARS, arrays["svm.scalars"].tolist()))
-        if not mask.kept.shape == (s["n_features"],) == (n_cols,):
-            raise ValueError(f"mask.kept keeps {mask.n_kept} columns, svm.scalars gives "
-                             f"n_features {s['n_features']} and svm.sv has {n_cols} columns")
+        if mask.kept.shape != (n_cols,):
+            raise ValueError(f"mask.kept keeps {mask.n_kept} columns and svm.sv has "
+                             f"{n_cols} columns")
         if mask.n_kept and not (mask.kept[0] >= 0 and mask.kept[-1] < vocab.size):
             raise ValueError(f"mask.kept holds a column outside [0, {vocab.size})")
         if not all(np.isfinite(v).all() for v in (s["bias"], dual_coef, support_vectors.data)):
             raise ValueError("svm.scalars bias, svm.dual_coef or svm.sv.data is not finite")
-        if not float(s["degree"]).is_integer():
-            raise ValueError(f"degree must be a whole number, got {s['degree']}")
-        kernel = KernelParams(degree=int(s["degree"]), gamma=s["gamma"], coef0=s["coef0"])
+        kernel = KernelParams(degree=config.svm_degree, gamma=s["gamma"], coef0=config.svm_coef0)
         model = SvmModel(support_vectors=support_vectors, dual_coef=dual_coef, bias=s["bias"],
-                         C=s["C"], kernel=kernel, converged=bool(s["converged"]))
+                         C=config.svm_c, kernel=kernel, converged=bool(s["converged"]))
         return FittedPipeline(config=config, vocabulary=vocab, mask=mask, svm=model,
                               resources_digest=digest)
     values = {name: arrays[f"cnn.{name}"] for name in _CNN_ARRAYS}
@@ -672,10 +663,8 @@ def _pipeline_of(meta: dict, arrays: dict, texts: dict) -> FittedPipeline:
                    conv_w={k: arrays[f"cnn.conv_w.{k}"] for k in channels},
                    conv_b={k: arrays[f"cnn.conv_b.{k}"] for k in channels})
     terms = texts["encoder.terms"].split("\n") if texts["encoder.terms"] else []
-    encoder = SequenceEncoder(unit=meta["encoder.unit"], max_len=meta["encoder.max_len"],
+    encoder = SequenceEncoder(unit=config.cnn_unit, max_len=max_len,
                               term_to_id={t: i + 1 for i, t in enumerate(terms)})
-    if encoder.max_len != cnn.max_len:
-        raise ValueError(f"encoder.max_len {encoder.max_len} != cnn.max_len {cnn.max_len}")
     if len(cnn.embedding) != encoder.vocab_size:
         raise ValueError(f"cnn.embedding has {len(cnn.embedding)} rows for "
                          f"{encoder.vocab_size} ids")

@@ -242,6 +242,7 @@ def _key_blob(keys: np.ndarray) -> np.ndarray:
 
 
 def _keys_of_blob(blob: np.ndarray) -> np.ndarray:
+    blob = blob.astype(np.uint64, casting="same_kind")
     if blob.ndim == 1:
         return blob
     keys = np.zeros(blob.shape[0], dtype=object)
@@ -330,38 +331,6 @@ class Vocabulary:
                           doc_freq=self.doc_freq[cols], n_docs=self.n_docs,
                           counts=None if self.counts is None else self.counts[:, cols]), cols
 
-    @classmethod
-    def from_terms(cls, terms: Sequence[str], doc_freq: np.ndarray, n_docs: int,
-                   symbols: Symbols | None = None) -> Vocabulary:
-        """The vocabulary of these sorted, distinct terms. The rank tables
-        default to the code points of the char terms and the tokens of the
-        word terms."""
-        namespaces = [term.partition(":")[0] + ":" for term in terms]
-        if namespaces != sorted(namespaces):
-            raise VectorizeError("terms are not sorted")
-        unknown = set(namespaces) - NgramSpec(WORD_ORDER_RANGE, CHAR_ORDER_RANGE).namespaces()
-        if unknown:
-            raise VectorizeError(f"unknown term namespaces {sorted(unknown)}")
-        docs: dict[str, list[PreprocessedDoc]] = {}
-        for ns, term in zip(namespaces, terms):
-            body = term[len(ns):]
-            docs.setdefault(ns, []).append(PreprocessedDoc((), body) if ns[0] == "c"
-                                           else PreprocessedDoc.from_tokens(body.split(" ")))
-        if symbols is None:
-            chars = [d for ns in docs if ns[0] == "c" for d in docs[ns]]
-            words = [d for ns in docs if ns[0] == "w" for d in docs[ns]]
-            symbols = Symbols(alphabet=Symbols.fit(chars, NgramSpec(char_orders={2})).alphabet,
-                              words=Symbols.fit(words, NgramSpec(word_orders={1})).words)
-        keys = {}
-        for ns, ns_docs in docs.items():
-            found, doc = _ngrams(ns_docs, (ns,), symbols).get(ns, ((), ()))
-            if not np.array_equal(doc, np.arange(len(ns_docs))) or np.any(found[1:] <= found[:-1]):
-                raise VectorizeError(f"{ns} terms are not distinct, sorted {ns[1]}-grams "
-                                     "of the rank tables' symbols")
-            keys[ns] = found
-        return cls(symbols=symbols, keys=keys, doc_freq=np.asarray(doc_freq, dtype=np.int64),
-                   n_docs=n_docs)
-
     def blobs(self) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         """The model-file arrays and texts from_blobs reads back."""
         arrays = {"doc_freq": self.doc_freq,
@@ -372,8 +341,8 @@ class Vocabulary:
 
     @classmethod
     def from_blobs(cls, arrays: dict[str, np.ndarray], texts: dict[str, str]) -> Vocabulary:
-        """A vocabulary from blobs(), or from the term list of a file in
-        model format major 1 or 2.
+        """The vocabulary of blobs(), its integer arrays widened back to the
+        dtypes they are computed with.
 
         Refuses a code-point table or a namespace's keys that are not strictly
         ascending (count_terms binary-searches them), a word list that is not
@@ -381,35 +350,30 @@ class Vocabulary:
         order over the rank tables, and a doc_freq that is not one entry in
         1..n_docs per term (the idf divides by 1 + df).
         """
-        doc_freq, n_docs = arrays["doc_freq"], int(arrays["vocab.n_docs"][0])
-        if "vocab.terms" in texts:
-            terms = texts["vocab.terms"].split("\n") if texts["vocab.terms"] else []
-            vocab = cls.from_terms(terms, doc_freq, n_docs)
-        else:
-            symbols = Symbols(alphabet=arrays["vocab.alphabet"],
-                              words=tuple(texts["vocab.words"].split("\n")[:-1]))
-            prefix = "vocab.keys."
-            keys = {name[len(prefix):] + ":": _keys_of_blob(blob)
-                    for name, blob in sorted(arrays.items()) if name.startswith(prefix)}
-            vocab = cls(symbols=symbols, keys=keys, doc_freq=doc_freq, n_docs=n_docs)
-        alphabet = vocab.symbols.alphabet
+        alphabet = arrays["vocab.alphabet"].astype(np.uint32, casting="same_kind")
         if alphabet.ndim != 1 or np.any(alphabet[1:] <= alphabet[:-1]):
             raise VectorizeError("vocab.alphabet is not strictly ascending")
-        words = vocab.symbols.words
-        if list(words) != sorted(words) or len(vocab.symbols.word_rank) != len(words):
+        symbols = Symbols(alphabet=alphabet, words=tuple(texts["vocab.words"].split("\n")[:-1]))
+        words = symbols.words
+        if list(words) != sorted(words) or len(symbols.word_rank) != len(words):
             raise VectorizeError("vocab.words is not strictly ascending")
-        for ns, k in vocab.keys.items():
-            base = alphabet.size if ns[0] == "c" else len(vocab.symbols.words)
+        prefix = "vocab.keys."
+        keys = {name[len(prefix):] + ":": _keys_of_blob(blob)
+                for name, blob in sorted(arrays.items()) if name.startswith(prefix)}
+        for ns, k in keys.items():
+            base = alphabet.size if ns[0] == "c" else len(words)
             if np.any(k[1:] <= k[:-1]):
                 raise VectorizeError(f"vocab.keys.{ns[:-1]} is not strictly ascending")
             if k.size and int(k[-1]) >= base ** int(ns[1]):
                 raise VectorizeError(f"vocab.keys.{ns[:-1]} holds a key past its rank tables")
-        n_terms = sum(k.size for k in vocab.keys.values())
-        if vocab.doc_freq.shape != (n_terms,):
-            raise VectorizeError(f"doc_freq has {vocab.doc_freq.size} entries for {n_terms} terms")
-        if n_terms and not (vocab.doc_freq.min() >= 1 and vocab.doc_freq.max() <= n_docs):
+        doc_freq = arrays["doc_freq"].astype(np.int64, casting="same_kind")
+        n_docs = int(arrays["vocab.n_docs"][0])
+        n_terms = sum(k.size for k in keys.values())
+        if doc_freq.shape != (n_terms,):
+            raise VectorizeError(f"doc_freq has {doc_freq.size} entries for {n_terms} terms")
+        if n_terms and not (doc_freq.min() >= 1 and doc_freq.max() <= n_docs):
             raise VectorizeError(f"doc_freq entries must lie in 1..{n_docs} (vocab.n_docs)")
-        return vocab
+        return cls(symbols=symbols, keys=keys, doc_freq=doc_freq, n_docs=n_docs)
 
 
 def _count_matrix(doc_parts: list[np.ndarray], col_parts: list[np.ndarray], n_docs: int,

@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from urdufake.vectorize import NgramSpec, Symbols, Vocabulary, VectorizeError
+from urdufake.preprocess import PreprocessedDoc
+from urdufake.vectorize import NgramSpec, Symbols, Vocabulary, VectorizeError, _ngrams
 
 
 def word_ngrams(tokens: Sequence[str], orders: Iterable[int]) -> list[str]:
@@ -79,9 +80,32 @@ def reference_symbols(docs, spec: NgramSpec) -> Symbols:
                    words=tuple(words))
 
 
+def vocabulary_of_terms(terms: Sequence[str], doc_freq: np.ndarray, n_docs: int,
+                        symbols: Symbols) -> Vocabulary:
+    """The vocabulary of these sorted, distinct terms, each coded into its
+    key over the rank tables symbols."""
+    namespaces = [term.partition(":")[0] + ":" for term in terms]
+    if namespaces != sorted(namespaces):
+        raise VectorizeError("terms are not sorted")
+    docs: dict[str, list[PreprocessedDoc]] = {}
+    for ns, term in zip(namespaces, terms):
+        body = term[len(ns):]
+        docs.setdefault(ns, []).append(PreprocessedDoc((), body) if ns[0] == "c"
+                                       else PreprocessedDoc.from_tokens(body.split(" ")))
+    keys = {}
+    for ns, ns_docs in docs.items():
+        found, doc = _ngrams(ns_docs, (ns,), symbols).get(ns, ((), ()))
+        if not np.array_equal(doc, np.arange(len(ns_docs))) or np.any(found[1:] <= found[:-1]):
+            raise VectorizeError(f"{ns} terms are not distinct, sorted {ns[1]}-grams "
+                                 "of the rank tables' symbols")
+        keys[ns] = found
+    return Vocabulary(symbols=symbols, keys=keys, doc_freq=np.asarray(doc_freq, dtype=np.int64),
+                      n_docs=n_docs)
+
+
 def reference_build_vocabulary(docs, spec: NgramSpec) -> Vocabulary:
     terms, doc_freq = reference_terms(docs, spec)
-    return Vocabulary.from_terms(terms, doc_freq, len(docs), reference_symbols(docs, spec))
+    return vocabulary_of_terms(terms, doc_freq, len(docs), reference_symbols(docs, spec))
 
 
 def reference_counts(docs, terms: Sequence[str], spec: NgramSpec) -> sparse.csr_matrix:

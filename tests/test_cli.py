@@ -222,17 +222,31 @@ def _saved_model(data_dir, config="k_best = 50\n"):
 
 
 def _corrupt_model(data_dir, case):
-    """A saved model with its first metadata byte changed, with its blob
-    count one lower, so the last blob is never read, or with the stated
-    size of its metadata or its first blob far beyond the end of the file."""
-    blob = bytearray(_saved_model(data_dir).read_bytes())
+    """A saved model with its first metadata byte changed; with major version
+    3; without its last blob or with that blob twice, its blob count changed
+    to match; with a byte after its last blob; or with the stated size of its
+    metadata or its first blob far beyond the end of the file."""
+    path = _saved_model(data_dir)
+    words = persistence.read_container(path)[2]["vocab.words"].encode("utf-8")
+    blob = bytearray(path.read_bytes())
+    # the last blob is the vocab.words text: u16 name length, name, u8 kind,
+    # u64 size, payload
+    last = blob[len(blob) - (2 + len(b"vocab.words") + 1 + 8 + len(words)):]
     meta_at = 4 + 8 + 8
     count_at = meta_at + int.from_bytes(blob[12:20], "little")
+    n_blobs = int.from_bytes(blob[count_at:count_at + 4], "little")
     if case == "model_metadata_corrupt":
         blob[meta_at] ^= 1
+    elif case == "model_major_3":
+        blob[4:8] = (3).to_bytes(4, "little")
     elif case == "model_blob_missing":
-        n_blobs = int.from_bytes(blob[count_at:count_at + 4], "little")
         blob[count_at:count_at + 4] = (n_blobs - 1).to_bytes(4, "little")
+        blob = blob[:-len(last)]
+    elif case == "model_blob_repeated":
+        blob[count_at:count_at + 4] = (n_blobs + 1).to_bytes(4, "little")
+        blob += last
+    elif case == "model_trailing_byte":
+        blob += b"\0"
     elif case == "model_metadata_size_2_62":
         blob[12:20] = (2**62).to_bytes(8, "little")
     else:  # the u64 after the first blob's u16 name length, name and u8 kind
@@ -245,22 +259,29 @@ def _corrupt_model(data_dir, case):
 
 def _out_of_range_model(data_dir, case):
     """A saved model rewritten with one value out of range, or with one blob
-    that disagrees with the others."""
+    that disagrees with the others. Integer blobs are stored in the smallest
+    unsigned dtype that holds them, so one is widened before a larger value
+    goes in."""
     config = ("classifier = cnn\ncnn_epochs = 1\ncnn_channels = 1\n"
               if case.startswith("cnn_model") else "k_best = 50\n")
     meta, arrays, texts = persistence.read_container(_saved_model(data_dir, config))
     if case == "model_gamma_nan":
-        arrays["svm.scalars"][2] = np.nan
+        arrays["svm.scalars"][1] = np.nan  # bias, gamma, converged
     elif case == "model_degree_0":
-        arrays["svm.scalars"][4] = 0.0
+        meta["config"] = meta["config"].replace("svm_degree = 1\n", "svm_degree = 0\n")
     elif case == "model_dual_coef_short":
         arrays["svm.dual_coef"] = arrays["svm.dual_coef"][:-1]
     elif case == "model_sv_index_out_of_range":
+        arrays["svm.sv.indices"] = arrays["svm.sv.indices"].astype(np.int64)
         arrays["svm.sv.indices"][0] = 10**9
     elif case == "model_doc_freq_short":
         arrays["doc_freq"] = arrays["doc_freq"][:-3]
-    elif case == "model_n_features_wrong":
-        arrays["svm.scalars"][6] = 1e6
+    elif case == "model_mask_kept_short":
+        arrays["mask.kept"] = arrays["mask.kept"][:-1]
+    elif case == "model_mask_kept_float":
+        arrays["mask.kept"] = arrays["mask.kept"] + 0.5
+    elif case == "model_resources_not_str":
+        meta["resources"] = 1
     elif case == "model_words_unordered":
         words = texts["vocab.words"].split("\n")[:-1]
         words[0], words[-1] = words[-1], words[0]
@@ -268,17 +289,13 @@ def _out_of_range_model(data_dir, case):
     elif case == "model_config_classifier_mismatch":
         meta["config"] = meta["config"].replace("classifier = svm\n", "classifier = cnn\n")
     elif case == "cnn_model_max_len_0":
-        meta["encoder.max_len"] = 0
-    elif case == "cnn_model_max_len_float":  # equal to cnn.max_len, but not an int
-        meta["encoder.max_len"] = float(meta["encoder.max_len"])
-    elif case == "cnn_model_max_len_mismatch":
-        meta["encoder.max_len"] += 3
+        arrays["cnn.max_len"][0] = 0
     elif case == "cnn_model_embedding_short":
         arrays["cnn.embedding"] = arrays["cnn.embedding"][:3]
     elif case == "cnn_model_mixed_dtype":
         arrays["cnn.dense_w"] = arrays["cnn.dense_w"].astype(np.float16)
     else:
-        meta["encoder.unit"] = "byte"
+        meta["config"] = meta["config"].replace("cnn_unit = word\n", "cnn_unit = byte\n")
     path = data_dir / f"{case}.ufnd"
     persistence.write_container(path, dict(meta), dict(arrays), dict(texts))
     return path
@@ -294,13 +311,14 @@ def _bad_input(data_dir, case):
         return ["train", "--train", data_dir / "absent.tsv"]
     if case == "not_a_model_file":
         return ["predict", "--model", train, "--input", test]
-    if case in ("model_metadata_corrupt", "model_blob_missing", "model_metadata_size_2_62",
+    if case in ("model_metadata_corrupt", "model_major_3", "model_blob_missing",
+                "model_blob_repeated", "model_trailing_byte", "model_metadata_size_2_62",
                 "model_blob_size_2_62", "model_blob_size_2_40"):
         return ["predict", "--model", _corrupt_model(data_dir, case), "--input", test]
     if case in ("model_gamma_nan", "model_degree_0", "model_dual_coef_short",
-                "model_sv_index_out_of_range", "model_doc_freq_short", "model_n_features_wrong",
-                "model_words_unordered", "model_config_classifier_mismatch",
-                "cnn_model_max_len_0", "cnn_model_max_len_float", "cnn_model_max_len_mismatch",
+                "model_sv_index_out_of_range", "model_doc_freq_short", "model_mask_kept_short",
+                "model_mask_kept_float", "model_resources_not_str", "model_words_unordered",
+                "model_config_classifier_mismatch", "cnn_model_max_len_0",
                 "cnn_model_embedding_short",
                 "cnn_model_mixed_dtype", "cnn_model_unit_byte"):
         return ["predict", "--model", _out_of_range_model(data_dir, case), "--input", test]
@@ -348,7 +366,10 @@ def _bad_input(data_dir, case):
     ("missing_train_file", "No such file or directory"),
     ("not_a_model_file", "magic-byte check failed"),
     ("model_metadata_corrupt", "corrupt model file: cannot decode the metadata"),
+    ("model_major_3", "model format major version 3 is not the supported 4; "),
     ("model_blob_missing", "model file has no text blob 'vocab.words'"),
+    ("model_blob_repeated", "corrupt model file: blob 'vocab.words' occurs twice"),
+    ("model_trailing_byte", "corrupt model file: bytes after the last blob"),
     ("model_metadata_size_2_62", "truncated model file while reading metadata"),
     ("model_blob_size_2_62", "truncated model file while reading blob "),
     ("model_blob_size_2_40", "truncated model file while reading blob "),
@@ -357,14 +378,14 @@ def _bad_input(data_dir, case):
     ("model_dual_coef_short", "corrupt model file: svm.dual_coef has "),
     ("model_sv_index_out_of_range", "corrupt model file: svm.sv: indices must be < "),
     ("model_doc_freq_short", "corrupt model file: doc_freq has "),
-    ("model_n_features_wrong", "corrupt model file: mask.kept keeps "),
+    ("model_mask_kept_short", "corrupt model file: mask.kept keeps "),
+    ("model_mask_kept_float", "corrupt model file: Cannot cast array data from "
+                              "dtype('float64') to dtype('int64')"),
+    ("model_resources_not_str", "corrupt model file: metadata 'resources' is int, not str"),
     ("model_words_unordered", "corrupt model file: vocab.words is not strictly ascending"),
-    ("model_config_classifier_mismatch", "corrupt model file: metadata kind 'svm' disagrees "
-                                         "with the config's classifier 'cnn'"),
-    ("cnn_model_max_len_0", "corrupt model file: max_len must be >= 1"),
-    ("cnn_model_max_len_float", "corrupt model file: metadata 'encoder.max_len' is float, "
-                                "not int"),
-    ("cnn_model_max_len_mismatch", "corrupt model file: encoder.max_len "),
+    ("model_config_classifier_mismatch", "model file has no array blob 'cnn.embedding'"),
+    ("cnn_model_max_len_0", "corrupt model file: max_len=0 is shorter than the largest "
+                            "kernel size 1"),
     ("cnn_model_embedding_short", "corrupt model file: cnn.embedding has 3 rows for "),
     ("cnn_model_mixed_dtype", "corrupt model file: parameters must be all float32 or all "
                               "float64, got float16, float32"),

@@ -398,83 +398,41 @@ def test_a_float64_cnn_file_loads_and_predicts_in_float64(small_train, small_tes
     assert (tmp_path / "f32.ufnd").stat().st_size < 0.6 * path.stat().st_size
 
 
-#: The blobs of an SVM model file in format major 3: the vocabulary as its
-#: rank tables and the term keys of each namespace.
-MAJOR_3_SVM_ARRAYS = {
+#: The blobs of an SVM model file: the vocabulary as its rank tables and the
+#: term keys of each namespace.
+SVM_ARRAYS = {
     "doc_freq", "mask.kept", "vocab.n_docs", "vocab.alphabet",
     *(f"vocab.keys.c{n}" for n in range(2, 7)), *(f"vocab.keys.w{n}" for n in range(1, 5)),
     "svm.sv.data", "svm.sv.indices", "svm.sv.indptr", "svm.sv.shape",
     "svm.dual_coef", "svm.scalars",
 }
 
-#: The blobs of an SVM model file in format major 1, which held the terms as
-#: text and also stored the idf (derived from doc_freq and vocab.n_docs) and
-#: the requested K. Major 2 dropped those two.
-MAJOR_1_SVM_ARRAYS = {
-    "idf", "doc_freq", "mask.kept", "mask.k", "vocab.n_docs",
-    "svm.sv.data", "svm.sv.indices", "svm.sv.indptr", "svm.sv.shape",
-    "svm.dual_coef", "svm.scalars",
-}
 
-
-def _old_svm_model(major, train, resources, tmp_path, monkeypatch):
-    """(pipeline, a file of it in an older format major, which held the terms
-    as text and no resource digest)."""
-    cfg = ExperimentConfig(name="compat", k_best=200)
-    fitted = fit_pipeline(train, cfg, resources)
-    new = tmp_path / "new.ufnd"
-    save_model(new, fitted)
-    assert new.read_bytes()[4:8] == (3).to_bytes(4, "little")
-    meta, arrays, texts = persistence.read_container(new)
-    assert set(arrays) == MAJOR_3_SVM_ARRAYS
-    assert set(texts) == {"vocab.words"}
-    assert meta.pop("resources") == resources.digest
-
-    arrays = {k: v for k, v in arrays.items() if k in MAJOR_1_SVM_ARRAYS}
-    if major == 1:
-        arrays["idf"] = fitted.vocabulary.idf
-        arrays["mask.k"] = np.asarray([cfg.k_best], dtype=np.int64)
-    texts = {"vocab.terms": "\n".join(fitted.vocabulary.terms_by_index())}
-    old = tmp_path / f"major{major}.ufnd"
-    with monkeypatch.context() as m:
-        m.setattr(persistence, "MAJOR", major)
-        persistence.write_container(old, meta, arrays, texts)
-    assert old.read_bytes()[4:8] == major.to_bytes(4, "little")
-    return fitted, old
-
-
-def test_major_1_svm_model_still_loads(small_train, small_test, resources, tmp_path,
-                                       monkeypatch):
-    fitted, old = _old_svm_model(1, small_train, resources, tmp_path, monkeypatch)
-    assert set(persistence.read_container(old)[1]) == MAJOR_1_SVM_ARRAYS
-    loaded = load_model(old)
-    assert loaded.vocabulary.terms_by_index() == fitted.vocabulary.terms_by_index()
-    np.testing.assert_array_equal(loaded.decision_values(small_test, resources),
-                                  fitted.decision_values(small_test, resources))
-
-
-def test_major_2_svm_model_loads_and_resaves_as_major_3(small_train, small_test, resources,
-                                                         tmp_path, monkeypatch):
-    fitted, old = _old_svm_model(2, small_train, resources, tmp_path, monkeypatch)
-    assert set(persistence.read_container(old)[1]) == MAJOR_1_SVM_ARRAYS - {"idf", "mask.k"}
-    loaded = load_model(old)
-    assert loaded.resources_digest is None
-    assert loaded.vocabulary.terms_by_index() == fitted.vocabulary.terms_by_index()
-    assert loaded.vocabulary.doc_freq.tobytes() == fitted.vocabulary.doc_freq.tobytes()
-    np.testing.assert_array_equal(loaded.decision_values(small_test, resources),
-                                  fitted.decision_values(small_test, resources))
-    # no digest, so other resources are not refused
-    other = Resources.load(lemmas_path=_lemma_file(tmp_path))
-    loaded.decision_values(small_test, other)
-    # the terms coded on load are the keys a fresh fit stores
-    resaved = tmp_path / "resaved.ufnd"
-    save_model(resaved, replace(loaded, resources_digest=fitted.resources_digest))
-    fresh = tmp_path / "fresh.ufnd"
-    save_model(fresh, fitted)
-    _, new_arrays, _ = persistence.read_container(fresh)
-    _, resaved_arrays, _ = persistence.read_container(resaved)
-    for name in sorted(n for n in new_arrays if n.startswith("vocab.keys.")):
-        assert resaved_arrays[name].tobytes() == new_arrays[name].tobytes(), name
+def test_a_file_of_another_major_version_is_refused(small_train, resources, tmp_path,
+                                                     monkeypatch):
+    """A major-3 file, which also held the classifier as the metadata "kind"
+    and C, coef0, degree and the feature count in svm.scalars, and a major-5
+    file each stop loading with one line naming their version."""
+    fitted = fit_pipeline(small_train, ExperimentConfig(name="compat", k_best=200), resources)
+    path = tmp_path / "m.ufnd"
+    save_model(path, fitted)
+    meta, arrays, texts = persistence.read_container(path)
+    bias, gamma, converged = arrays["svm.scalars"]
+    kernel = fitted.svm.kernel
+    meta["kind"] = "svm"
+    arrays["svm.scalars"] = np.asarray([bias, fitted.svm.C, gamma, kernel.coef0, kernel.degree,
+                                        converged, fitted.svm.n_features], dtype=np.float64)
+    for major in (3, 5):
+        other = tmp_path / f"major{major}.ufnd"
+        with monkeypatch.context() as m:
+            m.setattr(persistence, "MAJOR", major)
+            persistence.write_container(other, meta, arrays, texts)
+        assert other.read_bytes()[4:8] == major.to_bytes(4, "little")
+        with pytest.raises(ModelFormatError) as err:
+            load_model(other)
+        assert str(err.value) == (f"model format major version {major} is not the supported 4; "
+                                  "train the model again, or load it with the version that "
+                                  "wrote it")
 
 
 def _lemma_file(tmp_path):
@@ -522,17 +480,6 @@ def test_load_wrong_magic(tmp_path):
         load_model(p)
 
 
-def test_load_newer_major_version_refused(small_train, resources, tmp_path):
-    cfg = ExperimentConfig(name="v", k_best=100)
-    p = tmp_path / "m.ufnd"
-    save_model(p, fit_pipeline(small_train, cfg, resources))
-    blob = bytearray(p.read_bytes())
-    blob[4:8] = (99).to_bytes(4, "little")
-    p.write_bytes(bytes(blob))
-    with pytest.raises(ModelFormatError, match="newer than supported"):
-        load_model(p)
-
-
 def test_load_truncated_file(small_train, resources, tmp_path):
     cfg = ExperimentConfig(name="t", k_best=100)
     p = tmp_path / "m.ufnd"
@@ -545,7 +492,7 @@ def test_load_truncated_file(small_train, resources, tmp_path):
 
 def test_load_undecodable_blob_names_it(tmp_path):
     p = tmp_path / "m.ufnd"
-    persistence.write_container(p, {"kind": "svm"}, {"svm.dual_coef": np.zeros(3)})
+    persistence.write_container(p, {}, {"svm.dual_coef": np.zeros(3)})
     p.write_bytes(p.read_bytes().replace(b"\x93NUMPY", b"\x93NUMPX"))
     with pytest.raises(ModelFormatError, match="cannot decode blob 'svm.dual_coef'"):
         persistence.read_container(p)
@@ -571,7 +518,7 @@ def test_an_npy_blob_other_than_np_save_writes_is_one_corrupt_file_line(
         tmp_path, monkeypatch, case, payload):
     monkeypatch.setattr(persistence, "_array_bytes", lambda arr: payload)
     p = tmp_path / "m.ufnd"
-    persistence.write_container(p, {"kind": "svm"}, {"svm.dual_coef": np.zeros(3)})
+    persistence.write_container(p, {}, {"svm.dual_coef": np.zeros(3)})
     with pytest.raises(ModelFormatError) as err:
         persistence.read_container(p)
     assert str(err.value) == "corrupt model file: cannot decode blob 'svm.dual_coef'"
@@ -598,7 +545,7 @@ def test_every_blob_decodes_as_np_load_reads_it(sweep_models, monkeypatch, kind)
 
 def test_load_missing_metadata_key_names_it(tmp_path):
     p = tmp_path / "m.ufnd"
-    persistence.write_container(p, {"kind": "svm"}, {})
+    persistence.write_container(p, {}, {})
     with pytest.raises(ModelFormatError, match="no metadata key 'config'"):
         load_model(p)
 
@@ -616,13 +563,42 @@ def sweep_models(synthetic_train, resources, tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
     paths = {}
     for kind, config, blobs in (
-            ("svm", ExperimentConfig(name="sweep-svm", k_best=200), MAJOR_3_SVM_ARRAYS),
+            ("svm", ExperimentConfig(name="sweep-svm", k_best=200), SVM_ARRAYS),
             ("cnn", ExperimentConfig(name="sweep-cnn", classifier="cnn", cnn_epochs=1,
                                      cnn_channels=(1, 2)), SWEEP_CNN_ARRAYS)):
         paths[kind] = out / f"{kind}.ufnd"
         save_model(paths[kind], fit_pipeline(synthetic_train, config, resources))
         assert set(persistence.read_container(paths[kind])[1]) == blobs
     return paths
+
+
+@pytest.mark.parametrize("kind", ["svm", "cnn"])
+def test_model_metadata_is_the_config_and_resources_digest(sweep_models, resources, kind):
+    """The config owns the classifier and every setting it names, so the
+    metadata holds nothing else but the fitted resources' digest."""
+    meta = persistence.read_container(sweep_models[kind])[0]
+    assert set(meta) == {"config", "resources"}
+    assert meta["resources"] == resources.digest
+
+
+def test_integer_blobs_are_stored_narrow_and_load_wide(sweep_models, tmp_path):
+    _, arrays, _ = persistence.read_container(sweep_models["svm"])
+    narrow = [n for n in arrays if n.startswith("vocab.keys.")] + [
+        "doc_freq", "vocab.alphabet", "mask.kept", "svm.sv.indices", "svm.sv.indptr"]
+    for name in narrow:
+        assert arrays[name].dtype.kind == "u" and arrays[name].dtype.itemsize < 8, name
+    loaded = load_model(sweep_models["svm"])
+    vocab = loaded.vocabulary
+    assert vocab.doc_freq.dtype == np.int64 and vocab.symbols.alphabet.dtype == np.uint32
+    assert {k.dtype for k in vocab.keys.values()} == {np.dtype(np.uint64)}
+    assert loaded.mask.kept.dtype == np.int64
+    # only integer arrays with no negative entry are narrowed
+    path = tmp_path / "ints.ufnd"
+    kept = {"negative": np.array([-1, 300]), "float": np.array([1.0, 2.0]),
+            "empty": np.zeros(0, dtype=np.int64), "wide": np.array([0, 2**40])}
+    persistence.write_container(path, {}, kept)
+    dtypes = {n: a.dtype.str for n, a in persistence.read_container(path)[1].items()}
+    assert dtypes == {"negative": "<i8", "float": "<f8", "empty": "|u1", "wide": "<u8"}
 
 
 def _damaged(arr: np.ndarray, change: str) -> np.ndarray:
@@ -638,7 +614,7 @@ def _damaged(arr: np.ndarray, change: str) -> np.ndarray:
 
 
 @pytest.mark.parametrize("change", ["drop_first", "drop_last", "middle_minus_1"])
-@pytest.mark.parametrize("kind, blob", [("svm", b) for b in sorted(MAJOR_3_SVM_ARRAYS)]
+@pytest.mark.parametrize("kind, blob", [("svm", b) for b in sorted(SVM_ARRAYS)]
                          + [("cnn", b) for b in sorted(SWEEP_CNN_ARRAYS)])
 def test_a_damaged_array_blob_predicts_or_gives_an_input_error(
         sweep_models, synthetic_test, resources, tmp_path, kind, blob, change):
