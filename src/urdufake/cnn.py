@@ -18,13 +18,33 @@ A batch holds far fewer distinct ids U than positions B*L (a char batch:
 about 40 of 42,000), so the convolution runs over the ids, not the
 positions. Each width-k channel multiplies the batch's U embedding rows by
 its filters once, a (U, D) @ (D, k*F) GEMM giving R, whose rows are the
-filter responses of each id at each kernel shift. A (B*T, U*k) matrix A,
-one nonzero per position and shift (the dropout weight, or 1), gathers and
-adds those responses into the (B*T, F) pre-activations: pre = A @ R.
-The backward pass scatters the pre-activation gradient back onto the ids
-with the transpose, S = A.T @ d_pre, and takes the filter and embedding
-gradients from S with two more (U, k*F) GEMMs; embedding rows of ids not
-in the batch get a zero gradient.
+filter responses of each id at each kernel shift. A sparse matrix A, a row
+per convolved window with one nonzero per shift (the dropout weight, or 1),
+gathers and adds those responses into the windows' pre-activations:
+pre = A @ R. The backward pass scatters the pre-activation gradient back
+onto the ids with the transpose, S = A.T @ d_pre, and takes the filter and
+embedding gradients from S with two more (U, k*F) GEMMs. The embedding
+gradient is returned as the batch's U rows only; Adam gives every other row
+the zero-gradient step.
+
+Only real windows are convolved. Sequences are post-padded with id 0, and
+unknown terms are id 0 too, so a document whose last non-zero id is at
+position n_b - 1 holds only id 0 after it. Its first min(P, ceil(n_b / 2))
+pooling pairs are real, having a window that reads position n_b - 1 or an
+earlier one; A holds the windows of those pairs only. Every later window
+reads only id 0, so its pre-activation is one per-channel constant
+c_k = conv_b[k] + the sum over dt of the pad id's R rows, summed from 0 in
+the order A @ R sums, and each of those pairs pools to relu(c_k), written
+into Z by one broadcast: forward gives the values of convolving every
+window, bit for bit. Backward adds those pairs' pooled gradients to the pad
+id's rows of S as one per-filter vector, which reaches conv_w[k] and the pad
+id's embedding row; only the order of that sum differs from convolving
+every window. With embedding dropout on, pad positions carry their own
+mask values, so every pair of every document is real.
+
+The cache keeps what backward reads: the batch's ids and embedding rows, Z,
+the hidden layer and the output, and per channel A, the element each real
+pair kept and which pairs are real.
 """
 
 from __future__ import annotations
@@ -35,7 +55,6 @@ from itertools import repeat
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
 from .corpus import Label
@@ -67,7 +86,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # _adam_step updates this many parameters at a time, so its operands and its
-# two scratch arrays stay in cache between its passes
+# two scratch arrays stay in cache between its passes; init_cnn draws this
+# many values at a time
 _ADAM_BLOCK = 32768
 
 
@@ -231,28 +251,40 @@ def init_cnn(vocab_size: int, max_len: int, channels: Sequence[int], seed: int) 
     channels = tuple(sorted(set(int(k) for k in channels)))
     shapes = _param_shapes(vocab_size, max_len, channels)
     rng = np.random.default_rng(seed)
-    emb = rng.uniform(-0.05, 0.05, size=shapes["embedding"])
+    emb = _uniform32(rng, 0.05, shapes["embedding"])
     conv_w: dict[int, np.ndarray] = {}
     conv_b: dict[int, np.ndarray] = {}
     for k in channels:
         limit = np.sqrt(6.0 / (k * EMBED_DIM + N_FILTERS))
-        conv_w[k] = rng.uniform(-limit, limit, size=shapes[f"conv_w[{k}]"])
-        conv_b[k] = np.zeros(N_FILTERS)
+        conv_w[k] = _uniform32(rng, limit, shapes[f"conv_w[{k}]"])
+        conv_b[k] = np.zeros(N_FILTERS, np.float32)
     limit = np.sqrt(6.0 / (shapes["dense_w"][0] + HIDDEN_UNITS))
-    dense_w = rng.uniform(-limit, limit, size=shapes["dense_w"])
+    dense_w = _uniform32(rng, limit, shapes["dense_w"])
     limit = np.sqrt(6.0 / (HIDDEN_UNITS + 1))
-    out_w = rng.uniform(-limit, limit, size=HIDDEN_UNITS)
+    out_w = _uniform32(rng, limit, (HIDDEN_UNITS,))
     return CnnModel(
         embedding=emb,
         conv_w=conv_w,
         conv_b=conv_b,
         dense_w=dense_w,
-        dense_b=np.zeros(HIDDEN_UNITS),
+        dense_b=np.zeros(HIDDEN_UNITS, np.float32),
         out_w=out_w,
-        out_b=np.zeros(1),
+        out_b=np.zeros(1, np.float32),
         channels=channels,
         max_len=max_len,
-    ).astype(np.float32)
+    )
+
+
+def _uniform32(rng: np.random.Generator, limit: float, shape: tuple[int, ...]) -> np.ndarray:
+    """rng.uniform(-limit, limit, size=shape) rounded to float32, drawn in
+    chunks: the same float64 stream, without a float64 array of the whole
+    shape."""
+    out = np.empty(shape, np.float32)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _ADAM_BLOCK):
+        chunk = flat[start : start + _ADAM_BLOCK]
+        chunk[:] = rng.uniform(-limit, limit, size=chunk.size)
+    return out
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -265,41 +297,60 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(model: CnnModel, ids: np.ndarray, drop_mask: np.ndarray | None = None):
-    """Forward pass keeping every intermediate needed for backprop, in the
-    model's dtype up to the logits; "o" and "p" are float64."""
+    """Forward pass keeping what backprop reads, in the model's dtype up to
+    the logits; "o" and "p" are float64."""
     if ids.shape[1] != model.max_len:
         raise CnnError(f"batch width {ids.shape[1]} != model max_len {model.max_len}")
     B, L = ids.shape
     uniq, inv = np.unique(ids, return_inverse=True)
-    inv = inv.reshape(B, L)                               # position -> row of uniq
+    # A's indices in int32 when they fit, which spares scipy a scan and a
+    # copy of them for A and for A.T
+    index = np.int32 if B * L * max(model.channels) < 2**31 else np.int64
+    inv = inv.reshape(B, L).astype(index)                 # position -> row of uniq
     E_u = model.embedding[uniq]                           # (U, D)
     U, D = E_u.shape
+    # a doc's real positions run up to its last non-zero id, or to L when
+    # dropout weighs the pad positions too; ceil of half of them are pairs
+    n_real = (np.full(B, L) if drop_mask is not None
+              else np.where(ids != 0, np.arange(1, L + 1), 0).max(axis=1))
     cache: dict = {"uniq": uniq, "E_u": E_u, "channels": {}}
     Z = np.empty((B, model.dense_w.shape[0]), model.dtype)  # (B, concat)
     offset = 0
     for k in model.channels:
         W = model.conv_w[k]                               # (F, k, D)
-        F, T = W.shape[0], L - k + 1
+        F, P = W.shape[0], pooled_length(L, k)
+        # real[b, p]: pair p of doc b has a window that reads a real id
+        real = np.arange(P) < (n_real[:, None] + 1) // 2
         # R[u * k + dt] = the response of id u at shift dt, E_u[u] @ W[:, dt].T
         R = (E_u @ W.transpose(1, 0, 2).reshape(k * F, D).T).reshape(U * k, F)
-        # A[b * T + t, u * k + dt] = the weight of position t + dt of doc b
-        # when it holds id u, so pre[b, t] = bias + sum_dt weight * R row
-        cols = (sliding_window_view(inv, k, axis=1) * k + np.arange(k)).ravel()
+        # A[i, u * k + dt] = the weight of position t + dt of doc b when it
+        # holds id u, row i being the i-th window (b, t) of a real pair in
+        # doc order, so pre[i] = bias + sum_dt weight * R row
+        window = np.flatnonzero(np.repeat(real, 2, axis=1))     # b * 2P + t
+        reads = (window + window // (2 * P) * (L - 2 * P))[:, None] + np.arange(k)  # b * L + t + dt
+        cols = (inv.ravel()[reads] * k + np.arange(k, dtype=index)).ravel()
         weights = (np.ones(cols.size, model.dtype) if drop_mask is None
-                   else sliding_window_view(drop_mask, k, axis=1).astype(model.dtype).ravel())
-        A = sparse.csr_matrix((weights, cols, np.arange(0, cols.size + 1, k)),
-                              shape=(B * T, U * k))
-        pre = (A @ R).reshape(B, T, F)
+                   else drop_mask.astype(model.dtype, copy=False).ravel()[reads].ravel())
+        A = sparse.csr_matrix((weights, cols, np.arange(0, cols.size + 1, k, dtype=index)),
+                              shape=(len(window), U * k))
+        pre = A @ R
         pre += model.conv_b[k]
         # ReLU and max pooling commute, so each pair pools to max(even, odd,
         # 0), written into Z; the odd element wins only if it beats both
-        P = T // 2
-        even_relu = np.maximum(pre[:, 0 : 2 * P : 2], 0.0)
-        odd = pre[:, 1 : 2 * P : 2]
-        arg = odd > even_relu                             # ties -> first element
-        np.maximum(even_relu, odd, out=Z[:, offset : offset + P * F].reshape(B, P, F))
+        pooled = np.maximum(pre[0::2], 0.0)
+        odd = pre[1::2]
+        arg = odd > pooled                                # ties -> first element
+        Z_k = Z[:, offset : offset + P * F].reshape(B, P, F)
         offset += P * F
-        cache["channels"][k] = {"A": A, "pre": pre, "arg": arg, "T": T, "P": P, "F": F}
+        Z_k[real] = np.maximum(pooled, odd, out=pooled)
+        if not real.all():
+            # the later pairs read only the pad id, uniq[0]: relu(c_k)
+            c = np.zeros(F, model.dtype)
+            for dt in range(k):
+                c += R[dt]
+            c += model.conv_b[k]
+            Z_k[~real] = np.maximum(c, 0.0)
+        cache["channels"][k] = {"A": A, "arg": arg, "real": real}
     h_pre = Z @ model.dense_w + model.dense_b
     h = np.maximum(h_pre, 0.0)
     o = (h @ model.out_w + model.out_b[0]).astype(np.float64)  # (B,) logits
@@ -309,7 +360,9 @@ def _forward_cached(model: CnnModel, ids: np.ndarray, drop_mask: np.ndarray | No
 
 
 def forward(model: CnnModel, ids: np.ndarray) -> np.ndarray:
-    """Probabilities of the Fake class, strictly inside (0, 1)."""
+    """Probabilities of the Fake class, in [0, 1]: the sigmoid of float64
+    logits is exactly 1.0 for a logit above about 36.7 and exactly 0.0 below
+    about -745, and strictly inside (0, 1) between."""
     ids = np.asarray(ids, dtype=np.int64)
     blocks = [ids[s : s + _FORWARD_BLOCK] for s in range(0, len(ids), _FORWARD_BLOCK)]
     return np.concatenate([_forward_cached(model, b)[0] for b in blocks or [ids]])
@@ -321,7 +374,8 @@ def bce_loss(o: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _backward(model: CnnModel, cache: dict, targets: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of mean BCE w.r.t. every parameter group."""
+    """Gradients of mean BCE w.r.t. every parameter group; the embedding's
+    is that of its rows cache["uniq"] (every other row's is zero)."""
     B = targets.shape[0]
     do = ((cache["p"] - targets) / B).astype(model.dtype)  # (B,)
     grads: dict[str, np.ndarray] = {}
@@ -331,7 +385,6 @@ def _backward(model: CnnModel, cache: dict, targets: np.ndarray) -> dict[str, np
     dh_pre = dh * (cache["h_pre"] > 0.0)
     grads["dense_w"] = cache["Z"].T @ dh_pre
     grads["dense_b"] = dh_pre.sum(axis=0)
-    dZ = dh_pre @ model.dense_w.T
 
     E_u = cache["E_u"]
     D = E_u.shape[1]
@@ -339,29 +392,33 @@ def _backward(model: CnnModel, cache: dict, targets: np.ndarray) -> dict[str, np
     offset = 0
     for k in model.channels:
         ch = cache["channels"][k]
-        P, F, T = ch["P"], ch["F"], ch["T"]
-        width = P * F
-        d_flat = dZ[:, offset : offset + width].reshape(B, P, F)
+        W = model.conv_w[k]
+        F, P = W.shape[0], pooled_length(model.max_len, k)
+        cols = slice(offset, offset + P * F)
+        offset += P * F
+        d_kept = (dh_pre @ model.dense_w[cols].T).reshape(B, P, F)
         # the pooled gradient goes to the element each pair kept, when that
         # element, and so the pooled value, is above 0
-        d_kept = d_flat * (cache["Z"][:, offset : offset + width].reshape(B, P, F) > 0.0)
-        offset += width
+        d_kept *= cache["Z"][:, cols].reshape(B, P, F) > 0.0
         grads[f"conv_b[{k}]"] = d_kept.sum(axis=(0, 1))
-        d_pre = np.empty((B, T, F), model.dtype)
-        np.multiply(d_kept, ~ch["arg"], out=d_pre[:, 0 : 2 * P : 2])
-        np.multiply(d_kept, ch["arg"], out=d_pre[:, 1 : 2 * P : 2])
-        d_pre[:, 2 * P :] = 0.0                           # an odd T's last element
-        # S[u, dt * F + f]: d_pre summed over the positions whose shift dt
-        # reads id u, weighted as in the forward pass
-        S = (ch["A"].T @ d_pre.reshape(B * T, F)).reshape(-1, k * F)
-        W = model.conv_w[k]
+        real, arg = ch["real"], ch["arg"]
+        d_real = np.take(d_kept.reshape(B * P, F), np.flatnonzero(real), axis=0)
+        d_pre = np.empty((2 * len(d_real), F), model.dtype)
+        np.multiply(d_real, ~arg, out=d_pre[0::2])
+        np.multiply(d_real, arg, out=d_pre[1::2])
+        # S[u, dt * F + f]: d_pre summed over the windows whose shift dt
+        # reads id u, weighted as in the forward pass; a padding-only pair
+        # passes its gradient to its even window, whose every shift reads
+        # the pad id uniq[0]
+        S = (ch["A"].T @ d_pre).reshape(-1, k * F)
+        if not real.all():
+            pad = (~real).ravel().astype(model.dtype)
+            S.reshape(-1, k, F)[0] += pad @ d_kept.reshape(B * P, F)
         grads[f"conv_w[{k}]"] = np.ascontiguousarray(
             (S.T @ E_u).reshape(k, F, D).transpose(1, 0, 2))
         dE_u += S @ W.transpose(1, 0, 2).reshape(k * F, D)
 
-    demb = np.zeros_like(model.embedding)
-    demb[cache["uniq"]] = dE_u
-    grads["embedding"] = demb
+    grads["embedding"] = dE_u
     return grads
 
 
@@ -442,17 +499,20 @@ def train_cnn(
             batch_losses.append(loss)
             correct += int(np.sum((cache["p"] >= 0.5) == (tgt >= 0.5)))
             grads = _backward(model, cache, tgt)
+            rows = cache["uniq"]
+            del cache
             t += 1
             for name, arr in groups:
                 _adam_step(arr, grads[name], m[name], v[name], t, config.learning_rate,
-                           scratch)
+                           scratch, rows if name == "embedding" else None)
         history.append(EpochStats(epoch=epoch, loss=float(np.mean(batch_losses)),
                                   accuracy=correct / n))
     return model, history
 
 
 def _adam_step(param: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
-               lr: float, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+               lr: float, scratch: tuple[np.ndarray, np.ndarray],
+               rows: np.ndarray | None = None) -> None:
     """Adam step t (from 1) on the C-contiguous param, m and v in place, over
     blocks of _ADAM_BLOCK entries through two scratch arrays of that size.
     Each entry's operations and their order are those of
@@ -461,20 +521,32 @@ def _adam_step(param: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t
         v = b2 * v + (1 - b2) * g * g
         param -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
 
-    so the results are bit-identical to it, without its temporaries."""
+    so the results are bit-identical to it, without its temporaries.
+
+    With rows (distinct), g is the gradient of param[rows], and every other
+    row takes the zero-gradient step m = b1 * m, v = b2 * v without forming
+    the g terms. That is bit-identical too: m starts at +0.0 and decay never
+    makes it -0.0, and v >= +0, so adding a zero term changes no value."""
     if not param.flags.c_contiguous:  # m and v are laid out like param
         raise CnnError("Adam updates C-contiguous parameters in place")
-    flat = [a.reshape(-1) for a in (param, g, m, v)]
+    if rows is not None:
+        m *= ADAM_BETA1
+        m[rows] += g * (1.0 - ADAM_BETA1)
+        v *= ADAM_BETA2
+        v[rows] += g * (1.0 - ADAM_BETA2) * g
+    flat = [a.reshape(-1) for a in (param, m, v)]
     for start in range(0, param.size, _ADAM_BLOCK):
-        p_, g_, m_, v_ = (a[start : start + _ADAM_BLOCK] for a in flat)
+        p_, m_, v_ = (a[start : start + _ADAM_BLOCK] for a in flat)
         s1, s2 = (s[: p_.size] for s in scratch)
-        m_ *= ADAM_BETA1
-        np.multiply(g_, 1.0 - ADAM_BETA1, out=s1)
-        m_ += s1
-        v_ *= ADAM_BETA2
-        np.multiply(g_, 1.0 - ADAM_BETA2, out=s1)
-        s1 *= g_
-        v_ += s1
+        if rows is None:
+            g_ = g.reshape(-1)[start : start + _ADAM_BLOCK]
+            m_ *= ADAM_BETA1
+            np.multiply(g_, 1.0 - ADAM_BETA1, out=s1)
+            m_ += s1
+            v_ *= ADAM_BETA2
+            np.multiply(g_, 1.0 - ADAM_BETA2, out=s1)
+            s1 *= g_
+            v_ += s1
         np.divide(m_, 1.0 - ADAM_BETA1**t, out=s1)
         s1 *= lr
         np.divide(v_, 1.0 - ADAM_BETA2**t, out=s2)
@@ -523,8 +595,8 @@ def grad_check(
     Relative error per entry is |analytic - numeric| / max(|numeric|, 1e-6),
     so a gradient scaled by a factor c reports an error of about |c - 1|.
     Entries where the loss is locally non-differentiable (a perturbation
-    crosses a ReLU or max-pool boundary, detected by disagreement between the
-    h and h/2 central differences) are skipped; a systematically wrong
+    crosses a ReLU or max-pool boundary, detected by the +h and -h passes
+    making different ReLU or pooling choices) are skipped; a systematically wrong
     gradient gives consistent numeric estimates and is still caught.
     n_samples = 0 yields an empty report.
     """
@@ -533,6 +605,9 @@ def grad_check(
     targets = _targets_01(y)
     _, cache = _forward_cached(model, ids)
     analytic = _backward(model, cache, targets)
+    demb = np.zeros_like(model.embedding)
+    demb[cache["uniq"]] = analytic["embedding"]
+    analytic["embedding"] = demb
     rng = np.random.default_rng(seed)
     per_group: dict[str, float] = {}
     skipped = 0
@@ -567,11 +642,9 @@ def grad_check(
 
 
 def _kink_signature(cache: dict) -> bytes:
-    """Active-set fingerprint: ReLU signs and pooling argmax choices."""
-    parts = []
-    for k in sorted(cache["channels"]):
-        ch = cache["channels"][k]
-        parts.append((ch["pre"] > 0.0).tobytes())
-        parts.append(ch["arg"].tobytes())
+    """Active-set fingerprint: the pooling choices, which pooled values are
+    above 0 (the ReLU of the element each pair kept) and the hidden ReLUs."""
+    parts = [cache["channels"][k]["arg"].tobytes() for k in sorted(cache["channels"])]
+    parts.append((cache["Z"] > 0.0).tobytes())
     parts.append((cache["h_pre"] > 0.0).tobytes())
     return b"".join(parts)

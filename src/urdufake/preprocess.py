@@ -12,10 +12,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
+from typing import Iterable
 
 from .corpus import Document
 
@@ -40,12 +42,22 @@ DIACRITICS: frozenset[int] = frozenset(
     cp for lo, hi in DIACRITIC_RANGES for cp in range(lo, hi + 1)
 )
 
-_STRIP_TABLE = {cp: None for cp in DIACRITICS}
+
+def _char_class(ranges: Iterable[tuple[int, int]]) -> re.Pattern:
+    """One compiled character class of the code points in the inclusive
+    (lo, hi) ranges; it matches nothing when there are none. Scanning a
+    text for it is far faster than str.translate with a dict table, which
+    looks every character of non-ASCII text up in the dict."""
+    members = "".join(f"{re.escape(chr(lo))}-{re.escape(chr(hi))}" for lo, hi in ranges)
+    return re.compile(f"[{members}]" if members else "(?!)")
+
+
+_DIACRITIC_CLASS = _char_class(DIACRITIC_RANGES)
 
 
 def remove_diacritics(text: str) -> str:
     """Delete every code point in the diacritic strip set; all others untouched."""
-    return text.translate(_STRIP_TABLE)
+    return _DIACRITIC_CLASS.sub("", text)
 
 
 def _parse_codepoint(token: str, where: str) -> int:
@@ -69,6 +81,11 @@ class NormalizationMap:
         if cyclic:
             pts = ", ".join(f"U+{cp:04X}" for cp in sorted(cyclic))
             raise ResourceError(f"normalization map is cyclic: {pts} appear as both source and target")
+
+    @functools.cached_property
+    def sources(self) -> re.Pattern:
+        """The character class of the mapped code points."""
+        return _char_class((cp, cp) for cp in sorted(self.table))
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> "NormalizationMap":
@@ -102,7 +119,9 @@ def normalize_chars(text: str, mapping: NormalizationMap) -> str:
     """
     out = text
     while True:
-        nxt = unicodedata.normalize("NFC", out).translate(mapping.table)
+        nxt = unicodedata.normalize("NFC", out)
+        if mapping.sources.search(nxt):
+            nxt = nxt.translate(mapping.table)
         if nxt == out:
             return out
         out = nxt

@@ -1,15 +1,23 @@
-"""Reference CNN passes: the straight-line einsum forward and backward.
+"""Reference CNN passes: the straight-line einsum forward and backward, and
+the id-table forward over every window.
 
-This is the formulation urdufake.cnn used before the convolution became one
-matrix product per kernel shift: sliding windows contracted with einsum,
-argmax/take_along_axis max pooling, and np.add.at for the embedding
-gradient. It is kept here as the oracle the fast passes are checked against.
+The einsum passes are the formulation urdufake.cnn used before the
+convolution became one matrix product per kernel shift: sliding windows
+contracted with einsum, argmax/take_along_axis max pooling, and np.add.at
+for the embedding gradient. They are the oracle the fast passes are checked
+against, to a tolerance.
+
+padded_forward is the id-table forward as it ran before it skipped the
+windows that read only padding: it convolves every window of every
+document. It sums in the order the fast forward does, so the fast forward
+must equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
 
 from urdufake.cnn import CnnError, CnnModel, _sigmoid
 
@@ -82,3 +90,29 @@ def reference_backward(model: CnnModel, cache: dict, targets: np.ndarray
     np.add.at(demb, cache["ids"], dE)
     grads["embedding"] = demb
     return grads
+
+
+def padded_forward(model: CnnModel, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, Z, h_pre) of the id-table forward over every window."""
+    B, L = ids.shape
+    uniq, inv = np.unique(ids, return_inverse=True)
+    inv = inv.reshape(B, L)
+    E_u = model.embedding[uniq]
+    U, D = E_u.shape
+    flats = []
+    for k in model.channels:
+        W = model.conv_w[k]
+        F, T = W.shape[0], L - k + 1
+        R = (E_u @ W.transpose(1, 0, 2).reshape(k * F, D).T).reshape(U * k, F)
+        cols = (sliding_window_view(inv, k, axis=1) * k + np.arange(k)).ravel()
+        A = sparse.csr_matrix((np.ones(cols.size, model.dtype), cols,
+                               np.arange(0, cols.size + 1, k)), shape=(B * T, U * k))
+        pre = (A @ R).reshape(B, T, F)
+        pre += model.conv_b[k]
+        P = T // 2
+        even_relu = np.maximum(pre[:, 0 : 2 * P : 2], 0.0)
+        flats.append(np.maximum(even_relu, pre[:, 1 : 2 * P : 2]).reshape(B, P * F))
+    Z = np.concatenate(flats, axis=1)
+    h_pre = Z @ model.dense_w + model.dense_b
+    o = (np.maximum(h_pre, 0.0) @ model.out_w + model.out_b[0]).astype(np.float64)
+    return _sigmoid(o), Z, h_pre

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from urdufake.cnn import (
 from urdufake.corpus import Label
 from urdufake.preprocess import PreprocessedDoc
 
-from reference_cnn import reference_backward, reference_forward_cached
+from reference_cnn import padded_forward, reference_backward, reference_forward_cached
 
 pdoc = PreprocessedDoc.from_tokens
 
@@ -148,11 +149,21 @@ def test_forward_shape_arithmetic():
 
 
 def test_channel_intermediate_shapes():
+    """A row per window of a real pooling pair, a pooling choice per real
+    pair and filter; Z holds every pair."""
     m = init_cnn(30, 11, (2,), seed=0)
-    _, cache = _forward_cached(m, np.ones((3, 11), dtype=np.int64))
+    ids = np.ones((3, 11), dtype=np.int64)
+    ids[1, 3:] = 0                                  # real up to position 3: 2 pairs
+    ids[2, :] = 0                                   # padding only: no real pair
+    _, cache = _forward_cached(m, ids)
     ch = cache["channels"][2]
-    assert ch["pre"].shape == (3, 10, 32)          # L-k+1 = 10
-    assert cache["Z"].shape == (3, 32 * 5)          # floor(10/2) = 5
+    assert ch["real"].sum(axis=1).tolist() == [5, 2, 0]   # of floor((11-2+1)/2) = 5 pairs
+    assert ch["A"].shape == (2 * 7, 2 * 2)          # 2 distinct ids, 2 shifts each
+    assert ch["arg"].shape == (7, 32)
+    assert cache["Z"].shape == (3, 32 * 5)
+    drop_mask = np.ones(ids.shape)
+    _, cache = _forward_cached(m, ids, drop_mask)   # dropout weighs every window
+    assert cache["channels"][2]["real"].all()
 
 
 def test_all_zero_input_with_zero_row_gives_half():
@@ -190,6 +201,57 @@ def test_forward_rejects_wrong_width():
     m = init_cnn(10, 8, (1,), seed=0)
     with pytest.raises(CnnError, match="max_len"):
         forward(m, np.zeros((1, 9), dtype=np.int64))
+
+
+def assert_forward_equals_padded(model, ids):
+    p, cache = _forward_cached(model, ids)
+    ref_p, ref_Z, ref_h_pre = padded_forward(model, ids)
+    np.testing.assert_array_equal(cache["Z"], ref_Z)
+    np.testing.assert_array_equal(cache["h_pre"], ref_h_pre)
+    np.testing.assert_array_equal(p, ref_p)
+    np.testing.assert_array_equal(forward(model, ids), ref_p)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("max_len", [11, 12])
+def test_forward_skipping_padding_equals_the_padded_path(dtype, max_len):
+    """Full-length docs, docs shorter than the largest kernel, a doc whose
+    last terms are unknown, an all-padding row; channels 1-4 give each
+    max_len both an odd and an even number of windows."""
+    enc = SequenceEncoder.fit([pdoc(list("abcdefgh"))], unit="word", max_len=max_len)
+    docs = [pdoc(list("abcdefghabcdefgh")), pdoc(["a", "b"]), pdoc(["c"]),
+            pdoc(["a", "b", "c", "zz", "qq"]), pdoc([]), pdoc(list("hgfedcbahg"))]
+    ids = encode(docs, enc)
+    assert (ids[3, 3:] == 0).all() and (ids[4] == 0).all() and (ids[0] > 0).all()
+    model = init_cnn(enc.vocab_size, max_len, (1, 2, 3, 4), seed=3).astype(dtype)
+    for k in model.channels:                          # ReLUs of c_k on both sides
+        model.conv_b[k] = np.linspace(-0.1, 0.1, cnn.N_FILTERS).astype(dtype)
+    assert_forward_equals_padded(model, ids)
+    _, cache = _forward_cached(model, ids)
+    assert cache["channels"][4]["real"][[0, 1, 3, 4]].sum(axis=1).tolist() == [
+        pooled_length(max_len, 4), 1, 2, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 6),
+    channels=st.sets(st.integers(1, 6), min_size=1),
+    vocab=st.integers(1, 300),
+    float64=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_forward_equals_the_padded_path_bit_for_bit(batch, channels, vocab, float64, seed,
+                                                     data):
+    max_len = data.draw(st.integers(max(channels) + 1, 40), label="max_len")
+    rng = np.random.default_rng(seed)
+    model = init_cnn(vocab, max_len, channels, seed=seed)
+    if float64:
+        model = model.astype(np.float64)
+    for k in model.channels:
+        model.conv_b[k] = rng.uniform(-0.05, 0.05, size=cnn.N_FILTERS).astype(model.dtype)
+    assert_forward_equals_padded(model, pad_tails(rng.integers(0, vocab, size=(batch, max_len)),
+                                                  rng))
 
 
 # --- gradient check ----------------------------------------------------------
@@ -235,6 +297,22 @@ def test_grad_check_detects_corrupted_dense_gradient(tiny_setup):
     assert worst == pytest.approx(1.0, abs=0.05)
 
 
+def test_grad_check_on_padded_documents():
+    """Documents that end in padding, one all padding, so gradients flow
+    through the pad constant c_k of the skipped windows."""
+    rng = np.random.default_rng(5)
+    model = init_cnn(vocab_size=30, max_len=24, channels=(1, 2, 3, 4), seed=8)
+    ids = rng.integers(1, 30, size=(4, 24))
+    for b, n in enumerate((24, 13, 2, 0)):
+        ids[b, n:] = 0
+    y = np.array([1.0, 0.0, 1.0, 0.0])
+    _, cache = _forward_cached(model, ids)
+    assert not cache["channels"][1]["real"].all()
+    report = grad_check(model, ids, y, n_samples=10, h=1e-5, seed=1)
+    assert report.max_rel_error < 1e-4
+    assert report.skipped < 10
+
+
 def test_grad_check_zero_samples_empty_report(tiny_setup):
     model, ids, y = tiny_setup
     report = grad_check(model, ids, y, n_samples=0)
@@ -248,6 +326,21 @@ def test_grad_check_report_max():
 
 
 # --- the id-table passes against the einsum reference ----------------------------
+
+def full_grads(model, cache, grads):
+    """grads with the embedding gradient of the batch's rows placed in an
+    embedding-sized array of zeros."""
+    demb = np.zeros_like(model.embedding)
+    demb[cache["uniq"]] = grads["embedding"]
+    return {**grads, "embedding": demb}
+
+
+def pad_tails(ids, rng):
+    """ids with each row cut to a random length, from none to all of it,
+    the rest set to the pad id."""
+    lengths = rng.integers(0, ids.shape[1] + 1, size=len(ids))
+    return np.where(np.arange(ids.shape[1]) < lengths[:, None], ids, 0)
+
 
 def assert_matches_reference(p, grads, ref_p, ref_grads):
     # Sums run in another order, so entries that cancel to near zero differ
@@ -276,14 +369,13 @@ def test_passes_match_einsum_reference(batch, channels, vocab, dropout, seed, da
     model = init_cnn(vocab, max_len, channels, seed=seed).astype(np.float64)
     for k in model.channels:                          # move some ReLUs off zero
         model.conv_b[k] = rng.uniform(-0.05, 0.05, size=model.conv_b[k].shape)
-    ids = rng.integers(0, vocab, size=(batch, max_len))
-    ids[:, -1] = 0                                    # trailing padding
+    ids = pad_tails(rng.integers(0, vocab, size=(batch, max_len)), rng)
     y = rng.integers(0, 2, size=batch).astype(float)
     drop_mask = (rng.random(ids.shape) < 0.75) / 0.75 if dropout else None
 
     p, cache = _forward_cached(model, ids, drop_mask)
     ref_p, ref_cache = reference_forward_cached(model, ids, drop_mask)
-    assert_matches_reference(p, _backward(model, cache, y),
+    assert_matches_reference(p, full_grads(model, cache, _backward(model, cache, y)),
                              ref_p, reference_backward(model, ref_cache, y))
 
 
@@ -315,6 +407,8 @@ def test_id_table_passes_match_reference_on_large_vocabularies(batch, channels, 
 
     p, cache = _forward_cached(model, ids, drop_mask)
     grads = _backward(model, cache, y)
+    assert grads["embedding"].shape == (n_ids, cnn.EMBED_DIM)   # the batch's rows only
+    grads = full_grads(model, cache, grads)
     ref_p, ref_cache = reference_forward_cached(model, ids, drop_mask)
     assert_matches_reference(p, grads, ref_p, reference_backward(model, ref_cache, y))
     absent = np.setdiff1d(np.arange(vocab), present)
@@ -322,12 +416,14 @@ def test_id_table_passes_match_reference_on_large_vocabularies(batch, channels, 
 
 
 def same_kinks(cache, ref_cache) -> bool:
-    """Whether two passes made the same ReLU and pooling choices."""
+    """Whether two passes made the same ReLU and pooling choices: the element
+    each real pair kept, which pooled values are above 0, and the hidden
+    ReLUs."""
     return all(
-        ((ch["pre"] > 0.0) == (ref_cache["channels"][k]["pre"] > 0.0)).all()
-        and (ch["arg"] == (ref_cache["channels"][k]["arg"] == 1)).all()
+        (ch["arg"] == (ref_cache["channels"][k]["arg"][ch["real"]] == 1)).all()
         for k, ch in cache["channels"].items()
-    ) and ((cache["h_pre"] > 0.0) == (ref_cache["h_pre"] > 0.0)).all()
+    ) and ((cache["Z"] > 0.0) == (ref_cache["Z"] > 0.0)).all() \
+        and ((cache["h_pre"] > 0.0) == (ref_cache["h_pre"] > 0.0)).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,12 +453,12 @@ def test_float32_passes_match_the_reference_on_a_float64_copy(batch, channels, v
     model = init_cnn(vocab, max_len, channels, seed=seed)
     for k in model.channels:                          # move some ReLUs off zero
         model.conv_b[k] = rng.uniform(-0.05, 0.05, size=cnn.N_FILTERS).astype(np.float32)
-    ids = rng.integers(0, vocab, size=(batch, max_len))
+    ids = pad_tails(rng.integers(0, vocab, size=(batch, max_len)), rng)
     y = rng.integers(0, 2, size=batch).astype(float)
     drop_mask = (rng.random(ids.shape) < 0.75) / 0.75 if dropout else None
 
     p, cache = _forward_cached(model, ids, drop_mask)
-    grads = _backward(model, cache, y)
+    grads = full_grads(model, cache, _backward(model, cache, y))
     copy = model.astype(np.float64)
     ref_p, ref_cache = reference_forward_cached(copy, ids, drop_mask)
     assume(same_kinks(cache, ref_cache))
@@ -388,7 +484,7 @@ def test_a_float32_model_is_float32_end_to_end(monkeypatch):
     for key in ("E_u", "Z", "h_pre", "h"):
         assert cache[key].dtype == np.float32, key
     for ch in cache["channels"].values():
-        assert ch["A"].dtype == np.float32 and ch["pre"].dtype == np.float32
+        assert ch["A"].dtype == np.float32
     assert cache["o"].dtype == p.dtype == np.float64
     grads = _backward(model, cache, y[:4])
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
@@ -396,9 +492,9 @@ def test_a_float32_model_is_float32_end_to_end(monkeypatch):
     seen = set()
     inner = cnn._adam_step
 
-    def spy(param, g, m, v, t, lr, scratch):
+    def spy(param, g, m, v, t, lr, scratch, rows=None):
         seen.update(a.dtype for a in (param, g, m, v, *scratch))
-        inner(param, g, m, v, t, lr, scratch)
+        inner(param, g, m, v, t, lr, scratch, rows)
 
     monkeypatch.setattr(cnn, "_adam_step", spy)
     model, _ = train_cnn(model, X, y, TrainConfig(epochs=1, seed=1, embedding_dropout=0.2))
@@ -407,11 +503,22 @@ def test_a_float32_model_is_float32_end_to_end(monkeypatch):
 
 
 def test_float32_init_rounds_the_float64_draws():
-    """A seed draws the values it drew when models were float64."""
-    model = init_cnn(30, 12, (1, 3), seed=5)
+    """A seed draws the values it drew when models were float64, in one
+    call per group; dense_w spans several of init's chunks."""
+    model = init_cnn(30, 220, (1, 3), seed=5)
+    assert model.dense_w.size > 2 * cnn._ADAM_BLOCK
     rng = np.random.default_rng(5)
-    emb = rng.uniform(-0.05, 0.05, size=(30, cnn.EMBED_DIM))
-    np.testing.assert_array_equal(model.embedding, emb.astype(np.float32))
+    want = {"embedding": rng.uniform(-0.05, 0.05, size=(30, cnn.EMBED_DIM))}
+    for k in (1, 3):
+        limit = np.sqrt(6.0 / (k * cnn.EMBED_DIM + cnn.N_FILTERS))
+        want[f"conv_w[{k}]"] = rng.uniform(-limit, limit, size=(cnn.N_FILTERS, k, cnn.EMBED_DIM))
+    limit = np.sqrt(6.0 / (model.dense_w.shape[0] + cnn.HIDDEN_UNITS))
+    want["dense_w"] = rng.uniform(-limit, limit, size=model.dense_w.shape)
+    limit = np.sqrt(6.0 / (cnn.HIDDEN_UNITS + 1))
+    want["out_w"] = rng.uniform(-limit, limit, size=cnn.HIDDEN_UNITS)
+    groups = dict(model.param_groups())
+    for name, values in want.items():
+        np.testing.assert_array_equal(groups[name], values.astype(np.float32), err_msg=name)
 
 
 def test_a_model_with_mixed_or_non_float_parameters_is_refused():
@@ -435,11 +542,11 @@ def test_pooling_tie_goes_to_first_element():
     ids = np.arange(2 * 15).reshape(2, 15) % 7
     y = np.array([1.0, 0.0])
     p, cache = _forward_cached(model, ids)
+    assert (cache["Z"] > 0.0).all()
     for k in model.channels:
-        assert (cache["channels"][k]["pre"] > 0.0).all()
         assert not cache["channels"][k]["arg"].any()
     ref_p, ref_cache = reference_forward_cached(model, ids)
-    assert_matches_reference(p, _backward(model, cache, y),
+    assert_matches_reference(p, full_grads(model, cache, _backward(model, cache, y)),
                              ref_p, reference_backward(model, ref_cache, y))
 
 
@@ -547,6 +654,53 @@ def test_adam_step_in_place_is_bit_identical_to_the_formula(dtype):
         cnn._adam_step(fortran, g, np.zeros_like(fortran), np.zeros_like(fortran), 4, lr, scratch)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_on_rows_equals_the_zero_filled_gradient(dtype):
+    """The embedding's step from the batch's rows against the step from an
+    embedding-sized gradient that is zero elsewhere, bit for bit, over steps
+    whose row sets differ, so rows decay untouched for several steps; the
+    row gradient holds -0.0 entries."""
+    rng = np.random.default_rng(1)
+    shape = (cnn._ADAM_BLOCK // 50 + 31, 100)
+    param = rng.standard_normal(shape).astype(dtype)
+    ref_param = param.copy()
+    m, v, ref_m, ref_v = (np.zeros(shape, dtype) for _ in range(4))
+    scratch = (np.empty(cnn._ADAM_BLOCK, dtype), np.empty(cnn._ADAM_BLOCK, dtype))
+    for t in range(1, 6):
+        rows = np.sort(rng.choice(shape[0], size=40, replace=False))
+        g = (rng.standard_normal((40, 100)) * 10.0 ** rng.integers(-8, 1, size=(40, 100)))
+        g[rng.random(g.shape) < 0.1] = -0.0
+        g = g.astype(dtype)
+        full = np.zeros(shape, dtype)
+        full[rows] = g
+        cnn._adam_step(param, g, m, v, t, 1e-3, scratch, rows)
+        cnn._adam_step(ref_param, full, ref_m, ref_v, t, 1e-3, scratch)
+        for got, want in ((param, ref_param), (m, ref_m), (v, ref_v)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_one_char_training_step_stays_under_a_memory_bound():
+    """One training batch of the benchmark's shared-task char shape (8 docs
+    of up to 2,608 chars, 40% padding, a 6.7 MB dense_w): the step makes m,
+    v and the gradients (20 MB) and the passes' arrays. Keeping every
+    channel's pre-activations and a full-width dZ took it to 52 MB; 34 MB
+    once they were gone."""
+    rng = np.random.default_rng(0)
+    B, L, V = 8, 2608, 45
+    lengths = rng.integers(1000, L + 1, size=B)
+    lengths[0] = L
+    ids = np.where(np.arange(L) < lengths[:, None], rng.integers(1, V, size=(B, L)), 0)
+    y = (np.arange(B) % 2).astype(float)
+    model = init_cnn(V, L, (1, 2, 3, 4), seed=0)
+    tracemalloc.start()
+    try:
+        train_cnn(model, ids, y, TrainConfig(epochs=1, batch_size=B))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 42e6, peak
+
+
 def test_train_config_validation():
     with pytest.raises(CnnError):
         TrainConfig(epochs=0)
@@ -579,3 +733,17 @@ def test_float32_probabilities_stay_strictly_inside_the_unit_interval():
         p = forward(m, ids)
         assert p.dtype == np.float64 and 0.0 < p[0] < 1.0
         assert p[0] == cnn._sigmoid(np.array([logit]))[0]
+
+
+def test_probabilities_saturate_only_at_extreme_logits():
+    """The float64 sigmoid reaches exactly 1.0 from a logit of about 36.7
+    and exactly 0.0 below about -745, as forward's docstring says."""
+    m = init_cnn(10, 8, (1,), seed=0).astype(np.float64)
+    m.embedding[0, :] = 0.0
+    ids = np.zeros((1, 8), dtype=np.int64)
+    for logit, p in ((37.0, 1.0), (-746.0, 0.0)):
+        m.out_b[0] = logit
+        assert forward(m, ids)[0] == p
+    for logit in (36.0, -700.0):
+        m.out_b[0] = logit
+        assert 0.0 < forward(m, ids)[0] < 1.0

@@ -83,6 +83,43 @@ def test_normalize_chars_idempotent(default_map, text):
     assert normalize_chars(once, default_map) == once
 
 
+# --- the translate-table oracles ---------------------------------------------
+
+def translate_remove_diacritics(text):
+    """remove_diacritics as one str.translate over a deletion table."""
+    return text.translate({cp: None for cp in DIACRITICS})
+
+
+def translate_normalize_chars(text, mapping):
+    """normalize_chars translating after every NFC, mapped code point or not."""
+    out = text
+    while True:
+        nxt = unicodedata.normalize("NFC", out).translate(mapping.table)
+        if nxt == out:
+            return out
+        out = nxt
+
+
+# a lone surrogate and an ASCII letter as sources, besides an Arabic one
+ODD_MAP = NormalizationMap({0xD800: 0x0627, ord("a"): ord("b"), 0x0623: 0x0627})
+MAPS = [NormalizationMap.default(), ODD_MAP, NormalizationMap({})]
+ORACLE_CHARS = sorted(
+    {chr(cp) for cp in DIACRITICS}
+    | {chr(cp) for m in MAPS for pair in m.table.items() for cp in pair}
+    | {chr(cp) for cp in (*range(0x0300, 0x0310), 0x0653, 0x0654, 0x0655)}  # combining marks
+    | set("aAb z09-[]^\\")
+    | {"\ud800", "\udbff", "\udc00", "\udfff"}                            # lone surrogates
+)
+
+
+@settings(max_examples=400)
+@given(text=st.text(alphabet=st.sampled_from(ORACLE_CHARS) | st.characters(), max_size=40),
+       which=st.sampled_from(range(len(MAPS))))
+def test_character_class_stages_equal_the_translate_tables(text, which):
+    assert remove_diacritics(text) == translate_remove_diacritics(text)
+    assert normalize_chars(text, MAPS[which]) == translate_normalize_chars(text, MAPS[which])
+
+
 def test_cyclic_map_rejected():
     with pytest.raises(ResourceError, match="cyclic"):
         NormalizationMap({0x064A: 0x06CC, 0x06CC: 0x0649})
