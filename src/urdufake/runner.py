@@ -12,8 +12,16 @@ serialize_configs/parse_config_text.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
+import pickle
+import selectors
+import signal
+import struct
+import sys
 import time
+import traceback
 import warnings
 from collections import Counter
 from collections.abc import Callable
@@ -34,7 +42,7 @@ from .cnn import (
     train_cnn,
     forward as cnn_forward,
 )
-from .corpus import Corpus, Label
+from .corpus import Corpus, CorpusError, Label
 from .metrics import EvalReport, confusion, format4, summarize
 from .preprocess import (
     PreprocessConfig,
@@ -302,7 +310,13 @@ class _SharedWork:
     TF-IDF weighted on both splits and chi-squared scored once; these
     features are dropped when every row with that spec has fetched them.
     Everything is computed on first use, so it is charged to the first row
-    that needs it.
+    that needs it, unless prepare computed the group's prefix beforehand.
+
+    A grid run on worker processes prepares each group in the parent and
+    then forks, so every worker reads the prefix copy-on-write. All rows of
+    one spec run in one task, so a spec's features are computed once, in
+    the worker running that task, and each worker holds at most one spec's
+    features at a time.
     """
 
     def __init__(self, train: Corpus, test: Corpus | None, configs: list[ExperimentConfig],
@@ -323,6 +337,17 @@ class _SharedWork:
         self._vocabulary: Vocabulary | None = None
         self._test_counts: sparse.csr_matrix | None = None
         self._features: dict[NgramSpec, tuple] = {}
+
+    def prepare(self) -> None:
+        """Compute the prefix every row of the group reads: both splits
+        preprocessed and, with SVM rows, the union vocabulary and the test
+        counts. A stage that fails here is left to fail again in each row
+        that reads it, as it does without prepare."""
+        with contextlib.suppress(Exception):
+            self.docs("train")
+            self.docs("test")
+            if self.spec is not None:
+                self.test_counts()
 
     def docs(self, split: str) -> list[PreprocessedDoc]:
         if split not in self._docs:
@@ -477,6 +502,175 @@ def run_config(
     return _naming_warnings(f"{config.name}: ", _run_row, work, config, sn)[0]
 
 
+#: A grid row's outcome: its result, its fitted pipeline (None when the row
+#: failed or no on_fitted keeps it) and the warnings it raised, each as
+#: (category, text).
+_Outcome = tuple[ResultRow, FittedPipeline | None, list[tuple[type[Warning], str]]]
+
+
+def _error_row(config: ExperimentConfig, sn: int, error: str) -> ResultRow:
+    return ResultRow(**_config_columns(config, sn), block="", v_total=0, k_selected=0,
+                     report=None, seconds=0.0, error=error)
+
+
+def _grid_row(work: _SharedWork, config: ExperimentConfig, sn: int, keep: bool) -> _Outcome:
+    """One grid row; a row that raises is an error row. The fitted pipeline
+    is kept only when keep is true."""
+    fitted = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            row, fitted = _run_row(work, config, sn)
+        except Exception as exc:
+            row = _error_row(config, sn, str(exc))
+    return row, fitted if keep else None, [(w.category, str(w.message)) for w in caught]
+
+
+def _grid_tasks(configs: list[ExperimentConfig]) -> list[list[int]]:
+    """The row numbers of each task of a grid, the largest task first: every
+    CNN row is a task, and so are the SVM rows that share a preprocessing
+    config and an n-gram spec. CNN rows come first, then SVM tasks by
+    their number of rows, ties in row order."""
+    tasks: dict[object, list[int]] = {}
+    for sn, config in enumerate(configs, start=1):
+        key: object = sn
+        if config.classifier == "svm":
+            # an SVM row whose own spec is invalid fails alone
+            with contextlib.suppress(VectorizeError):
+                key = config.preprocess, config.ngram_spec()
+        tasks.setdefault(key, []).append(sn)
+    return sorted(tasks.values(),
+                  key=lambda sns: (configs[sns[0] - 1].classifier != "cnn", -len(sns)))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(n_tasks: int) -> int:
+    """How many processes run a grid of n_tasks tasks; 1 runs it in-process."""
+    return min(_usable_cpus(), n_tasks) if hasattr(os, "fork") else 1
+
+
+#: The frame of a message between the grid and a worker: its byte length.
+_FRAME = struct.Struct("<Q")
+
+
+def _fork_worker(run: Callable[[int], object], inherited: list[int]) -> tuple[int, int, int]:
+    """Fork a worker process and return (its pid, the fd to write task
+    numbers to, the fd to read results from).
+
+    The worker runs run(task) for each task number it reads and writes the
+    result back pickled, until its task pipe closes. It closes inherited,
+    the other workers' pipe ends, so that each pipe has one writer and a
+    worker's death shows as the end of its result pipe. It never returns
+    into the caller: it leaves through os._exit.
+
+    Fork, not spawn: the worker starts from the parent's memory, so it reads
+    the grid's prefix without pickling it, and nothing in the package runs
+    a thread that a fork could cut off mid-operation.
+    """
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (task_w, result_r, *inherited):
+                os.close(fd)
+            with os.fdopen(task_r, "rb") as tasks, os.fdopen(result_w, "wb") as results:
+                for frame in iter(lambda: tasks.read(_FRAME.size), b""):
+                    payload = pickle.dumps(run(_FRAME.unpack(frame)[0]), pickle.HIGHEST_PROTOCOL)
+                    results.write(_FRAME.pack(len(payload)))
+                    results.write(payload)
+                    results.flush()
+            code = 0
+        except Exception:
+            traceback.print_exc()
+        finally:  # the worker ends here, whatever was raised
+            os._exit(code)
+    os.close(task_r)
+    os.close(result_w)
+    return pid, task_w, result_r
+
+
+def _read_exact(stream, n: int) -> bytes:
+    data = stream.read(n)
+    if len(data) < n:
+        raise EOFError
+    return data
+
+
+def _run_tasks(n_tasks: int, run: Callable[[int], object], n_workers: int,
+               deliver: Callable[[int, object, int | None], None]) -> None:
+    """Run run(task) for the task numbers below n_tasks on n_workers forked
+    processes, in task order as workers come free. Once every worker has
+    died, the tasks left are not run.
+
+    As each task ends, the parent calls deliver(task, result, None), or
+    deliver(task, None, wait status) when its worker died; a dead worker is
+    not replaced. The parent reads a result whole as soon as it comes and
+    hands the worker its next task before delivering, so a worker waits
+    neither on a full pipe nor on deliver. Every worker is killed and
+    reaped before this returns or raises, KeyboardInterrupt included.
+    """
+    workers: dict[int, tuple[int, object, int]] = {}  # result fd -> (pid, results, task fd)
+    running: dict[int, int] = {}  # result fd -> task number
+    next_task = 0
+    ends = selectors.DefaultSelector()  # the result fds of the running tasks
+
+    def start(fd: int) -> None:
+        nonlocal next_task
+        running[fd] = next_task
+        next_task += 1
+        ends.register(fd, selectors.EVENT_READ)
+        with contextlib.suppress(BrokenPipeError):  # a dead worker shows as end of file
+            os.write(workers[fd][2], _FRAME.pack(running[fd]))
+
+    try:
+        while next_task < n_tasks and len(workers) < n_workers:
+            others = [f for rfd, (_, _, tfd) in workers.items() for f in (rfd, tfd)]
+            pid, task_fd, fd = _fork_worker(run, others)
+            workers[fd] = pid, os.fdopen(fd, "rb"), task_fd
+            start(fd)
+        while running:
+            for key, _ in ends.select():
+                fd = key.fd
+                ends.unregister(fd)
+                task = running.pop(fd)
+                pid, results, task_fd = workers[fd]
+                try:
+                    size = _FRAME.unpack(_read_exact(results, _FRAME.size))[0]
+                    payload = _read_exact(results, size)
+                except EOFError:
+                    del workers[fd]
+                    results.close()
+                    os.close(task_fd)
+                    deliver(task, None, os.waitpid(pid, 0)[1])
+                    continue
+                if next_task < n_tasks:
+                    start(fd)
+                deliver(task, pickle.loads(payload), None)
+    finally:
+        ends.close()
+        for pid, results, task_fd in workers.values():
+            results.close()
+            os.close(task_fd)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _died(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    return f"the worker process running this row {how} before the row finished"
+
+
 def run_grid(
     train: Corpus,
     test: Corpus,
@@ -484,38 +678,69 @@ def run_grid(
     resources: Resources,
     on_fitted: Callable[[ResultRow, FittedPipeline], None] | None = None,
 ) -> list[ResultRow]:
-    """Run every config in order; a failing row is recorded, the grid continues.
+    """Run every config; a failing row is recorded, the grid continues.
 
     Rows that preprocess alike share their preprocessing and, for SVM rows,
     their n-gram counts and each spec's features (see _SharedWork); each row's
-    results are those of run_config on it alone. on_fitted gets each ok
-    row's fitted pipeline as soon as the row is done, so a caller can keep
-    it without the grid holding every row's model. A warning a row raises is
-    issued again as "row <sn> <name>: <message>", with its category.
+    results are those of run_config on it alone. A warning a row raises is
+    issued again as "row <sn> <name>: <message>", with its category, in row
+    order.
+
+    The rows run as tasks (see _grid_tasks) on as many processes as this
+    process may use CPUs, at most one per task. With one, or without
+    os.fork, the rows run in-process in row order, and on_fitted gets each
+    ok row's fitted pipeline as soon as the row is done. With more, the
+    parent computes each group's prefix (_SharedWork.prepare) and forks the
+    workers; on_fitted is called in the parent, in task-completion order,
+    for a task's ok rows when the task ends, so the parent holds at most
+    one task's pipelines at a time. A worker that dies turns the rows of
+    its task into error rows naming its exit status; tasks left when every
+    worker has died run in-process. No worker outlives the call.
     """
     if not configs:
         raise ConfigError("experiment grid is empty")
+    for split, corpus in (("train", train), ("test", test)):
+        if not corpus.documents:
+            raise CorpusError(f"the {split} split has no documents")
     groups: dict[PreprocessConfig, list[ExperimentConfig]] = {}
     for config in configs:
         groups.setdefault(config.preprocess, []).append(config)
+    shared = {key: _SharedWork(train, test, group, resources) for key, group in groups.items()}
+    keep = on_fitted is not None
+    tasks = _grid_tasks(configs)
+    done: dict[int, _Outcome] = {}
+    n_workers = _worker_count(len(tasks))
+    if n_workers > 1:
+        for work in shared.values():
+            work.prepare()
+
+        def run(task: int) -> list[_Outcome]:
+            return [_grid_row(shared[configs[sn - 1].preprocess], configs[sn - 1], sn, keep)
+                    for sn in tasks[task]]
+
+        def deliver(task: int, outcomes: list[_Outcome] | None, status: int | None) -> None:
+            if outcomes is None:
+                outcomes = [(_error_row(configs[sn - 1], sn, _died(status)), None, [])
+                             for sn in tasks[task]]
+            for row, fitted, caught in outcomes:
+                if fitted is not None:
+                    on_fitted(row, fitted)
+                done[row.sn] = row, None, caught
+
+        _run_tasks(len(tasks), run, n_workers, deliver)
     last_row = {config.preprocess: sn for sn, config in enumerate(configs, start=1)}
-    shared: dict[PreprocessConfig, _SharedWork] = {}
     rows: list[ResultRow] = []
     for sn, config in enumerate(configs, start=1):
-        key = config.preprocess
-        if key not in shared:
-            shared[key] = _SharedWork(train, test, groups[key], resources)
-        work = shared[key]
-        fitted = None
-        try:
-            row, fitted = _naming_warnings(f"row {sn} {config.name}: ", _run_row, work, config, sn)
-        except Exception as exc:
-            row = ResultRow(**_config_columns(config, sn), block="", v_total=0, k_selected=0,
-                            report=None, seconds=0.0, error=str(exc))
+        if sn in done:
+            row, fitted, caught = done.pop(sn)
+        else:
+            row, fitted, caught = _grid_row(shared[config.preprocess], config, sn, keep)
+            if last_row[config.preprocess] == sn:
+                del shared[config.preprocess]
         rows.append(row)
-        if last_row[key] == sn:
-            del shared[key]
-        if fitted is not None and on_fitted is not None:
+        for category, text in caught:
+            warnings.warn(f"row {sn} {config.name}: {text}", category, stacklevel=2)
+        if fitted is not None:
             on_fitted(row, fitted)
     return rows
 

@@ -19,6 +19,8 @@ from urdufake.vectorize import apply_tfidf, build_vocabulary
 
 from conftest import FAKE_POOL, REAL_POOL
 
+ROOT = Path(__file__).resolve().parent.parent
+
 GRID_CONFIG = """
 seed = 7
 classifier = svm
@@ -325,6 +327,14 @@ def _bad_input(data_dir, case):
     if case == "empty_gold_corpus":
         (data_dir / "empty.tsv").write_text("", encoding="utf-8")
         return ["evaluate", "--gold", data_dir / "empty.tsv", "--pred", data_dir / "empty.tsv"]
+    if case in ("empty_train_experiment", "empty_test_experiment"):
+        (data_dir / "empty.tsv").write_text("", encoding="utf-8")
+        if case == "empty_train_experiment":
+            train = data_dir / "empty.tsv"
+        else:
+            test = data_dir / "empty.tsv"
+        return ["--config", ROOT / "configs" / "shared_task_grid.cfg", "experiment",
+                "--train", train, "--test", test]
     if case == "unknown_predicted_label":
         first_id = test.read_text(encoding="utf-8").split("\t", 1)[0]
         (data_dir / "pred.tsv").write_text(f"{first_id}\tMaybe\t0.5\n", encoding="utf-8")
@@ -391,6 +401,8 @@ def _bad_input(data_dir, case):
                               "float64, got float16, float32"),
     ("cnn_model_unit_byte", "corrupt model file: unit must be 'word' or 'char', got 'byte'"),
     ("empty_gold_corpus", "cannot evaluate an empty prediction set"),
+    ("empty_train_experiment", "the train split has no documents"),
+    ("empty_test_experiment", "the test split has no documents"),
     ("unknown_predicted_label", "pred.tsv:1: unknown label 'Maybe'"),
     ("duplicate_predicted_id", "pred.tsv:2: duplicate id 'x1'"),
     ("predicted_id_not_in_gold", "pred.tsv:2: id 'zz9' is not in the gold corpus"),

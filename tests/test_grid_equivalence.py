@@ -207,7 +207,9 @@ def test_shipped_grid_featurizes_each_spec_once(resources, monkeypatch):
     """The 9-row shipped grid has 4 distinct specs: each is restricted,
     weighted on both splits and chi-squared scored once, and its features
     are let go after its last row. Each row's test margins are those its
-    fitted pipeline gives the test split, bit for bit."""
+    fitted pipeline gives the test split, bit for bit. The grid runs
+    in-process, so the counts and the work are this process's."""
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
     train = generate_synthetic(3, 20, (FAKE_POOL, REAL_POOL), (5, 10), split="train")
     test = generate_synthetic(4, 8, (FAKE_POOL, REAL_POOL), (5, 10), split="test")
     configs = parse_config_file(ROOT / "configs" / "shared_task_grid.cfg")
