@@ -5,10 +5,13 @@ your own copy converted to the 3-column TSV format (id, label, text).
 
 Usage:
   python scripts/run_shared_task_grid.py --data-dir DIR [--out-dir OUT] [--cnn]
+      [--stopwords FILE] [--lemmas TSV] [--normmap TSV]
 
 DIR must contain train.tsv (1300 rows expected) and test.tsv (300 rows).
-Custom stopword/lemma resources can be passed through; with the shipped
-stand-in resources, scores will differ somewhat from the published table.
+Custom stopword, lemma and normalization-map resources can be passed
+through (--stopwords, --lemmas, --normmap, as the CLI's global flags); with
+the shipped stand-in resources, scores will differ somewhat from the
+published table.
 """
 
 import argparse
@@ -29,6 +32,7 @@ def main() -> int:
     parser.add_argument("--cnn", action="store_true", help="also run the CNN variants")
     parser.add_argument("--stopwords", type=Path, default=None)
     parser.add_argument("--lemmas", type=Path, default=None)
+    parser.add_argument("--normmap", type=Path, default=None)
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -40,7 +44,8 @@ def main() -> int:
         if not report.passed:
             print("warning: counts differ from the published splits", file=sys.stderr)
 
-    resources = Resources.load(stopwords_path=args.stopwords, lemmas_path=args.lemmas)
+    resources = Resources.load(stopwords_path=args.stopwords, lemmas_path=args.lemmas,
+                               normmap_path=args.normmap)
     configs = parse_config_file(REPO_ROOT / "configs" / "shared_task_grid.cfg")
     if args.cnn:
         configs += parse_config_file(REPO_ROOT / "configs" / "cnn_variants.cfg")

@@ -15,10 +15,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
-import pickle
-import selectors
 import signal
-import struct
 import sys
 import time
 import traceback
@@ -26,6 +23,7 @@ import warnings
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
+from multiprocessing.connection import Connection, Pipe, wait
 from pathlib import Path
 
 import numpy as np
@@ -312,11 +310,11 @@ class _SharedWork:
     Everything is computed on first use, so it is charged to the first row
     that needs it, unless prepare computed the group's prefix beforehand.
 
-    A grid run on worker processes prepares each group in the parent and
-    then forks, so every worker reads the prefix copy-on-write. All rows of
-    one spec run in one task, so a spec's features are computed once, in
-    the worker running that task, and each worker holds at most one spec's
-    features at a time.
+    All rows of one spec run in one task, so a spec's features are computed
+    once, by the process running that task, and each process holds at most
+    one spec's features at a time, whatever the row order. A grid run on
+    worker processes prepares each group in the parent and then forks, so
+    every worker reads the prefix copy-on-write.
     """
 
     def __init__(self, train: Corpus, test: Corpus | None, configs: list[ExperimentConfig],
@@ -554,115 +552,102 @@ def _worker_count(n_tasks: int) -> int:
     return min(_usable_cpus(), n_tasks) if hasattr(os, "fork") else 1
 
 
-#: The frame of a message between the grid and a worker: its byte length.
-_FRAME = struct.Struct("<Q")
+def _fork_worker(run: Callable[[int], object], inherited: list[Connection]
+                 ) -> tuple[int, Connection, Connection]:
+    """Fork a worker process and return (its pid, the connection to send
+    task numbers on, the connection to receive results from).
 
-
-def _fork_worker(run: Callable[[int], object], inherited: list[int]) -> tuple[int, int, int]:
-    """Fork a worker process and return (its pid, the fd to write task
-    numbers to, the fd to read results from).
-
-    The worker runs run(task) for each task number it reads and writes the
-    result back pickled, until its task pipe closes. It closes inherited,
-    the other workers' pipe ends, so that each pipe has one writer and a
-    worker's death shows as the end of its result pipe. It never returns
-    into the caller: it leaves through os._exit.
+    The worker sends back run(task) for each task number it receives, until
+    its task connection closes. It closes inherited, the other workers'
+    connections, so that each pipe has one writer and a worker's death shows
+    as the end of its result pipe. It never returns into the caller: it
+    leaves through os._exit.
 
     Fork, not spawn: the worker starts from the parent's memory, so it reads
     the grid's prefix without pickling it, and nothing in the package runs
     a thread that a fork could cut off mid-operation.
     """
-    task_r, task_w = os.pipe()
-    result_r, result_w = os.pipe()
+    task_r, task_w = Pipe(duplex=False)
+    result_r, result_w = Pipe(duplex=False)
     sys.stdout.flush()
     sys.stderr.flush()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            for fd in (task_w, result_r, *inherited):
-                os.close(fd)
-            with os.fdopen(task_r, "rb") as tasks, os.fdopen(result_w, "wb") as results:
-                for frame in iter(lambda: tasks.read(_FRAME.size), b""):
-                    payload = pickle.dumps(run(_FRAME.unpack(frame)[0]), pickle.HIGHEST_PROTOCOL)
-                    results.write(_FRAME.pack(len(payload)))
-                    results.write(payload)
-                    results.flush()
+            for conn in (task_w, result_r, *inherited):
+                conn.close()
+            while True:
+                try:
+                    task = task_r.recv()
+                except EOFError:
+                    break
+                result_w.send(run(task))
             code = 0
         except Exception:
             traceback.print_exc()
         finally:  # the worker ends here, whatever was raised
             os._exit(code)
-    os.close(task_r)
-    os.close(result_w)
+    task_r.close()
+    result_w.close()
     return pid, task_w, result_r
-
-
-def _read_exact(stream, n: int) -> bytes:
-    data = stream.read(n)
-    if len(data) < n:
-        raise EOFError
-    return data
 
 
 def _run_tasks(n_tasks: int, run: Callable[[int], object], n_workers: int,
                deliver: Callable[[int, object, int | None], None]) -> None:
-    """Run run(task) for the task numbers below n_tasks on n_workers forked
-    processes, in task order as workers come free. Once every worker has
-    died, the tasks left are not run.
+    """Run run(task) for the task numbers below n_tasks, in task order, and
+    hand each task's end to deliver: deliver(task, result, None), or
+    deliver(task, None, wait status) when its worker died.
 
-    As each task ends, the parent calls deliver(task, result, None), or
-    deliver(task, None, wait status) when its worker died; a dead worker is
-    not replaced. The parent reads a result whole as soon as it comes and
-    hands the worker its next task before delivering, so a worker waits
-    neither on a full pipe nor on deliver. Every worker is killed and
-    reaped before this returns or raises, KeyboardInterrupt included.
+    With n_workers above 1, the tasks run on that many forked processes as
+    workers come free; a dead worker is not replaced. The parent receives a
+    result whole as soon as it comes and hands the worker its next task
+    before delivering, so a worker waits neither on a full pipe nor on
+    deliver. Every worker is killed and reaped before the tasks no worker
+    took run in-process, in task order, and before this raises,
+    KeyboardInterrupt included. With one worker that is every task.
     """
-    workers: dict[int, tuple[int, object, int]] = {}  # result fd -> (pid, results, task fd)
-    running: dict[int, int] = {}  # result fd -> task number
+    workers: dict[Connection, tuple[int, Connection]] = {}  # results -> (pid, tasks)
+    running: dict[Connection, int] = {}  # results -> task number
     next_task = 0
-    ends = selectors.DefaultSelector()  # the result fds of the running tasks
 
-    def start(fd: int) -> None:
+    def start(results: Connection) -> None:
         nonlocal next_task
-        running[fd] = next_task
+        running[results] = next_task
         next_task += 1
-        ends.register(fd, selectors.EVENT_READ)
         with contextlib.suppress(BrokenPipeError):  # a dead worker shows as end of file
-            os.write(workers[fd][2], _FRAME.pack(running[fd]))
+            workers[results][1].send(running[results])
 
     try:
-        while next_task < n_tasks and len(workers) < n_workers:
-            others = [f for rfd, (_, _, tfd) in workers.items() for f in (rfd, tfd)]
-            pid, task_fd, fd = _fork_worker(run, others)
-            workers[fd] = pid, os.fdopen(fd, "rb"), task_fd
-            start(fd)
+        while n_workers > 1 and next_task < n_tasks and len(workers) < n_workers:
+            inherited = [conn for results, (_, tasks) in workers.items()
+                         for conn in (results, tasks)]
+            pid, tasks, results = _fork_worker(run, inherited)
+            workers[results] = pid, tasks
+            start(results)
         while running:
-            for key, _ in ends.select():
-                fd = key.fd
-                ends.unregister(fd)
-                task = running.pop(fd)
-                pid, results, task_fd = workers[fd]
+            for results in wait(list(running)):
+                task = running.pop(results)
                 try:
-                    size = _FRAME.unpack(_read_exact(results, _FRAME.size))[0]
-                    payload = _read_exact(results, size)
-                except EOFError:
-                    del workers[fd]
+                    result = results.recv()
+                except (EOFError, OSError):  # OSError: it died while sending
+                    pid, tasks = workers.pop(results)
                     results.close()
-                    os.close(task_fd)
+                    tasks.close()
                     deliver(task, None, os.waitpid(pid, 0)[1])
                     continue
                 if next_task < n_tasks:
-                    start(fd)
-                deliver(task, pickle.loads(payload), None)
+                    start(results)
+                deliver(task, result, None)
     finally:
-        ends.close()
-        for pid, results, task_fd in workers.values():
+        for results, (pid, tasks) in workers.items():
             results.close()
-            os.close(task_fd)
+            tasks.close()
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    for task in range(next_task, n_tasks):
+        deliver(task, run(task), None)
 
 
 def _died(status: int) -> str:
@@ -686,14 +671,14 @@ def run_grid(
     issued again as "row <sn> <name>: <message>", with its category, in row
     order.
 
-    The rows run as tasks (see _grid_tasks) on as many processes as this
-    process may use CPUs, at most one per task. With one, or without
-    os.fork, the rows run in-process in row order, and on_fitted gets each
-    ok row's fitted pipeline as soon as the row is done. With more, the
-    parent computes each group's prefix (_SharedWork.prepare) and forks the
-    workers; on_fitted is called in the parent, in task-completion order,
-    for a task's ok rows when the task ends, so the parent holds at most
-    one task's pipelines at a time. A worker that dies turns the rows of
+    The rows run as tasks (see _grid_tasks, _run_tasks) on as many
+    processes as this process may use CPUs, at most one per task. With one,
+    or without os.fork, the tasks run in-process; with more, the parent
+    computes each group's prefix (_SharedWork.prepare) and forks the
+    workers. Either way on_fitted is called in this process for a task's ok
+    rows when the task ends, in task-completion order, so at most one
+    task's pipelines are held at a time, and a group's shared work is let
+    go once its last task has ended. A worker that dies turns the rows of
     its task into error rows naming its exit status; tasks left when every
     worker has died run in-process. No worker outlives the call.
     """
@@ -708,41 +693,36 @@ def run_grid(
     shared = {key: _SharedWork(train, test, group, resources) for key, group in groups.items()}
     keep = on_fitted is not None
     tasks = _grid_tasks(configs)
+    # every row of a task shares one preprocessing config
+    tasks_left = Counter(configs[sns[0] - 1].preprocess for sns in tasks)
     done: dict[int, _Outcome] = {}
     n_workers = _worker_count(len(tasks))
     if n_workers > 1:
-        for work in shared.values():
-            work.prepare()
+        for key in shared:  # a loop variable would hold the last group's work to the end
+            shared[key].prepare()
 
-        def run(task: int) -> list[_Outcome]:
-            return [_grid_row(shared[configs[sn - 1].preprocess], configs[sn - 1], sn, keep)
-                    for sn in tasks[task]]
+    def run(task: int) -> list[_Outcome]:
+        return [_grid_row(shared[configs[sn - 1].preprocess], configs[sn - 1], sn, keep)
+                for sn in tasks[task]]
 
-        def deliver(task: int, outcomes: list[_Outcome] | None, status: int | None) -> None:
-            if outcomes is None:
-                outcomes = [(_error_row(configs[sn - 1], sn, _died(status)), None, [])
-                             for sn in tasks[task]]
-            for row, fitted, caught in outcomes:
-                if fitted is not None:
-                    on_fitted(row, fitted)
-                done[row.sn] = row, None, caught
+    def deliver(task: int, outcomes: list[_Outcome] | None, status: int | None) -> None:
+        if outcomes is None:
+            outcomes = [(_error_row(configs[sn - 1], sn, _died(status)), None, [])
+                        for sn in tasks[task]]
+        for row, fitted, caught in outcomes:
+            if fitted is not None:
+                on_fitted(row, fitted)
+            done[row.sn] = row, None, caught
+        group = configs[tasks[task][0] - 1].preprocess
+        tasks_left[group] -= 1
+        if not tasks_left[group]:
+            del shared[group]
 
-        _run_tasks(len(tasks), run, n_workers, deliver)
-    last_row = {config.preprocess: sn for sn, config in enumerate(configs, start=1)}
-    rows: list[ResultRow] = []
+    _run_tasks(len(tasks), run, n_workers, deliver)
     for sn, config in enumerate(configs, start=1):
-        if sn in done:
-            row, fitted, caught = done.pop(sn)
-        else:
-            row, fitted, caught = _grid_row(shared[config.preprocess], config, sn, keep)
-            if last_row[config.preprocess] == sn:
-                del shared[config.preprocess]
-        rows.append(row)
-        for category, text in caught:
+        for category, text in done[sn][2]:
             warnings.warn(f"row {sn} {config.name}: {text}", category, stacklevel=2)
-        if fitted is not None:
-            on_fitted(row, fitted)
-    return rows
+    return [done[sn][0] for sn in range(1, len(configs) + 1)]
 
 
 RESULTS_TSV_COLUMNS = (

@@ -206,9 +206,10 @@ def test_every_row_keeps_the_select_k_best_columns(resources):
 def test_shipped_grid_featurizes_each_spec_once(resources, monkeypatch):
     """The 9-row shipped grid has 4 distinct specs: each is restricted,
     weighted on both splits and chi-squared scored once, and its features
-    are let go after its last row. Each row's test margins are those its
-    fitted pipeline gives the test split, bit for bit. The grid runs
-    in-process, so the counts and the work are this process's."""
+    are let go before its rows are delivered, so the grid holds no spec's
+    features between tasks. Each row's test margins are those its fitted
+    pipeline gives the test split, bit for bit. The grid runs in-process,
+    so the counts and the work are this process's."""
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
     train = generate_synthetic(3, 20, (FAKE_POOL, REAL_POOL), (5, 10), split="train")
     test = generate_synthetic(4, 8, (FAKE_POOL, REAL_POOL), (5, 10), split="test")
@@ -251,8 +252,7 @@ def test_shipped_grid_featurizes_each_spec_once(resources, monkeypatch):
 
     assert [r.ok for r in rows] == [True] * 9 and len(set(specs)) == 4 and len(works) == 1
     assert calls == {"restrict": 4, "apply_tfidf": 8, "chi2_scores": 4}
-    for sn in range(1, 10):
-        assert kept[sn] == set(specs[:sn]) & set(specs[sn:]), sn
+    assert kept == {sn: set() for sn in range(1, 10)}
     assert len(grid_margins) == len(fitted_rows) == 9
     for values, fitted in zip(grid_margins, fitted_rows):
         assert values.tobytes() == fitted.decision_values(test, resources).tobytes()

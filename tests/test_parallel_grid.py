@@ -10,6 +10,8 @@ import os
 import signal
 import time
 import warnings
+import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -187,5 +189,57 @@ def test_one_task_grids_and_one_row_fits_never_fork(resources, monkeypatch,
     cnn = ExperimentConfig(name="cnn", classifier="cnn", cnn_epochs=1, cnn_channels=(1,))
     for configs in ([svm, replace(svm, name="svm_k10", k_best=10)], [cnn]):
         assert all(r.ok for r in run_grid(small_train, small_test, configs, resources))
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+    configs = [svm, replace(svm, name="svm_w12", word_orders=(1, 2)), cnn]
+    assert len(runner._grid_tasks(configs)) == 3
+    assert all(r.ok for r in run_grid(small_train, small_test, configs, resources))
     assert run_config(small_train, small_test, svm, resources).ok
     assert fit_pipeline(small_train, cnn, resources).kind == "cnn"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_group_lets_go_of_its_shared_work_after_its_last_task(resources, monkeypatch,
+                                                                   small_train, small_test,
+                                                                   cpus):
+    """When a row is delivered, the shared work of a preprocessing group
+    whose tasks have all been delivered is gone, and that of a group with
+    rows still to come is not. Group a is one task, group b two. In-process
+    a's task runs first; on two workers a's rows are slowed, so b's two
+    tasks end first on the other worker."""
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    run_row = runner._run_row
+
+    def slow_a(work, config, sn):
+        if config.name.startswith("a") and cpus > 1:
+            time.sleep(0.5)
+        return run_row(work, config, sn)
+
+    monkeypatch.setattr(runner, "_run_row", slow_a)
+    refs = {}
+
+    class RecordedWork(runner._SharedWork):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs[self.preprocess] = weakref.ref(self)
+
+    monkeypatch.setattr(runner, "_SharedWork", RecordedWork)
+    a = ExperimentConfig(name="a_k20", k_best=20, word_orders=(1,), char_orders=())
+    b = replace(a, name="b_w1", preprocess=replace(a.preprocess, remove_stopwords=False))
+    configs = [a, replace(a, name="a_k10", k_best=10),
+               b, replace(b, name="b_c2", word_orders=(), char_orders=(2,))]
+    rows_of = Counter(c.preprocess for c in configs)
+    delivered = Counter()
+    freed, order = [], []
+
+    def check(row, fitted):
+        for group, ref in refs.items():
+            done = delivered[group] == rows_of[group]
+            assert (ref() is None) == done, (row.sn, group)
+            freed.append(done)
+        delivered[configs[row.sn - 1].preprocess] += 1
+        order.append(row.sn)
+
+    rows = run_grid(small_train, small_test, configs, resources, on_fitted=check)
+    assert_no_child_left()
+    assert all(r.ok for r in rows) and len(refs) == 2 and any(freed)
+    assert configs[order[0] - 1].name[0] == ("a" if cpus == 1 else "b")
