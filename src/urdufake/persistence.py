@@ -80,13 +80,6 @@ def write_container(path: str | Path, meta: dict, arrays: dict[str, np.ndarray],
             _write_blob(fh, name, 1, texts[name].encode("utf-8"))
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ModelFormatError(f"truncated model file while reading {what}")
-    return data
-
-
 class _Entries(dict):
     """Metadata keys or blobs of a model file; looking up one the file lacks
     raises ModelFormatError naming it."""
@@ -99,7 +92,7 @@ class _Entries(dict):
         raise ModelFormatError(f"model file has no {self.what} {name!r}")
 
 
-def _decode(what: str, decode, payload: bytes):
+def _decode(what: str, decode, payload: memoryview):
     try:
         return decode(payload)
     except (ValueError, EOFError) as exc:
@@ -113,15 +106,15 @@ _NPY_HEADER = re.compile(
     rb"'shape': \(([0-9, ]*)\), \} *\n")
 
 
-def _npy(payload: bytes) -> np.ndarray:
+def _npy(payload: memoryview) -> np.ndarray:
     """The array of an npy payload as np.save writes it (format 1.0, C
     order, a bool, integer or float dtype), read without np.load's generic
-    header parser. Any other payload, or one whose data is not the size its
-    header gives, raises ValueError."""
+    header parser into an array of its own. Any other payload, or one whose
+    data is not the size its header gives, raises ValueError."""
     if payload[:8] != b"\x93NUMPY\x01\x00":
         raise ValueError("not an npy format 1.0 array")
     start = 10 + int.from_bytes(payload[8:10], "little")
-    header = _NPY_HEADER.fullmatch(payload, 10, start)
+    header = _NPY_HEADER.fullmatch(bytes(payload[:start]), 10)
     if header is None:
         raise ValueError("unsupported npy header")
     shape_text = header[2].decode()
@@ -137,45 +130,62 @@ def _npy(payload: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype, offset=start).reshape(shape).copy()
 
 
+def _utf8(payload: memoryview) -> str:
+    return str(payload, "utf-8")
+
+
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict[str, str]]:
+    """The metadata, array blobs and text blobs of a model file, read with
+    one read of the whole file; each array blob is copied out of it once
+    (see _npy), so no array keeps the file's bytes alive."""
     with open(path, "rb") as fh:
-        end = os.fstat(fh.fileno()).st_size  # a bad stated length, capped at it, reads short
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ModelFormatError(
-                f"magic-byte check failed: expected {MAGIC!r}, got {magic!r} "
-                "(not a model file written by this package)"
-            )
-        major, minor = struct.unpack("<II", _read_exact(fh, 8, "version header"))
-        if major != MAJOR:
-            raise ModelFormatError(
-                f"model format major version {major} is not the supported {MAJOR}; "
-                "train the model again, or load it with the version that wrote it"
-            )
-        (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8, "metadata length"))
-        meta = _decode("the metadata", lambda b: json.loads(b.decode("utf-8")),
-                       _read_exact(fh, min(meta_len, end), "metadata"))
-        if not isinstance(meta, dict):
-            raise ModelFormatError("corrupt model file: the metadata is not a JSON object")
-        (n_blobs,) = struct.unpack("<I", _read_exact(fh, 4, "blob count"))
-        arrays = _Entries("array blob")
-        texts = _Entries("text blob")
-        for _ in range(n_blobs):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "blob name length"))
-            name = _decode("a blob name", bytes.decode, _read_exact(fh, name_len, "blob name"))
-            (kind,) = struct.unpack("<B", _read_exact(fh, 1, f"blob kind of {name}"))
-            (size,) = struct.unpack("<Q", _read_exact(fh, 8, f"blob size of {name}"))
-            payload = _read_exact(fh, min(size, end), f"blob {name}")
-            if name in arrays or name in texts:
-                raise ModelFormatError(f"corrupt model file: blob {name!r} occurs twice")
-            if kind == 0:
-                arrays[name] = _decode(f"blob {name!r}", _npy, payload)
-            elif kind == 1:
-                texts[name] = _decode(f"blob {name!r}", bytes.decode, payload)
-            else:
-                raise ModelFormatError(f"unknown blob kind {kind} for {name}")
-        if fh.tell() != end:
-            raise ModelFormatError("corrupt model file: bytes after the last blob")
+        # the size the file system states, so a device or pipe is not read without end
+        data = memoryview(fh.read(os.fstat(fh.fileno()).st_size))
+    pos = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise ModelFormatError(f"truncated model file while reading {what}")
+        pos += n
+        return data[pos - n:pos]
+
+    magic = bytes(data[:4])
+    if magic != MAGIC:
+        raise ModelFormatError(
+            f"magic-byte check failed: expected {MAGIC!r}, got {magic!r} "
+            "(not a model file written by this package)"
+        )
+    pos = 4
+    major, minor = struct.unpack("<II", take(8, "version header"))
+    if major != MAJOR:
+        raise ModelFormatError(
+            f"model format major version {major} is not the supported {MAJOR}; "
+            "train the model again, or load it with the version that wrote it"
+        )
+    (meta_len,) = struct.unpack("<Q", take(8, "metadata length"))
+    meta = _decode("the metadata", lambda b: json.loads(_utf8(b)), take(meta_len, "metadata"))
+    if not isinstance(meta, dict):
+        raise ModelFormatError("corrupt model file: the metadata is not a JSON object")
+    (n_blobs,) = struct.unpack("<I", take(4, "blob count"))
+    arrays = _Entries("array blob")
+    texts = _Entries("text blob")
+    for _ in range(n_blobs):
+        (name_len,) = struct.unpack("<H", take(2, "blob name length"))
+        name = _decode("a blob name", _utf8, take(name_len, "blob name"))
+        (kind,) = struct.unpack("<B", take(1, f"blob kind of {name}"))
+        (size,) = struct.unpack("<Q", take(8, f"blob size of {name}"))
+        payload = take(size, f"blob {name}")
+        if name in arrays or name in texts:
+            raise ModelFormatError(f"corrupt model file: blob {name!r} occurs twice")
+        if kind == 0:
+            arrays[name] = _decode(f"blob {name!r}", _npy, payload)
+        elif kind == 1:
+            texts[name] = _decode(f"blob {name!r}", _utf8, payload)
+        else:
+            raise ModelFormatError(f"unknown blob kind {kind} for {name}")
+    if pos != len(data):
+        raise ModelFormatError("corrupt model file: bytes after the last blob")
     return _Entries("metadata key", meta), arrays, texts
 
 

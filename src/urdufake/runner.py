@@ -307,8 +307,12 @@ class _SharedWork:
     (Vocabulary.restrict, the bytes fitting it on its own gives), then
     TF-IDF weighted on both splits and chi-squared scored once; these
     features are dropped when every row with that spec has fetched them.
-    Everything is computed on first use, so it is charged to the first row
-    that needs it, unless prepare computed the group's prefix beforehand.
+    The SVM rows of a spec with one fit key (_fit_key: the same number of
+    selected columns and the same kernel and solver settings) share one
+    selection mask and one trained SvmModel (see svm_fit), dropped after
+    the last row with that key. Everything is computed on first use, so it
+    is charged to the first row that needs it, unless prepare computed the
+    group's prefix beforehand.
 
     All rows of one spec run in one task, so a spec's features are computed
     once, by the process running that task, and each process holds at most
@@ -324,17 +328,18 @@ class _SharedWork:
         self.resources = resources
         self._docs: dict[str, list[PreprocessedDoc]] = {}
         # an SVM row whose own spec is invalid fails on it before it gets here
-        self._rows_left: Counter[NgramSpec] = Counter()
+        self._svm_rows: dict[NgramSpec, list[ExperimentConfig]] = {}
         for config in configs:
             if config.classifier == "svm":
-                try:
-                    self._rows_left[config.ngram_spec()] += 1
-                except VectorizeError:
-                    pass
+                with contextlib.suppress(VectorizeError):
+                    self._svm_rows.setdefault(config.ngram_spec(), []).append(config)
+        self._rows_left = Counter({spec: len(rows) for spec, rows in self._svm_rows.items()})
         self.spec = NgramSpec.union(self._rows_left) if self._rows_left else None
         self._vocabulary: Vocabulary | None = None
         self._test_counts: sparse.csr_matrix | None = None
         self._features: dict[NgramSpec, tuple] = {}
+        self._fits_left: Counter[tuple] = Counter()
+        self._fits: dict[tuple, tuple] = {}
 
     def prepare(self) -> None:
         """Compute the prefix every row of the group reads: both splits
@@ -375,8 +380,65 @@ class _SharedWork:
             X_test = (None if self.splits["test"] is None
                       else apply_tfidf(self.test_counts()[:, cols], vocab))
             self._features[spec] = (replace(vocab, counts=None), X, X_test, scores)
+            fits = Counter(_fit_key(config, min(config.k_best, vocab.size))
+                           for config in self._svm_rows[spec] if _reaches_fit(config))
+            self._fits_left.update({key: n for key, n in fits.items() if n > 1})
         self._rows_left[spec] -= 1
         return self._features[spec] if self._rows_left[spec] else self._features.pop(spec)
+
+    def svm_fit(self, key: tuple, fit: Callable[[], tuple[SelectionMask, SvmModel]]
+                ) -> tuple[SelectionMask, SvmModel]:
+        """fit() for an SVM row with this fit key. A key that features
+        counted on two or more rows is fitted once, by its first row, and
+        let go after its last; the warnings that fit raised are issued again
+        on each of those rows. A fit that raises is not kept, so each row
+        raises its own error."""
+        if not self._fits_left[key]:  # the key's only row
+            return fit()
+        self._fits_left[key] -= 1
+        caught: list[warnings.WarningMessage] = []
+        try:
+            if key not in self._fits:
+                with warnings.catch_warnings(record=True) as caught:
+                    self._fits[key] = fit(), caught
+            if self._fits_left[key]:
+                value, caught = self._fits[key]
+            else:
+                del self._fits_left[key]
+                value, caught = self._fits.pop(key)
+            return value
+        finally:
+            for caught_warning in caught:
+                warnings.warn(str(caught_warning.message), caught_warning.category, stacklevel=2)
+
+
+def _svm_params(config: ExperimentConfig) -> KernelParams:
+    """config's kernel, its solver settings checked; a setting train_svm
+    would refuse raises."""
+    params = KernelParams(degree=config.svm_degree, gamma=config.svm_gamma,
+                          coef0=config.svm_coef0)
+    check_solver_params(config.svm_c, config.svm_tol, config.svm_max_passes)
+    return params
+
+
+def _reaches_fit(config: ExperimentConfig) -> bool:
+    """Whether an SVM row whose spec's features exist reaches its fit; a row
+    with an invalid kernel or solver setting or K fails before it."""
+    try:
+        _svm_params(config)
+    except (ValueError, TypeError):
+        return False
+    return config.k_best >= 1
+
+
+def _fit_key(config: ExperimentConfig, n_selected: int) -> tuple:
+    """What an SVM row's fit depends on besides its group's training split:
+    its n-gram spec, its number of selected columns (min(K, V) of the spec)
+    and its kernel and solver settings. select_k_best is a pure function of
+    the spec's scores and K, and keeps every column when K >= V, so rows
+    with one key select the same columns and train the same model."""
+    return (config.ngram_spec(), n_selected, config.svm_degree, config.svm_gamma,
+            config.svm_coef0, config.svm_c, config.svm_tol, config.svm_max_passes)
 
 
 def _fit(work: _SharedWork, config: ExperimentConfig
@@ -388,17 +450,15 @@ def _fit(work: _SharedWork, config: ExperimentConfig
     if config.classifier == "svm":
         # checked before featurizing, so a bad kernel or solver setting fails
         # before any stage warns
-        params = _stage("train_svm", KernelParams, degree=config.svm_degree,
-                        gamma=config.svm_gamma, coef0=config.svm_coef0)
-        _stage("train_svm", check_solver_params, config.svm_c, config.svm_tol,
-               config.svm_max_passes)
+        params = _stage("train_svm", _svm_params, config)
         vocab, X, X_test, scores = work.features(_stage("build_vocabulary", config.ngram_spec))
-        mask = _stage("select_k_best", select_k_best, scores, config.k_best)
-        X_sel = _stage("apply_mask", apply_mask, X, mask)
-        model = _stage(
-            "train_svm", train_svm, X_sel, labels_to_signs(gold),
-            params=params, C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes,
-        )
+        # selected on every row, so that each row warns when its K clamps
+        selected = _stage("select_k_best", select_k_best, scores, config.k_best)
+        mask, model = work.svm_fit(_fit_key(config, selected.n_kept), lambda: (selected, _stage(
+            "train_svm", train_svm, _stage("apply_mask", apply_mask, X, selected),
+            labels_to_signs(gold), params=params, C=config.svm_c, tol=config.svm_tol,
+            max_passes=config.svm_max_passes,
+        )))
         fitted = FittedPipeline(config=config, vocabulary=vocab, mask=mask, svm=model,
                                 resources_digest=work.resources.digest)
         return fitted, None if X_test is None else apply_mask(X_test, mask)
@@ -666,10 +726,12 @@ def run_grid(
     """Run every config; a failing row is recorded, the grid continues.
 
     Rows that preprocess alike share their preprocessing and, for SVM rows,
-    their n-gram counts and each spec's features (see _SharedWork); each row's
-    results are those of run_config on it alone. A warning a row raises is
-    issued again as "row <sn> <name>: <message>", with its category, in row
-    order.
+    their n-gram counts, each spec's features and, for the rows of a spec
+    that select the same columns with the same kernel and solver settings,
+    one selection mask and SVM fit (see _SharedWork); each row's results and
+    fitted pipeline are those of run_config and fit_pipeline on it alone. A
+    warning a row raises, one a shared fit raised included, is issued again
+    as "row <sn> <name>: <message>", with its category, in row order.
 
     The rows run as tasks (see _grid_tasks, _run_tasks) on as many
     processes as this process may use CPUs, at most one per task. With one,

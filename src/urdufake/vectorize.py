@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
@@ -442,9 +441,12 @@ def count_terms(docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary) -> spar
 def apply_tfidf(counts: sparse.csr_matrix, vocabulary: Vocabulary) -> sparse.csr_matrix:
     """Raw term counts over the vocabulary x its idf, L2-normalized per row.
 
-    Each row's norm is taken with np.dot over that row's values in column
-    order, so the result does not depend on which other rows or columns the
-    counts came with. Documents with no in-vocabulary terms are all-zero rows.
+    Each row's sum of squares is one np.add.reduceat segment over that row's
+    values in column order: numpy's own reduction, in an order set by the
+    row alone. So the result depends neither on which other rows or columns
+    the counts came with nor on the BLAS thread count (np.dot splits a long
+    row across BLAS threads). Documents with no in-vocabulary terms are
+    all-zero rows.
     """
     if counts.shape[1] != vocabulary.size:
         raise VectorizeError(
@@ -452,19 +454,17 @@ def apply_tfidf(counts: sparse.csr_matrix, vocabulary: Vocabulary) -> sparse.csr
         )
     if not counts.has_sorted_indices:
         counts = counts.sorted_indices()
-    idf = vocabulary.idf
     indptr, indices = counts.indptr, counts.indices
-    data = np.empty(counts.nnz, dtype=np.float64)
-    for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
-        if a == b:
-            continue
-        vals = counts.data[a:b] * idf[indices[a:b]]
-        norm = math.sqrt(float(np.dot(vals, vals)))
-        if norm > 0.0:
-            vals /= norm
-        data[a:b] = vals
+    vals = vocabulary.idf[indices]
+    vals *= counts.data
+    lengths = np.diff(indptr)
+    filled = lengths.nonzero()[0]
+    if filled.size:
+        norms = np.sqrt(np.add.reduceat(vals * vals, indptr[filled]))
+        norms[norms == 0.0] = 1.0  # a row of explicit zeros keeps its values
+        vals /= norms.repeat(lengths[filled])
     X = sparse.csr_matrix(
-        (data, indices.astype(np.int64), indptr.astype(np.int64)), shape=counts.shape
+        (vals, indices.astype(np.int64), indptr.astype(np.int64)), shape=counts.shape
     )
     X.eliminate_zeros()
     return X

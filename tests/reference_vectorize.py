@@ -145,7 +145,9 @@ def reference_transform(docs, vocabulary: Vocabulary, spec: NgramSpec) -> sparse
             terms_by_col = {vocab[t]: c for t, c in counts.items() if t in vocab}
             for k, col in enumerate(cols):
                 vals[k] = terms_by_col[col] * idf[col]
-            norm = math.sqrt(float(np.dot(vals, vals)))
+            # the sum of squares as apply_tfidf takes it: one np.add.reduceat
+            # segment, which no BLAS thread count reorders
+            norm = math.sqrt(float(np.add.reduceat(vals * vals, [0])[0]))
             if norm > 0.0:
                 vals /= norm
             indices.extend(cols)

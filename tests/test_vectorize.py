@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -187,6 +190,54 @@ def test_transform_rows_nonneg_and_unit_norm(token_lists):
             assert norms[r] == pytest.approx(1.0, abs=1e-9)
         else:
             assert norms[r] == 0.0
+
+
+#: Fits an SVM on four documents of 10,500 distinct words each (drawn from
+#: 12,000) and prints the sha256 of the TF-IDF rows of a fifth, of the
+#: fitted model file and of the fifth's decision value.
+LONG_ROWS_SCRIPT = """
+import hashlib, sys, warnings
+import numpy as np
+from urdufake.corpus import Corpus, Document, Label
+from urdufake.preprocess import Resources, preprocess_corpus
+from urdufake.runner import ExperimentConfig, fit_pipeline, save_model
+from urdufake.vectorize import apply_tfidf, count_terms
+
+rng = np.random.default_rng(0)
+def doc(i, label):
+    words = rng.choice(12_000, size=10_500, replace=False)
+    return Document(f"d{i}", " ".join(f"w{w:05d}" for w in words), label)
+train = Corpus(tuple(doc(i, [Label.FAKE, Label.REAL][i % 2]) for i in range(4)), "train")
+test = Corpus((doc(9, Label.FAKE),), "test")
+config, res = ExperimentConfig(word_orders=(1,), char_orders=()), Resources.default()
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # K exceeds the 12,000 features
+    fitted = fit_pipeline(train, config, res)
+X = apply_tfidf(count_terms(preprocess_corpus(test, config.preprocess, res), fitted.vocabulary),
+                fitted.vocabulary)
+assert X.nnz > 10_000, X.nnz
+save_model(sys.argv[1], fitted)
+with open(sys.argv[1], "rb") as fh:
+    model = fh.read()
+for blob in (X.data.tobytes() + X.indices.tobytes() + X.indptr.tobytes(), model,
+             fitted.decision_values(test, res).tobytes()):
+    print(hashlib.sha256(blob).hexdigest())
+"""
+
+
+def test_tfidf_rows_and_decisions_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A threaded BLAS splits a dot product of more than 10,000 elements
+    across its threads, in an order that depends on their number, so a
+    row's norm must not go through one. The model and the decision values
+    are built from such rows."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", LONG_ROWS_SCRIPT, str(tmp_path / threads)],
+                             env=env, capture_output=True, text=True, check=True, timeout=120)
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 3 and digests[0] == digests[1]
 
 
 def test_csr_invariants_sorted_indices_no_zeros():
