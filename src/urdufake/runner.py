@@ -299,26 +299,17 @@ def _stage(name, fn, *args, **kwargs):
 
 
 class _SharedWork:
-    """What the grid rows with one PreprocessConfig compute once.
+    """The prefix that the grid rows with one PreprocessConfig compute once.
 
     Each split is preprocessed once. The SVM rows share one vocabulary of
     the union of their n-gram specs, with the raw term counts of both
-    splits. Each distinct spec is restricted from the union once
-    (Vocabulary.restrict, the bytes fitting it on its own gives), then
-    TF-IDF weighted on both splits and chi-squared scored once; these
-    features are dropped when every row with that spec has fetched them.
-    The SVM rows of a spec with one fit key (_fit_key: the same number of
-    selected columns and the same kernel and solver settings) share one
-    selection mask and one trained SvmModel (see svm_fit), dropped after
-    the last row with that key. Everything is computed on first use, so it
-    is charged to the first row that needs it, unless prepare computed the
-    group's prefix beforehand.
+    splits. Each part is computed on first use, so it is charged to the
+    first row that needs it, unless prepare computed it beforehand. A grid
+    run on worker processes prepares each group in the parent and then
+    forks, so every worker reads the prefix copy-on-write.
 
-    All rows of one spec run in one task, so a spec's features are computed
-    once, by the process running that task, and each process holds at most
-    one spec's features at a time, whatever the row order. A grid run on
-    worker processes prepares each group in the parent and then forks, so
-    every worker reads the prefix copy-on-write.
+    What only the rows of one task share, a spec's features and its fits,
+    is kept in the task's memo (see _fit), not here.
     """
 
     def __init__(self, train: Corpus, test: Corpus | None, configs: list[ExperimentConfig],
@@ -327,19 +318,15 @@ class _SharedWork:
         self.preprocess = configs[0].preprocess
         self.resources = resources
         self._docs: dict[str, list[PreprocessedDoc]] = {}
-        # an SVM row whose own spec is invalid fails on it before it gets here
-        self._svm_rows: dict[NgramSpec, list[ExperimentConfig]] = {}
+        specs = []
         for config in configs:
             if config.classifier == "svm":
+                # an SVM row whose own spec is invalid fails on it before it gets here
                 with contextlib.suppress(VectorizeError):
-                    self._svm_rows.setdefault(config.ngram_spec(), []).append(config)
-        self._rows_left = Counter({spec: len(rows) for spec, rows in self._svm_rows.items()})
-        self.spec = NgramSpec.union(self._rows_left) if self._rows_left else None
+                    specs.append(config.ngram_spec())
+        self.spec = NgramSpec.union(specs) if specs else None
         self._vocabulary: Vocabulary | None = None
         self._test_counts: sparse.csr_matrix | None = None
-        self._features: dict[NgramSpec, tuple] = {}
-        self._fits_left: Counter[tuple] = Counter()
-        self._fits: dict[tuple, tuple] = {}
 
     def prepare(self) -> None:
         """Compute the prefix every row of the group reads: both splits
@@ -370,46 +357,17 @@ class _SharedWork:
 
     def features(self, spec: NgramSpec) -> tuple:
         """spec's Vocabulary (without counts), TF-IDF rows of the train and
-        test split (None without one) and chi-squared scores."""
-        if spec not in self._features:
-            union = _stage("build_vocabulary", self.vocabulary)
-            vocab, cols = _stage("build_vocabulary", union.restrict, spec)
-            X = _stage("transform", apply_tfidf, vocab.counts, vocab)
-            y = labels_to_signs([d.label for d in self.splits["train"]])
-            scores = _stage("chi2_scores", chi2_scores, X, y)
-            X_test = (None if self.splits["test"] is None
-                      else apply_tfidf(self.test_counts()[:, cols], vocab))
-            self._features[spec] = (replace(vocab, counts=None), X, X_test, scores)
-            fits = Counter(_fit_key(config, min(config.k_best, vocab.size))
-                           for config in self._svm_rows[spec] if _reaches_fit(config))
-            self._fits_left.update({key: n for key, n in fits.items() if n > 1})
-        self._rows_left[spec] -= 1
-        return self._features[spec] if self._rows_left[spec] else self._features.pop(spec)
-
-    def svm_fit(self, key: tuple, fit: Callable[[], tuple[SelectionMask, SvmModel]]
-                ) -> tuple[SelectionMask, SvmModel]:
-        """fit() for an SVM row with this fit key. A key that features
-        counted on two or more rows is fitted once, by its first row, and
-        let go after its last; the warnings that fit raised are issued again
-        on each of those rows. A fit that raises is not kept, so each row
-        raises its own error."""
-        if not self._fits_left[key]:  # the key's only row
-            return fit()
-        self._fits_left[key] -= 1
-        caught: list[warnings.WarningMessage] = []
-        try:
-            if key not in self._fits:
-                with warnings.catch_warnings(record=True) as caught:
-                    self._fits[key] = fit(), caught
-            if self._fits_left[key]:
-                value, caught = self._fits[key]
-            else:
-                del self._fits_left[key]
-                value, caught = self._fits.pop(key)
-            return value
-        finally:
-            for caught_warning in caught:
-                warnings.warn(str(caught_warning.message), caught_warning.category, stacklevel=2)
+        test split (None without one) and chi-squared scores, computed anew
+        on each call. The union is restricted to spec (Vocabulary.restrict
+        gives the bytes fitting spec on its own gives)."""
+        union = _stage("build_vocabulary", self.vocabulary)
+        vocab, cols = _stage("build_vocabulary", union.restrict, spec)
+        X = _stage("transform", apply_tfidf, vocab.counts, vocab)
+        y = labels_to_signs([d.label for d in self.splits["train"]])
+        scores = _stage("chi2_scores", chi2_scores, X, y)
+        X_test = (None if self.splits["test"] is None
+                  else apply_tfidf(self.test_counts()[:, cols], vocab))
+        return replace(vocab, counts=None), X, X_test, scores
 
 
 def _svm_params(config: ExperimentConfig) -> KernelParams:
@@ -419,16 +377,6 @@ def _svm_params(config: ExperimentConfig) -> KernelParams:
                           coef0=config.svm_coef0)
     check_solver_params(config.svm_c, config.svm_tol, config.svm_max_passes)
     return params
-
-
-def _reaches_fit(config: ExperimentConfig) -> bool:
-    """Whether an SVM row whose spec's features exist reaches its fit; a row
-    with an invalid kernel or solver setting or K fails before it."""
-    try:
-        _svm_params(config)
-    except (ValueError, TypeError):
-        return False
-    return config.k_best >= 1
 
 
 def _fit_key(config: ExperimentConfig, n_selected: int) -> tuple:
@@ -441,27 +389,51 @@ def _fit_key(config: ExperimentConfig, n_selected: int) -> tuple:
             config.svm_coef0, config.svm_c, config.svm_tol, config.svm_max_passes)
 
 
-def _fit(work: _SharedWork, config: ExperimentConfig
-         ) -> tuple[FittedPipeline, sparse.csr_matrix | None]:
-    """Fit one row from the shared work; for an SVM also the row's selected
-    TF-IDF test rows, if the work has a test split."""
+def _fit(work: _SharedWork, config: ExperimentConfig, memo: dict
+         ) -> tuple[FittedPipeline, np.ndarray | None]:
+    """Fit one row from the shared work and its task's memo; for an SVM
+    also the row's test decision values, if the work has a test split.
+
+    The memo holds what the rows of one task share. A spec's features are
+    computed by the first row that reaches them. Per fit key, the first row
+    with that key stores the selection mask, the SvmModel, the test
+    decision values and the warnings the fit raised; the key's later rows
+    take them, and those warnings are issued again on each of them. A fit
+    that raises is not stored, so each row fails with its own error.
+    Everything in the memo lives as long as the memo: until its task ends.
+    """
     docs = _stage("preprocess", work.docs, "train")
     gold = [d.label for d in work.splits["train"]]
     if config.classifier == "svm":
         # checked before featurizing, so a bad kernel or solver setting fails
         # before any stage warns
         params = _stage("train_svm", _svm_params, config)
-        vocab, X, X_test, scores = work.features(_stage("build_vocabulary", config.ngram_spec))
+        spec = _stage("build_vocabulary", config.ngram_spec)
+        if spec not in memo:
+            memo[spec] = work.features(spec)
+        vocab, X, X_test, scores = memo[spec]
         # selected on every row, so that each row warns when its K clamps
         selected = _stage("select_k_best", select_k_best, scores, config.k_best)
-        mask, model = work.svm_fit(_fit_key(config, selected.n_kept), lambda: (selected, _stage(
-            "train_svm", train_svm, _stage("apply_mask", apply_mask, X, selected),
-            labels_to_signs(gold), params=params, C=config.svm_c, tol=config.svm_tol,
-            max_passes=config.svm_max_passes,
-        )))
+        key = _fit_key(config, selected.n_kept)
+        caught: list[warnings.WarningMessage] = []
+        try:
+            if key not in memo:
+                with warnings.catch_warnings(record=True) as caught:
+                    model = _stage(
+                        "train_svm", train_svm, _stage("apply_mask", apply_mask, X, selected),
+                        labels_to_signs(gold), params=params, C=config.svm_c,
+                        tol=config.svm_tol, max_passes=config.svm_max_passes,
+                    )
+                    values = (None if X_test is None
+                              else decision_function(model, apply_mask(X_test, selected)))
+                memo[key] = selected, model, values, caught
+            mask, model, values, caught = memo[key]
+        finally:
+            for caught_warning in caught:
+                warnings.warn(str(caught_warning.message), caught_warning.category, stacklevel=2)
         fitted = FittedPipeline(config=config, vocabulary=vocab, mask=mask, svm=model,
                                 resources_digest=work.resources.digest)
-        return fitted, None if X_test is None else apply_mask(X_test, mask)
+        return fitted, values
 
     encoder = _stage("fit_encoder", SequenceEncoder.fit, docs,
                      unit=config.cnn_unit, max_len=config.cnn_max_len)
@@ -500,7 +472,7 @@ def fit_pipeline(train: Corpus, config: ExperimentConfig, resources: Resources) 
     """Fit every stage on the training corpus only. A warning a stage raises
     is issued again as "<name>: <message>", with its category."""
     work = _SharedWork(train, None, [config], resources)
-    return _naming_warnings(f"{config.name}: ", _fit, work, config)[0]
+    return _naming_warnings(f"{config.name}: ", _fit, work, config, {})[0]
 
 
 @dataclass(frozen=True)
@@ -527,14 +499,13 @@ def _config_columns(config: ExperimentConfig, sn: int) -> dict:
                 k_best=config.k_best if config.classifier == "svm" else 0)
 
 
-def _run_row(work: _SharedWork, config: ExperimentConfig, sn: int
+def _run_row(work: _SharedWork, config: ExperimentConfig, sn: int, memo: dict
              ) -> tuple[ResultRow, FittedPipeline]:
-    """Fit on train, predict on test, evaluate with Fake as positive class."""
+    """Fit on train, predict on test, evaluate with Fake as positive class;
+    memo is the row's task's (see _fit)."""
     start = time.perf_counter()
-    fitted, X_test = _fit(work, config)
-    if fitted.kind == "svm":
-        values = decision_function(fitted.svm, X_test)
-    else:
+    fitted, values = _fit(work, config, memo)
+    if fitted.kind == "cnn":
         values = fitted.values_of(work.docs("test"))
     test = work.splits["test"]
     report = summarize(confusion([d.label for d in test], fitted.labels(values)))
@@ -557,7 +528,7 @@ def run_config(
     warning a stage raises is issued again as "<name>: <message>", with its
     category."""
     work = _SharedWork(train, test, [config], resources)
-    return _naming_warnings(f"{config.name}: ", _run_row, work, config, sn)[0]
+    return _naming_warnings(f"{config.name}: ", _run_row, work, config, sn, {})[0]
 
 
 #: A grid row's outcome: its result, its fitted pipeline (None when the row
@@ -571,13 +542,14 @@ def _error_row(config: ExperimentConfig, sn: int, error: str) -> ResultRow:
                      report=None, seconds=0.0, error=error)
 
 
-def _grid_row(work: _SharedWork, config: ExperimentConfig, sn: int, keep: bool) -> _Outcome:
-    """One grid row; a row that raises is an error row. The fitted pipeline
-    is kept only when keep is true."""
+def _grid_row(work: _SharedWork, config: ExperimentConfig, sn: int, memo: dict,
+              keep: bool) -> _Outcome:
+    """One grid row, with its task's memo; a row that raises is an error
+    row. The fitted pipeline is kept only when keep is true."""
     fitted = None
     with warnings.catch_warnings(record=True) as caught:
         try:
-            row, fitted = _run_row(work, config, sn)
+            row, fitted = _run_row(work, config, sn, memo)
         except Exception as exc:
             row = _error_row(config, sn, str(exc))
     return row, fitted if keep else None, [(w.category, str(w.message)) for w in caught]
@@ -726,21 +698,24 @@ def run_grid(
     """Run every config; a failing row is recorded, the grid continues.
 
     Rows that preprocess alike share their preprocessing and, for SVM rows,
-    their n-gram counts, each spec's features and, for the rows of a spec
-    that select the same columns with the same kernel and solver settings,
-    one selection mask and SVM fit (see _SharedWork); each row's results and
-    fitted pipeline are those of run_config and fit_pipeline on it alone. A
-    warning a row raises, one a shared fit raised included, is issued again
-    as "row <sn> <name>: <message>", with its category, in row order.
+    their n-gram counts (see _SharedWork). The rows of one task share a
+    memo: their spec's features and, for the rows that select the same
+    columns with the same kernel and solver settings, one selection mask,
+    SVM fit and set of test decision values (see _fit). Each row's results
+    and fitted pipeline are those of run_config and fit_pipeline on it
+    alone. A warning a row raises, one a shared fit raised included, is
+    issued again as "row <sn> <name>: <message>", with its category, in row
+    order.
 
     The rows run as tasks (see _grid_tasks, _run_tasks) on as many
     processes as this process may use CPUs, at most one per task. With one,
     or without os.fork, the tasks run in-process; with more, the parent
     computes each group's prefix (_SharedWork.prepare) and forks the
-    workers. Either way on_fitted is called in this process for a task's ok
-    rows when the task ends, in task-completion order, so at most one
-    task's pipelines are held at a time, and a group's shared work is let
-    go once its last task has ended. A worker that dies turns the rows of
+    workers. A task's memo is let go when the task ends, so a process holds
+    one task's features and fits at a time. Either way on_fitted is called
+    in this process for a task's ok rows when the task ends, in
+    task-completion order, so at most one task's pipelines are held at a
+    time, and a group's shared work is let go once its last task has ended. A worker that dies turns the rows of
     its task into error rows naming its exit status; tasks left when every
     worker has died run in-process. No worker outlives the call.
     """
@@ -764,7 +739,8 @@ def run_grid(
             shared[key].prepare()
 
     def run(task: int) -> list[_Outcome]:
-        return [_grid_row(shared[configs[sn - 1].preprocess], configs[sn - 1], sn, keep)
+        memo: dict = {}  # what the task's rows share, let go when the task ends
+        return [_grid_row(shared[configs[sn - 1].preprocess], configs[sn - 1], sn, memo, keep)
                 for sn in tasks[task]]
 
     def deliver(task: int, outcomes: list[_Outcome] | None, status: int | None) -> None:

@@ -8,6 +8,7 @@ did before the grid shared work, and the runner's own one-row
 fit_pipeline/run_config must agree with both.
 """
 
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -205,11 +206,12 @@ def test_every_row_keeps_the_select_k_best_columns(resources):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_shipped_grid_featurizes_each_spec_once(resources, monkeypatch):
     """The 9-row shipped grid has 4 distinct specs: each is restricted,
-    weighted on both splits and chi-squared scored once, and its features
-    are let go before its rows are delivered, so the grid holds no spec's
-    features between tasks. Each row's test margins are those its fitted
-    pipeline gives the test split, bit for bit. The grid runs in-process,
-    so the counts and the work are this process's."""
+    weighted on both splits and chi-squared scored once, and its feature
+    matrices are let go before its rows are delivered, so the grid holds no
+    spec's features between tasks. The test decision values are computed
+    once per fit key, and each row's are those its fitted pipeline gives
+    the test split, bit for bit. The grid runs in-process, so the counts
+    and the work are this process's."""
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
     train = generate_synthetic(3, 20, (FAKE_POOL, REAL_POOL), (5, 10), split="train")
     test = generate_synthetic(4, 8, (FAKE_POOL, REAL_POOL), (5, 10), split="test")
@@ -225,26 +227,32 @@ def test_shipped_grid_featurizes_each_spec_once(resources, monkeypatch):
     monkeypatch.setattr(Vocabulary, "restrict", counted("restrict", Vocabulary.restrict))
     monkeypatch.setattr(runner, "apply_tfidf", counted("apply_tfidf", runner.apply_tfidf))
     monkeypatch.setattr(runner, "chi2_scores", counted("chi2_scores", runner.chi2_scores))
-    margins = []
+    margins = []  # (model, its test decision values), one per call
 
     def recorded(model, X):
-        margins.append(decision_function(model, X))
-        return margins[-1]
+        margins.append((model, decision_function(model, X)))
+        return margins[-1][1]
 
     monkeypatch.setattr(runner, "decision_function", recorded)
-    works = []
+    works, matrices = [], []  # matrices: (spec, its train and test TF-IDF rows, as weakrefs)
 
     class RecordedWork(runner._SharedWork):
         def __init__(self, *args):
             super().__init__(*args)
             works.append(self)
 
+        def features(self, spec):
+            vocab, X, X_test, scores = super().features(spec)
+            matrices.append((spec, weakref.ref(X), weakref.ref(X_test)))
+            return vocab, X, X_test, scores
+
     monkeypatch.setattr(runner, "_SharedWork", RecordedWork)
     specs = [config.ngram_spec() for config in configs]
     kept, fitted_rows = {}, []
 
     def keep(row, fitted):
-        kept[row.sn] = set(works[0]._features)
+        kept[row.sn] = {spec for spec, *refs in matrices
+                        if any(ref() is not None for ref in refs)}
         fitted_rows.append(fitted)
 
     rows = run_grid(train, test, configs, resources, on_fitted=keep)
@@ -252,9 +260,11 @@ def test_shipped_grid_featurizes_each_spec_once(resources, monkeypatch):
 
     assert [r.ok for r in rows] == [True] * 9 and len(set(specs)) == 4 and len(works) == 1
     assert calls == {"restrict": 4, "apply_tfidf": 8, "chi2_scores": 4}
-    assert kept == {sn: set() for sn in range(1, 10)}
-    assert len(grid_margins) == len(fitted_rows) == 9
-    for values, fitted in zip(grid_margins, fitted_rows):
+    assert len(matrices) == 4 and kept == {sn: set() for sn in range(1, 10)}
+    keys = {runner._fit_key(c, r.k_selected) for c, r in zip(configs, rows)}
+    assert len(grid_margins) == len(keys) == 4 and len(fitted_rows) == 9
+    for fitted in fitted_rows:
+        values = next(v for model, v in grid_margins if model is fitted.svm)
         assert values.tobytes() == fitted.decision_values(test, resources).tobytes()
 
 

@@ -119,10 +119,10 @@ def test_a_dead_worker_fails_its_rows_and_the_grid_goes_on(resources, monkeypatc
     parent = os.getpid()
     run_row = runner._run_row
 
-    def dies_in_a_worker(work, config, sn):
+    def dies_in_a_worker(work, config, sn, memo):
         if config.name.startswith("dies") and os.getpid() != parent:
             os._exit(3)
-        return run_row(work, config, sn)
+        return run_row(work, config, sn, memo)
 
     monkeypatch.setattr(runner, "_run_row", dies_in_a_worker)
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
@@ -209,10 +209,10 @@ def test_each_group_lets_go_of_its_shared_work_after_its_last_task(resources, mo
     monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
     run_row = runner._run_row
 
-    def slow_a(work, config, sn):
+    def slow_a(work, config, sn, memo):
         if config.name.startswith("a") and cpus > 1:
             time.sleep(0.5)
-        return run_row(work, config, sn)
+        return run_row(work, config, sn, memo)
 
     monkeypatch.setattr(runner, "_run_row", slow_a)
     refs = {}

@@ -4,8 +4,8 @@ Within a preprocessing group, SVM rows with the same n-gram spec, the same
 number of selected columns (min(K, V) of the spec) and the same kernel and
 solver settings train one model. These tests check that each such row still
 gets what fitting it alone gives, that the grid trains once per fit key,
-that warnings and errors stay per row, and that a shared fit is let go
-after its last row. Each runs in-process and on two worker processes
+that warnings and errors stay per row, and that nothing the rows of a task
+share outlives the task. Each runs in-process and on two worker processes
 (runner._usable_cpus fixed to 1 and 2).
 """
 
@@ -178,45 +178,49 @@ def test_a_shared_fit_that_raises_fails_each_row_with_its_own_error(resources, m
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_shared_fit_is_let_go_after_its_last_row(resources, monkeypatch, train, test,
-                                                   cpus):
-    """Before each row, the models alive are those earlier rows of the same
-    key trained (at most one): the fits of finished keys are gone, and a
-    model no other row shares is never held. A row that finds otherwise raises,
-    and so is an error row, in a worker process as in-process."""
+def test_nothing_a_task_memoises_outlives_its_task(resources, monkeypatch, train, test, cpus):
+    """Before each row, the models and spec feature matrices alive are
+    those the earlier rows of its task made: the task's memo holds them to
+    the task's end, so before the first row of a task none from an earlier
+    task is alive. A row that finds otherwise raises, and so is an error
+    row, in a worker process as in-process. After the grid none is alive."""
     configs = clamped_grid()
-    trained: list[tuple[int, weakref.ref]] = []  # (training row, its model)
-    key_of: dict[int, tuple] = {}
-    train_svm, run_row = runner.train_svm, runner._run_row
+    first_rows = {sns[0] for sns in runner._grid_tasks(configs)}
+    made: list[tuple[int, weakref.ref]] = []  # (the row that made it, a model or matrix)
+    task_rows: set[int] = set()  # the rows of the running task so far
     current = [0]
+    train_svm, features, run_row = runner.train_svm, runner._SharedWork.features, runner._run_row
 
-    def recording(*args, **kwargs):
+    def recording_train_svm(*args, **kwargs):
         model = train_svm(*args, **kwargs)
-        trained.append((current[0], weakref.ref(model)))
+        made.append((current[0], weakref.ref(model)))
         return model
 
-    def checked(work, config, sn):
-        key = key_of_row(work, config)
-        alive = {t for t, ref in trained if ref() is not None}
-        expected = {t for t, _ in trained if key_of[t] == key}
+    def recording_features(work, spec):
+        vocab, X, X_test, scores = features(work, spec)
+        made.extend((current[0], weakref.ref(matrix)) for matrix in (X, X_test))
+        return vocab, X, X_test, scores
+
+    def checked(work, config, sn, memo):
+        if sn in first_rows:
+            task_rows.clear()
+        alive = {t for t, ref in made if ref() is not None}
+        expected = {t for t, _ in made if t in task_rows}
         if alive != expected:
-            raise AssertionError(f"before row {sn} the models of rows {sorted(alive)} are "
-                                 f"alive, not those of rows {sorted(expected)}")
+            raise AssertionError(f"before row {sn} what rows {sorted(alive)} made is alive, "
+                                 f"not what rows {sorted(expected)} made")
+        task_rows.add(sn)
         current[0] = sn
-        row, fitted = run_row(work, config, sn)
-        key_of[sn] = runner._fit_key(config, fitted.mask.n_kept)
-        return row, fitted
+        return run_row(work, config, sn, memo)
 
-    def key_of_row(work, config):
-        v = work.vocabulary().restrict(config.ngram_spec())[0].size
-        return runner._fit_key(config, min(config.k_best, v))
-
-    monkeypatch.setattr(runner, "train_svm", recording)
+    monkeypatch.setattr(runner, "train_svm", recording_train_svm)
+    monkeypatch.setattr(runner._SharedWork, "features", recording_features)
     monkeypatch.setattr(runner, "_run_row", checked)
     monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rows = run_grid(train, test, configs, resources)
     assert [r.error for r in rows] == [None] * len(configs)
-    if cpus == 1:
-        assert len(trained) == 7 and all(ref() is None for _, ref in trained)
+    assert all(ref() is None for _, ref in made)
+    if cpus == 1:  # 7 fit keys, 4 specs of two matrices each
+        assert len(made) == 7 + 4 * 2
