@@ -243,12 +243,18 @@ def _param_shapes(vocab_size: int, max_len: int, channels: tuple[int, ...]
     return shapes
 
 
+def kernel_sizes(channels: Sequence[int]) -> tuple[int, ...]:
+    """The channels of the model init_cnn builds for these: each kernel
+    size once, ascending."""
+    return tuple(sorted(set(int(k) for k in channels)))
+
+
 def init_cnn(vocab_size: int, max_len: int, channels: Sequence[int], seed: int) -> CnnModel:
     """Seeded initialization: embedding U(-0.05, 0.05), weights Glorot uniform,
     biases zero, in float32. The values are drawn in float64 and rounded, so a
     seed draws the values it drew when models were float64. Identical seeds
     give bit-identical parameters."""
-    channels = tuple(sorted(set(int(k) for k in channels)))
+    channels = kernel_sizes(channels)
     shapes = _param_shapes(vocab_size, max_len, channels)
     rng = np.random.default_rng(seed)
     emb = _uniform32(rng, 0.05, shapes["embedding"])

@@ -8,7 +8,17 @@ Layout (little-endian):
   u32      blob count; per blob: u16 name length + name, u8 kind
            (0 = npy array, 1 = UTF-8 text), u64 payload length + payload
 
-Loading reads major version 4 only and refuses any other, newer or older.
+Loading reads major version 5 only and refuses any other, newer or older,
+with one line naming its version. Major 5 stores an SVM's support vectors
+as their raw term counts (svm.sv.counts, with svm.sv.indices and
+svm.sv.indptr) and one float64 norm each (svm.sv.norms); the loader
+rebuilds their values from these, the idf of the kept columns and
+apply_tfidf's own float operations, bit for bit (see runner.save_model).
+Major 4 stored the values themselves (svm.sv.data), the matrix shape
+(svm.sv.shape) and a CNN's channels (cnn.channels); major 5 stores none of
+them: the shape is one row per dual coefficient and one column per kept
+column, and the channels are the config's.
+
 It reports truncation, bad magic, undecodable metadata or blobs, a blob name
 that occurs twice, bytes after the last blob, and a metadata key or blob a
 reader asks for but the file lacks, each as a ModelFormatError.
@@ -18,7 +28,8 @@ float array; the reader parses exactly that header, and refuses any other
 whose size disagrees with its shape. A blob's dtype travels in its header,
 so a float32 or float64 CNN loads as it was saved. An integer array with no
 negative entry is written in the smallest unsigned dtype that holds its
-maximum; its reader widens it back to the dtype it computes with.
+maximum; its reader widens it back to the dtype it computes with, except
+the support-vector counts, which are only multiplied into float64 values.
 Writing is deterministic: identical pipelines serialize to identical bytes.
 """
 
@@ -36,7 +47,7 @@ import numpy as np
 from scipy import sparse
 
 MAGIC = b"UFND"
-MAJOR = 4
+MAJOR = 5
 MINOR = 0
 
 
@@ -189,28 +200,26 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray], dict[
     return _Entries("metadata key", meta), arrays, texts
 
 
-def csr_to_blobs(name: str, X: sparse.csr_matrix) -> dict[str, np.ndarray]:
-    return {
-        f"{name}.data": X.data,
-        f"{name}.indices": X.indices,
-        f"{name}.indptr": X.indptr,
-        f"{name}.shape": np.asarray(X.shape, dtype=np.int64),
-    }
+def csr_to_blobs(name: str, X: sparse.csr_matrix, values: str) -> dict[str, np.ndarray]:
+    """The blobs of X: its values as name.<values>, its column indices and
+    its row pointers. Its shape is not stored: its reader knows it."""
+    return {f"{name}.{values}": X.data, f"{name}.indices": X.indices,
+            f"{name}.indptr": X.indptr}
 
 
-def csr_from_blobs(name: str, arrays: dict[str, np.ndarray]) -> sparse.csr_matrix:
-    """The matrix of csr_to_blobs, its index arrays widened to int64. Blobs
-    that are not a valid CSR matrix (scipy's full format check: every index
-    in [0, columns), a non-decreasing indptr) raise a ValueError naming
-    them, before native code reads them."""
-    shape = tuple(int(v) for v in arrays[f"{name}.shape"])
+def csr_from_blobs(name: str, values: str, arrays: dict[str, np.ndarray],
+                   shape: tuple[int, int]) -> sparse.csr_matrix:
+    """The matrix of csr_to_blobs, of the given shape, its index arrays in
+    the integer dtype scipy picks for them. Blobs that are not a valid CSR
+    matrix of that shape (integer index arrays that pass scipy's full format
+    check: one row pointer per row and one more, every index in [0,
+    columns), a non-decreasing indptr) raise a ValueError naming them,
+    before native code reads them."""
     try:
-        X = sparse.csr_matrix(
-            (arrays[f"{name}.data"],
-             *(arrays[f"{name}.{part}"].astype(np.int64, casting="same_kind")
-               for part in ("indices", "indptr"))),
-            shape=shape,
-        )
+        index_arrays = [arrays[f"{name}.{part}"] for part in ("indices", "indptr")]
+        if any(a.dtype.kind not in "biu" for a in index_arrays):
+            raise ValueError("indices and indptr must be integers")
+        X = sparse.csr_matrix((arrays[f"{name}.{values}"], *index_arrays), shape=shape)
         X.check_format(full_check=True)
         if np.any(np.diff(X.indptr) < 0):  # scipy checks this only when nnz > 0
             raise ValueError("indptr must be a non-decreasing sequence")

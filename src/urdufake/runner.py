@@ -36,6 +36,7 @@ from .cnn import (
     TrainConfig,
     encode,
     init_cnn,
+    kernel_sizes,
     probs_to_labels,
     train_cnn,
     forward as cnn_forward,
@@ -66,7 +67,9 @@ from .vectorize import (
     apply_tfidf,
     build_vocabulary,
     count_terms,
+    idf_weights,
     transform,
+    weigh_counts,
 )
 
 
@@ -246,6 +249,10 @@ class FittedPipeline:
     svm: SvmModel | None = None
     encoder: SequenceEncoder | None = None
     cnn: CnnModel | None = None
+    #: the norm apply_tfidf divided each support vector's training row by
+    #: (svm only); a model file stores these and the raw term counts they
+    #: give, in place of the support vectors' values (see save_model)
+    sv_norms: np.ndarray | None = None
     history: list | None = None  # per-epoch stats (cnn only, not persisted)
 
     @property
@@ -357,17 +364,18 @@ class _SharedWork:
 
     def features(self, spec: NgramSpec) -> tuple:
         """spec's Vocabulary (without counts), TF-IDF rows of the train and
-        test split (None without one) and chi-squared scores, computed anew
-        on each call. The union is restricted to spec (Vocabulary.restrict
-        gives the bytes fitting spec on its own gives)."""
+        test split (None without one), chi-squared scores and the norm each
+        train row was divided by, computed anew on each call. The union is
+        restricted to spec (Vocabulary.restrict gives the bytes fitting
+        spec on its own gives)."""
         union = _stage("build_vocabulary", self.vocabulary)
         vocab, cols = _stage("build_vocabulary", union.restrict, spec)
-        X = _stage("transform", apply_tfidf, vocab.counts, vocab)
+        X, norms = _stage("transform", weigh_counts, vocab.counts, vocab.idf)
         y = labels_to_signs([d.label for d in self.splits["train"]])
         scores = _stage("chi2_scores", chi2_scores, X, y)
         X_test = (None if self.splits["test"] is None
                   else apply_tfidf(self.test_counts()[:, cols], vocab))
-        return replace(vocab, counts=None), X, X_test, scores
+        return replace(vocab, counts=None), X, X_test, scores, norms
 
 
 def _svm_params(config: ExperimentConfig) -> KernelParams:
@@ -396,10 +404,11 @@ def _fit(work: _SharedWork, config: ExperimentConfig, memo: dict
 
     The memo holds what the rows of one task share. A spec's features are
     computed by the first row that reaches them. Per fit key, the first row
-    with that key stores the selection mask, the SvmModel, the test
-    decision values and the warnings the fit raised; the key's later rows
-    take them, and those warnings are issued again on each of them. A fit
-    that raises is not stored, so each row fails with its own error.
+    with that key stores the selection mask, the SvmModel, its support
+    vectors' norms, the test decision values and the warnings the fit
+    raised; the key's later rows take them, and those warnings are
+    issued again on each of them. A fit that raises is not stored, so each
+    row fails with its own error.
     Everything in the memo lives as long as the memo: until its task ends.
     """
     docs = _stage("preprocess", work.docs, "train")
@@ -411,7 +420,7 @@ def _fit(work: _SharedWork, config: ExperimentConfig, memo: dict
         spec = _stage("build_vocabulary", config.ngram_spec)
         if spec not in memo:
             memo[spec] = work.features(spec)
-        vocab, X, X_test, scores = memo[spec]
+        vocab, X, X_test, scores, norms = memo[spec]
         # selected on every row, so that each row warns when its K clamps
         selected = _stage("select_k_best", select_k_best, scores, config.k_best)
         key = _fit_key(config, selected.n_kept)
@@ -426,13 +435,13 @@ def _fit(work: _SharedWork, config: ExperimentConfig, memo: dict
                     )
                     values = (None if X_test is None
                               else decision_function(model, apply_mask(X_test, selected)))
-                memo[key] = selected, model, values, caught
-            mask, model, values, caught = memo[key]
+                memo[key] = selected, model, norms[model.support], values, caught
+            mask, model, sv_norms, values, caught = memo[key]
         finally:
             for caught_warning in caught:
                 warnings.warn(str(caught_warning.message), caught_warning.category, stacklevel=2)
         fitted = FittedPipeline(config=config, vocabulary=vocab, mask=mask, svm=model,
-                                resources_digest=work.resources.digest)
+                                sv_norms=sv_norms, resources_digest=work.resources.digest)
         return fitted, values
 
     encoder = _stage("fit_encoder", SequenceEncoder.fit, docs,
@@ -828,22 +837,61 @@ _SVM_SCALARS = ("bias", "gamma", "converged")
 
 #: The cnn.<name> array blobs, each the CnnModel field of that name, besides
 #: the per-channel cnn.conv_w.<k> and cnn.conv_b.<k>.
-_CNN_ARRAYS = ("embedding", "dense_w", "dense_b", "out_w", "out_b", "channels", "max_len")
+_CNN_ARRAYS = ("embedding", "dense_w", "dense_b", "out_w", "out_b", "max_len")
+
+
+def _kept_idf(vocabulary: Vocabulary, mask: SelectionMask) -> np.ndarray:
+    """The idf weights of the kept columns, from their document
+    frequencies alone."""
+    return idf_weights(vocabulary.doc_freq[mask.kept], vocabulary.n_docs)
+
+
+def _same_matrix(a: sparse.csr_matrix, b: sparse.csr_matrix) -> bool:
+    """Whether a and b hold the same entries, their values bit for bit."""
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and a.data.tobytes() == b.data.tobytes())
+
+
+def _support_counts(fitted: FittedPipeline) -> sparse.csr_matrix:
+    """The raw term counts of the support vectors: each value is
+    idf_j * count / norm_i as apply_tfidf computed it, so value * norm_i /
+    idf_j rounds to the count. Raises ValueError unless weighing the counts
+    with those norms gives every value back bit for bit."""
+    sv, norms = fitted.svm.support_vectors, fitted.sv_norms
+    idf = _kept_idf(fitted.vocabulary, fitted.mask)
+    if norms is not None:
+        scaled = sv.data * norms.repeat(np.diff(sv.indptr)) / idf[sv.indices]
+        counts = sparse.csr_matrix((np.rint(scaled).astype(np.int64), sv.indices, sv.indptr),
+                                   shape=sv.shape)
+        if _same_matrix(weigh_counts(counts, idf, norms)[0], sv):
+            return counts
+    raise ValueError("the support vectors are not term counts weighted as apply_tfidf "
+                     "weighs them with the pipeline's norms")
 
 
 def save_model(path: str | Path, fitted: FittedPipeline) -> None:
-    """Persist a fitted pipeline; loading reproduces its predictions exactly."""
+    """Persist a fitted pipeline; loading reproduces its predictions exactly.
+
+    An SVM's support vectors are stored as their raw term counts and norms
+    (see _support_counts), a CNN's channels as its config's cnn_channels.
+    A pipeline whose support vectors or channels these would not give back
+    exactly raises ValueError, and no file is written.
+    """
     meta = {"config": serialize_configs([fitted.config]), "resources": fitted.resources_digest}
     if fitted.kind == "svm":
-        svm = fitted.svm
+        svm, counts = fitted.svm, _support_counts(fitted)
         arrays, texts = fitted.vocabulary.blobs()
         arrays["mask.kept"] = fitted.mask.kept
-        arrays.update(persistence.csr_to_blobs("svm.sv", svm.support_vectors))
+        arrays.update(persistence.csr_to_blobs("svm.sv", counts, "counts"))
+        arrays["svm.sv.norms"] = fitted.sv_norms
         arrays["svm.dual_coef"] = svm.dual_coef
         scalars = dict(bias=svm.bias, gamma=svm.kernel.gamma, converged=svm.converged)
         arrays["svm.scalars"] = np.asarray([float(scalars[name]) for name in _SVM_SCALARS])
     else:
         cnn = fitted.cnn
+        if cnn.channels != kernel_sizes(fitted.config.cnn_channels):
+            raise ValueError(f"the CNN's channels {cnn.channels} are not those of its config's "
+                             f"cnn_channels {fitted.config.cnn_channels}")
         arrays = {f"cnn.{name}": np.atleast_1d(getattr(cnn, name)) for name in _CNN_ARRAYS}
         for k in cnn.channels:
             arrays[f"cnn.conv_w.{k}"] = cnn.conv_w[k]
@@ -868,7 +916,9 @@ def load_model(path: str | Path) -> FittedPipeline:
 def _pipeline_of(meta: dict, arrays: dict, texts: dict) -> FittedPipeline:
     """The pipeline of a model file's contents; a bad value raises what it
     provokes. The config is the one owner of every setting it names: the
-    classifier, the kernel's degree and coef0, C and the CNN's unit."""
+    classifier, the kernel's degree and coef0, C, the CNN's unit and its
+    channels. An SVM has one dual coefficient and one norm per support
+    vector, and its support vectors have one column per kept column."""
     for key in ("config", "resources"):
         if type(meta[key]) is not str:
             raise TypeError(f"metadata {key!r} is {type(meta[key]).__name__}, not str")
@@ -877,30 +927,34 @@ def _pipeline_of(meta: dict, arrays: dict, texts: dict) -> FittedPipeline:
     if config.classifier == "svm":
         vocab = Vocabulary.from_blobs(arrays, texts)
         mask = SelectionMask(kept=arrays["mask.kept"].astype(np.int64, casting="same_kind"))
-        support_vectors = persistence.csr_from_blobs("svm.sv", arrays)
-        n_sv, n_cols = support_vectors.shape
-        dual_coef = arrays["svm.dual_coef"]
-        if dual_coef.shape != (n_sv,):
-            raise ValueError(f"svm.dual_coef has {dual_coef.size} entries for "
-                             f"{n_sv} support vectors")
+        if mask.n_kept and not (mask.kept[0] >= 0 and mask.kept[-1] < vocab.size):
+            raise ValueError(f"mask.kept holds a column outside [0, {vocab.size})")
+        dual_coef, norms = arrays["svm.dual_coef"], arrays["svm.sv.norms"]
+        if dual_coef.ndim != 1 or norms.shape != dual_coef.shape:
+            raise ValueError(f"svm.dual_coef has {dual_coef.size} entries and svm.sv.norms "
+                             f"{norms.size}: not one each per support vector")
+        # a row's norm is at least its largest value, idf * count >= 1 * 1
+        if not (np.isfinite(norms).all() and (norms >= 1.0).all()):
+            raise ValueError("svm.sv.norms holds a norm that is not finite or is below 1")
+        counts = persistence.csr_from_blobs("svm.sv", "counts", arrays,
+                                            (dual_coef.size, mask.n_kept))
+        if counts.dtype.kind not in "iu" or counts.data.min(initial=1) < 1:
+            raise ValueError("svm.sv.counts holds a count that is not an integer >= 1")
+        support_vectors = weigh_counts(counts, _kept_idf(vocab, mask), norms)[0]
         if arrays["svm.scalars"].shape != (len(_SVM_SCALARS),):
             raise ValueError(f"svm.scalars has {arrays['svm.scalars'].size} entries, "
                              f"expected {len(_SVM_SCALARS)}: {', '.join(_SVM_SCALARS)}")
         s = dict(zip(_SVM_SCALARS, arrays["svm.scalars"].tolist()))
-        if mask.kept.shape != (n_cols,):
-            raise ValueError(f"mask.kept keeps {mask.n_kept} columns and svm.sv has "
-                             f"{n_cols} columns")
-        if mask.n_kept and not (mask.kept[0] >= 0 and mask.kept[-1] < vocab.size):
-            raise ValueError(f"mask.kept holds a column outside [0, {vocab.size})")
-        if not all(np.isfinite(v).all() for v in (s["bias"], dual_coef, support_vectors.data)):
-            raise ValueError("svm.scalars bias, svm.dual_coef or svm.sv.data is not finite")
+        # the support vectors' values are finite: idf * count over a norm >= 1
+        if not all(np.isfinite(v).all() for v in (s["bias"], dual_coef)):
+            raise ValueError("svm.scalars bias or svm.dual_coef is not finite")
         kernel = KernelParams(degree=config.svm_degree, gamma=s["gamma"], coef0=config.svm_coef0)
         model = SvmModel(support_vectors=support_vectors, dual_coef=dual_coef, bias=s["bias"],
                          C=config.svm_c, kernel=kernel, converged=bool(s["converged"]))
         return FittedPipeline(config=config, vocabulary=vocab, mask=mask, svm=model,
-                              resources_digest=digest)
+                              sv_norms=norms, resources_digest=digest)
+    channels = kernel_sizes(config.cnn_channels)
     values = {name: arrays[f"cnn.{name}"] for name in _CNN_ARRAYS}
-    channels = tuple(int(k) for k in values.pop("channels"))
     max_len = int(values.pop("max_len")[0])
     cnn = CnnModel(**values, channels=channels, max_len=max_len,
                    conv_w={k: arrays[f"cnn.conv_w.{k}"] for k in channels},

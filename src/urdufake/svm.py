@@ -85,6 +85,8 @@ class SvmModel:
     kernel: KernelParams
     C: float
     converged: bool
+    #: the training rows the support vectors are, ascending (train_svm sets it)
+    support: np.ndarray | None = None
 
     @property
     def n_features(self) -> int:
@@ -205,16 +207,16 @@ def train_svm(
         warnings.warn(f"SMO did not converge within max_passes={max_passes} "
                       f"(KKT conditions violated beyond tol={tol})", stacklevel=2)
 
-    sv = alpha > 0.0
-    model = SvmModel(
+    sv = np.flatnonzero(alpha > 0.0)
+    return SvmModel(
         support_vectors=sparse.csr_matrix(X[sv]),
         dual_coef=(alpha[sv] * y[sv]),
         bias=bias,
         kernel=params,
         C=C,
         converged=converged,
+        support=sv,
     )
-    return model
 
 
 def _kkt_excess(alpha, y, f, C, tol) -> float:

@@ -33,7 +33,9 @@ run per namespace: exactly the lexicographic term order.
 
 Counting and weighting are separate steps: build_vocabulary/count_terms
 give raw per-doc term counts, apply_tfidf weights them by the vocabulary's
-idf and normalizes them. The vocabulary is the one owner of what is
+idf and normalizes them. Its weigh_counts also gives the norm each row was
+divided by, from which that row's values are rebuilt exactly; a saved model
+stores its support vectors so. The vocabulary is the one owner of what is
 counted and how it is weighted: count_terms and transform count the n-gram
 orders whose namespaces it holds, and its idf is derived from its document
 frequencies, never stored apart. Only building a vocabulary
@@ -250,6 +252,15 @@ def _keys_of_blob(blob: np.ndarray) -> np.ndarray:
     return keys
 
 
+def idf_weights(doc_freq: np.ndarray, n_docs: int) -> np.ndarray:
+    """Smoothed idf weights: idf[t] = ln((1 + N) / (1 + df[t])) + 1, for
+    the document frequencies df (each in 0..N) of any columns of a
+    vocabulary over N documents. Each weight depends on its own df alone,
+    so the formula is evaluated once per possible df and looked up."""
+    dfs = np.arange(n_docs + 1, dtype=np.float64)
+    return (np.log((1.0 + n_docs) / (1.0 + dfs)) + 1.0)[doc_freq]
+
+
 @dataclass(frozen=True, eq=False)
 class Vocabulary:
     """The terms, as the ascending keys of each non-empty namespace, with
@@ -273,8 +284,8 @@ class Vocabulary:
 
     @functools.cached_property
     def idf(self) -> np.ndarray:
-        """Smoothed idf weights: idf[t] = ln((1 + N) / (1 + df[t])) + 1."""
-        return np.log((1.0 + self.n_docs) / (1.0 + self.doc_freq.astype(np.float64))) + 1.0
+        """The idf_weights of every column."""
+        return idf_weights(self.doc_freq, self.n_docs)
 
     @functools.cached_property
     def _runs(self) -> dict[str, tuple[int, int]]:
@@ -438,36 +449,66 @@ def count_terms(docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary) -> spar
     return _count_matrix(doc_parts, col_parts, len(docs), vocabulary.size)
 
 
-def apply_tfidf(counts: sparse.csr_matrix, vocabulary: Vocabulary) -> sparse.csr_matrix:
-    """Raw term counts over the vocabulary x its idf, L2-normalized per row.
+#: The number of values weigh_counts divides by their norms at once
+#: (about; a longer row is one block): their divisors take 64 KiB.
+_DIVIDE_BLOCK = 8192
 
-    Each row's sum of squares is one np.add.reduceat segment over that row's
-    values in column order: numpy's own reduction, in an order set by the
-    row alone. So the result depends neither on which other rows or columns
-    the counts came with nor on the BLAS thread count (np.dot splits a long
-    row across BLAS threads). Documents with no in-vocabulary terms are
-    all-zero rows.
+
+def weigh_counts(counts: sparse.csr_matrix, idf: np.ndarray, norms: np.ndarray | None = None
+                 ) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Raw term counts x the idf of their columns, each row divided by its
+    norm, and the norms divided by, one per row.
+
+    By default a row's norm is its L2 norm after weighting: the square root
+    of one np.add.reduceat segment over that row's values in column order,
+    numpy's own reduction, in an order set by the row alone, and 1.0 for a
+    row with no values or only zeros. Given norms are divided by as they
+    are, so counts and the norms this returned for them give the same
+    values again, bit for bit, over these or any other rows of them. The
+    result keeps the counts' order of columns within a row, and may share
+    their index arrays.
+    """
+    if norms is None and not counts.has_sorted_indices:
+        counts = counts.sorted_indices()  # a norm sums its row in column order
+    indptr, indices = counts.indptr, counts.indices
+    vals = idf[indices]
+    vals *= counts.data
+    lengths = np.diff(indptr)
+    if norms is None:
+        norms = np.ones(counts.shape[0])
+        filled = lengths.nonzero()[0]
+        if filled.size:
+            norms[filled] = np.sqrt(np.add.reduceat(vals * vals, indptr[filled]))
+            norms[norms == 0.0] = 1.0  # a row of explicit zeros keeps its values
+    # one block of rows at a time, so that the per-value divisors are a
+    # small array the allocator reuses, not one more array the size of vals
+    starts = np.unique(np.searchsorted(indptr, np.arange(0, vals.size, _DIVIDE_BLOCK),
+                                       side="right") - 1).tolist()
+    for r0, r1 in zip(starts, starts[1:] + [lengths.size]):
+        vals[indptr[r0]:indptr[r1]] /= norms[r0:r1].repeat(lengths[r0:r1])
+    if counts.data.all():
+        return sparse.csr_matrix((vals, indices, indptr), shape=counts.shape), norms
+    # explicit zero counts, dropped from copies of the index arrays the result
+    # would otherwise share with the counts
+    X = sparse.csr_matrix((vals, indices.copy(), indptr.copy()), shape=counts.shape)
+    X.eliminate_zeros()
+    return X, norms
+
+
+def apply_tfidf(counts: sparse.csr_matrix, vocabulary: Vocabulary) -> sparse.csr_matrix:
+    """Raw term counts over the vocabulary x its idf, L2-normalized per row
+    (weigh_counts).
+
+    A row's values depend neither on which other rows or columns the counts
+    came with nor on the BLAS thread count (np.dot would split a long row
+    across BLAS threads). Documents with no in-vocabulary terms are all-zero
+    rows.
     """
     if counts.shape[1] != vocabulary.size:
         raise VectorizeError(
             f"counts have {counts.shape[1]} columns, vocabulary has {vocabulary.size}"
         )
-    if not counts.has_sorted_indices:
-        counts = counts.sorted_indices()
-    indptr, indices = counts.indptr, counts.indices
-    vals = vocabulary.idf[indices]
-    vals *= counts.data
-    lengths = np.diff(indptr)
-    filled = lengths.nonzero()[0]
-    if filled.size:
-        norms = np.sqrt(np.add.reduceat(vals * vals, indptr[filled]))
-        norms[norms == 0.0] = 1.0  # a row of explicit zeros keeps its values
-        vals /= norms.repeat(lengths[filled])
-    X = sparse.csr_matrix(
-        (vals, indices.astype(np.int64), indptr.astype(np.int64)), shape=counts.shape
-    )
-    X.eliminate_zeros()
-    return X
+    return weigh_counts(counts, vocabulary.idf)[0]
 
 
 def transform(docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary) -> sparse.csr_matrix:

@@ -131,13 +131,17 @@ def reference_idf(vocabulary: Vocabulary) -> np.ndarray:
     return np.log((1.0 + n) / (1.0 + vocabulary.doc_freq.astype(np.float64))) + 1.0
 
 
-def reference_transform(docs, vocabulary: Vocabulary, spec: NgramSpec) -> sparse.csr_matrix:
+def reference_tfidf(docs, vocabulary: Vocabulary, spec: NgramSpec
+                    ) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """The TF-IDF rows of docs and the norm each was divided by (1.0 for a
+    row with nothing to divide)."""
     vocab = {t: i for i, t in enumerate(vocabulary.terms_by_index())}
     idf = reference_idf(vocabulary)
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
-    for doc in docs:
+    norms = np.ones(len(docs))
+    for i, doc in enumerate(docs):
         counts = Counter(doc_terms(doc, spec))
         cols = sorted(vocab[t] for t in counts if t in vocab)
         if cols:
@@ -150,6 +154,7 @@ def reference_transform(docs, vocabulary: Vocabulary, spec: NgramSpec) -> sparse
             norm = math.sqrt(float(np.add.reduceat(vals * vals, [0])[0]))
             if norm > 0.0:
                 vals /= norm
+                norms[i] = norm
             indices.extend(cols)
             data.extend(vals.tolist())
         indptr.append(len(indices))
@@ -160,7 +165,11 @@ def reference_transform(docs, vocabulary: Vocabulary, spec: NgramSpec) -> sparse
         shape=(len(docs), vocabulary.size),
     )
     X.eliminate_zeros()
-    return X
+    return X, norms
+
+
+def reference_transform(docs, vocabulary: Vocabulary, spec: NgramSpec) -> sparse.csr_matrix:
+    return reference_tfidf(docs, vocabulary, spec)[0]
 
 
 def csr_bytes(X: sparse.csr_matrix) -> tuple:

@@ -225,7 +225,7 @@ def _saved_model(data_dir, config="k_best = 50\n"):
 
 def _corrupt_model(data_dir, case):
     """A saved model with its first metadata byte changed; with major version
-    3; without its last blob or with that blob twice, its blob count changed
+    4; without its last blob or with that blob twice, its blob count changed
     to match; with a byte after its last blob; or with the stated size of its
     metadata or its first blob far beyond the end of the file."""
     path = _saved_model(data_dir)
@@ -239,8 +239,8 @@ def _corrupt_model(data_dir, case):
     n_blobs = int.from_bytes(blob[count_at:count_at + 4], "little")
     if case == "model_metadata_corrupt":
         blob[meta_at] ^= 1
-    elif case == "model_major_3":
-        blob[4:8] = (3).to_bytes(4, "little")
+    elif case == "model_major_4":
+        blob[4:8] = (4).to_bytes(4, "little")
     elif case == "model_blob_missing":
         blob[count_at:count_at + 4] = (n_blobs - 1).to_bytes(4, "little")
         blob = blob[:-len(last)]
@@ -273,6 +273,14 @@ def _out_of_range_model(data_dir, case):
         meta["config"] = meta["config"].replace("svm_degree = 1\n", "svm_degree = 0\n")
     elif case == "model_dual_coef_short":
         arrays["svm.dual_coef"] = arrays["svm.dual_coef"][:-1]
+    elif case == "model_sv_count_0":
+        arrays["svm.sv.counts"][0] = 0
+    elif case == "model_sv_norm_nan":
+        arrays["svm.sv.norms"][-1] = np.nan
+    elif case == "model_sv_norm_negative":
+        arrays["svm.sv.norms"][0] = -arrays["svm.sv.norms"][0]
+    elif case == "model_sv_norms_short":
+        arrays["svm.sv.norms"] = arrays["svm.sv.norms"][:-1]
     elif case == "model_sv_index_out_of_range":
         arrays["svm.sv.indices"] = arrays["svm.sv.indices"].astype(np.int64)
         arrays["svm.sv.indices"][0] = 10**9
@@ -313,14 +321,15 @@ def _bad_input(data_dir, case):
         return ["train", "--train", data_dir / "absent.tsv"]
     if case == "not_a_model_file":
         return ["predict", "--model", train, "--input", test]
-    if case in ("model_metadata_corrupt", "model_major_3", "model_blob_missing",
+    if case in ("model_metadata_corrupt", "model_major_4", "model_blob_missing",
                 "model_blob_repeated", "model_trailing_byte", "model_metadata_size_2_62",
                 "model_blob_size_2_62", "model_blob_size_2_40"):
         return ["predict", "--model", _corrupt_model(data_dir, case), "--input", test]
     if case in ("model_gamma_nan", "model_degree_0", "model_dual_coef_short",
-                "model_sv_index_out_of_range", "model_doc_freq_short", "model_mask_kept_short",
-                "model_mask_kept_float", "model_resources_not_str", "model_words_unordered",
-                "model_config_classifier_mismatch", "cnn_model_max_len_0",
+                "model_sv_count_0", "model_sv_norm_nan", "model_sv_norm_negative",
+                "model_sv_norms_short", "model_sv_index_out_of_range", "model_doc_freq_short",
+                "model_mask_kept_short", "model_mask_kept_float", "model_resources_not_str",
+                "model_words_unordered", "model_config_classifier_mismatch", "cnn_model_max_len_0",
                 "cnn_model_embedding_short",
                 "cnn_model_mixed_dtype", "cnn_model_unit_byte"):
         return ["predict", "--model", _out_of_range_model(data_dir, case), "--input", test]
@@ -376,7 +385,7 @@ def _bad_input(data_dir, case):
     ("missing_train_file", "No such file or directory"),
     ("not_a_model_file", "magic-byte check failed"),
     ("model_metadata_corrupt", "corrupt model file: cannot decode the metadata"),
-    ("model_major_3", "model format major version 3 is not the supported 4; "),
+    ("model_major_4", "model format major version 4 is not the supported 5; "),
     ("model_blob_missing", "model file has no text blob 'vocab.words'"),
     ("model_blob_repeated", "corrupt model file: blob 'vocab.words' occurs twice"),
     ("model_trailing_byte", "corrupt model file: bytes after the last blob"),
@@ -386,9 +395,16 @@ def _bad_input(data_dir, case):
     ("model_gamma_nan", "corrupt model file: gamma must be finite, got nan"),
     ("model_degree_0", "corrupt model file: degree must be >= 1, got 0"),
     ("model_dual_coef_short", "corrupt model file: svm.dual_coef has "),
+    ("model_sv_count_0", "corrupt model file: svm.sv.counts holds a count that is not an "
+                         "integer >= 1"),
+    ("model_sv_norm_nan", "corrupt model file: svm.sv.norms holds a norm that is not finite "
+                          "or is below 1"),
+    ("model_sv_norm_negative", "corrupt model file: svm.sv.norms holds a norm that is not "
+                               "finite or is below 1"),
+    ("model_sv_norms_short", "corrupt model file: svm.dual_coef has "),
     ("model_sv_index_out_of_range", "corrupt model file: svm.sv: indices must be < "),
     ("model_doc_freq_short", "corrupt model file: doc_freq has "),
-    ("model_mask_kept_short", "corrupt model file: mask.kept keeps "),
+    ("model_mask_kept_short", "corrupt model file: svm.sv: indices must be < 49"),
     ("model_mask_kept_float", "corrupt model file: Cannot cast array data from "
                               "dtype('float64') to dtype('int64')"),
     ("model_resources_not_str", "corrupt model file: metadata 'resources' is int, not str"),

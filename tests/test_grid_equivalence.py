@@ -58,6 +58,7 @@ from reference_vectorize import (
     reference_counts,
     reference_idf,
     reference_terms,
+    reference_tfidf,
     reference_transform,
 )
 
@@ -76,7 +77,7 @@ def reference_fit_svm(train, config, resources) -> FittedPipeline:
     docs = _stage("preprocess", preprocess_corpus, train, config.preprocess, resources)
     spec = config.ngram_spec()
     vocab = _stage("build_vocabulary", reference_build_vocabulary, docs, spec)
-    X = _stage("transform", reference_transform, docs, vocab, spec)
+    X, norms = _stage("transform", reference_tfidf, docs, vocab, spec)
     y = labels_to_signs([d.label for d in train])
     mask = _stage("select_k_best", select_k_best, _stage("chi2_scores", chi2_scores, X, y),
                   config.k_best)
@@ -87,7 +88,7 @@ def reference_fit_svm(train, config, resources) -> FittedPipeline:
                                        coef0=config.svm_coef0),
                    C=config.svm_c, tol=config.svm_tol, max_passes=config.svm_max_passes)
     return FittedPipeline(config=config, vocabulary=vocab, mask=mask, svm=model,
-                          resources_digest=resources.digest)
+                          sv_norms=norms[model.support], resources_digest=resources.digest)
 
 
 def reference_row(train, test, config, resources, sn):
@@ -216,7 +217,7 @@ def test_shipped_grid_featurizes_each_spec_once(resources, monkeypatch):
     train = generate_synthetic(3, 20, (FAKE_POOL, REAL_POOL), (5, 10), split="train")
     test = generate_synthetic(4, 8, (FAKE_POOL, REAL_POOL), (5, 10), split="test")
     configs = parse_config_file(ROOT / "configs" / "shared_task_grid.cfg")
-    calls = {"restrict": 0, "apply_tfidf": 0, "chi2_scores": 0}
+    calls = {"restrict": 0, "weigh_counts": 0, "apply_tfidf": 0, "chi2_scores": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -225,6 +226,7 @@ def test_shipped_grid_featurizes_each_spec_once(resources, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Vocabulary, "restrict", counted("restrict", Vocabulary.restrict))
+    monkeypatch.setattr(runner, "weigh_counts", counted("weigh_counts", runner.weigh_counts))
     monkeypatch.setattr(runner, "apply_tfidf", counted("apply_tfidf", runner.apply_tfidf))
     monkeypatch.setattr(runner, "chi2_scores", counted("chi2_scores", runner.chi2_scores))
     margins = []  # (model, its test decision values), one per call
@@ -242,9 +244,9 @@ def test_shipped_grid_featurizes_each_spec_once(resources, monkeypatch):
             works.append(self)
 
         def features(self, spec):
-            vocab, X, X_test, scores = super().features(spec)
-            matrices.append((spec, weakref.ref(X), weakref.ref(X_test)))
-            return vocab, X, X_test, scores
+            features = super().features(spec)
+            matrices.append((spec, weakref.ref(features[1]), weakref.ref(features[2])))
+            return features
 
     monkeypatch.setattr(runner, "_SharedWork", RecordedWork)
     specs = [config.ngram_spec() for config in configs]
@@ -259,7 +261,8 @@ def test_shipped_grid_featurizes_each_spec_once(resources, monkeypatch):
     grid_margins = list(margins)
 
     assert [r.ok for r in rows] == [True] * 9 and len(set(specs)) == 4 and len(works) == 1
-    assert calls == {"restrict": 4, "apply_tfidf": 8, "chi2_scores": 4}
+    # the train split is weighed with its norms kept, the test split by apply_tfidf
+    assert calls == {"restrict": 4, "weigh_counts": 4, "apply_tfidf": 4, "chi2_scores": 4}
     assert len(matrices) == 4 and kept == {sn: set() for sn in range(1, 10)}
     keys = {runner._fit_key(c, r.k_selected) for c, r in zip(configs, rows)}
     assert len(grid_margins) == len(keys) == 4 and len(fitted_rows) == 9

@@ -1,5 +1,7 @@
+import importlib.util
 import io
 import re
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urdufake.cli import _INPUT_ERRORS
-from urdufake.corpus import Corpus, Document, Label, generate_synthetic
+from urdufake.corpus import Corpus, Document, Label, generate_synthetic, load_corpus
 from urdufake import persistence
 from urdufake.persistence import MAGIC, ModelFormatError
 from urdufake.preprocess import PreprocessConfig, ResourceError, Resources
@@ -371,7 +373,7 @@ def test_save_load_round_trip_cnn(small_train, small_test, resources, tmp_path):
     )
     assert fitted.predict(small_test, resources) == loaded.predict(small_test, resources)
     _, arrays, _ = persistence.read_container(path)
-    assert {arrays[name].dtype for name in arrays if name not in ("cnn.channels", "cnn.max_len")
+    assert {arrays[name].dtype for name in arrays if name != "cnn.max_len"
             } == {np.dtype(np.float32)}
 
 
@@ -399,30 +401,29 @@ def test_a_float64_cnn_file_loads_and_predicts_in_float64(small_train, small_tes
 
 
 #: The blobs of an SVM model file: the vocabulary as its rank tables and the
-#: term keys of each namespace.
+#: term keys of each namespace, and the support vectors as their term counts
+#: and one norm each.
 SVM_ARRAYS = {
     "doc_freq", "mask.kept", "vocab.n_docs", "vocab.alphabet",
     *(f"vocab.keys.c{n}" for n in range(2, 7)), *(f"vocab.keys.w{n}" for n in range(1, 5)),
-    "svm.sv.data", "svm.sv.indices", "svm.sv.indptr", "svm.sv.shape",
+    "svm.sv.counts", "svm.sv.norms", "svm.sv.indices", "svm.sv.indptr",
     "svm.dual_coef", "svm.scalars",
 }
 
 
 def test_a_file_of_another_major_version_is_refused(small_train, resources, tmp_path,
                                                      monkeypatch):
-    """A major-3 file, which also held the classifier as the metadata "kind"
-    and C, coef0, degree and the feature count in svm.scalars, and a major-5
-    file each stop loading with one line naming their version."""
+    """A major-4 file, which held the support vectors' values in svm.sv.data
+    and their shape in svm.sv.shape, and a major-6 file each stop loading
+    with one line naming their version."""
     fitted = fit_pipeline(small_train, ExperimentConfig(name="compat", k_best=200), resources)
     path = tmp_path / "m.ufnd"
     save_model(path, fitted)
     meta, arrays, texts = persistence.read_container(path)
-    bias, gamma, converged = arrays["svm.scalars"]
-    kernel = fitted.svm.kernel
-    meta["kind"] = "svm"
-    arrays["svm.scalars"] = np.asarray([bias, fitted.svm.C, gamma, kernel.coef0, kernel.degree,
-                                        converged, fitted.svm.n_features], dtype=np.float64)
-    for major in (3, 5):
+    del arrays["svm.sv.counts"], arrays["svm.sv.norms"]
+    arrays["svm.sv.data"] = fitted.svm.support_vectors.data
+    arrays["svm.sv.shape"] = np.asarray(fitted.svm.support_vectors.shape)
+    for major in (4, 6):
         other = tmp_path / f"major{major}.ufnd"
         with monkeypatch.context() as m:
             m.setattr(persistence, "MAJOR", major)
@@ -430,7 +431,7 @@ def test_a_file_of_another_major_version_is_refused(small_train, resources, tmp_
         assert other.read_bytes()[4:8] == major.to_bytes(4, "little")
         with pytest.raises(ModelFormatError) as err:
             load_model(other)
-        assert str(err.value) == (f"model format major version {major} is not the supported 4; "
+        assert str(err.value) == (f"model format major version {major} is not the supported 5; "
                                   "train the model again, or load it with the version that "
                                   "wrote it")
 
@@ -552,7 +553,7 @@ def test_load_missing_metadata_key_names_it(tmp_path):
 
 #: The array blobs of the CNN model file the damaged-blob sweep saves.
 SWEEP_CNN_ARRAYS = {
-    "cnn.embedding", "cnn.dense_w", "cnn.dense_b", "cnn.out_w", "cnn.out_b", "cnn.channels",
+    "cnn.embedding", "cnn.dense_w", "cnn.dense_b", "cnn.out_w", "cnn.out_b",
     "cnn.max_len", "cnn.conv_w.1", "cnn.conv_b.1", "cnn.conv_w.2", "cnn.conv_b.2",
 }
 
@@ -584,7 +585,8 @@ def test_model_metadata_is_the_config_and_resources_digest(sweep_models, resourc
 def test_integer_blobs_are_stored_narrow_and_load_wide(sweep_models, tmp_path):
     _, arrays, _ = persistence.read_container(sweep_models["svm"])
     narrow = [n for n in arrays if n.startswith("vocab.keys.")] + [
-        "doc_freq", "vocab.alphabet", "mask.kept", "svm.sv.indices", "svm.sv.indptr"]
+        "doc_freq", "vocab.alphabet", "mask.kept", "svm.sv.counts", "svm.sv.indices",
+        "svm.sv.indptr"]
     for name in narrow:
         assert arrays[name].dtype.kind == "u" and arrays[name].dtype.itemsize < 8, name
     loaded = load_model(sweep_models["svm"])
@@ -628,3 +630,108 @@ def test_a_damaged_array_blob_predicts_or_gives_an_input_error(
         load_model(path).decision_values(synthetic_test, resources)
     except _INPUT_ERRORS:
         pass
+
+
+def _support_vector_damage(arrays: dict, case: str) -> None:
+    """Damage the support-vector blobs of a model file's arrays in place."""
+    counts, norms = arrays["svm.sv.counts"].copy(), arrays["svm.sv.norms"].copy()
+    if case == "count_0":
+        counts[counts.size // 2] = 0
+    elif case.startswith("norm_"):
+        norms[norms.size // 2] = float(case[len("norm_"):])
+    elif case == "norms_short":
+        norms = norms[:-1]
+    else:  # norms_long
+        norms = np.append(norms, 1.0)
+    arrays["svm.sv.counts"], arrays["svm.sv.norms"] = counts, norms
+
+
+@pytest.mark.parametrize("case, message", [
+    ("count_0", "svm.sv.counts holds a count that is not an integer >= 1"),
+    ("norm_nan", "svm.sv.norms holds a norm that is not finite or is below 1"),
+    ("norm_inf", "svm.sv.norms holds a norm that is not finite or is below 1"),
+    ("norm_0", "svm.sv.norms holds a norm that is not finite or is below 1"),
+    ("norm_-1.5", "svm.sv.norms holds a norm that is not finite or is below 1"),
+    ("norm_0.5", "svm.sv.norms holds a norm that is not finite or is below 1"),
+    ("norms_short", "svm.dual_coef has "),
+    ("norms_long", "svm.dual_coef has "),
+])
+def test_a_bad_support_vector_count_or_norm_is_one_corrupt_file_line(
+        sweep_models, tmp_path, case, message):
+    meta, arrays, texts = persistence.read_container(sweep_models["svm"])
+    _support_vector_damage(arrays, case)
+    path = tmp_path / "damaged.ufnd"
+    persistence.write_container(path, meta, arrays, texts)
+    with pytest.raises(ModelFormatError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"corrupt model file: {message}")
+    assert "\n" not in str(err.value)
+
+
+def test_saving_support_vectors_that_counts_and_norms_do_not_give_is_refused(
+        small_train, resources, tmp_path):
+    """Norms one ulp off, or none, would not give the support vectors back
+    bit for bit; nor would a CNN file's channels that are not its config's."""
+    fitted = fit_pipeline(small_train, ExperimentConfig(name="sv", k_best=100), resources)
+    norms = fitted.sv_norms.copy()
+    norms[0] = np.nextafter(norms[0], np.inf)
+    path = tmp_path / "m.ufnd"
+    for bad in (replace(fitted, sv_norms=norms), replace(fitted, sv_norms=None)):
+        with pytest.raises(ValueError, match="support vectors are not term counts weighted"):
+            save_model(path, bad)
+        assert not path.exists()
+    cnn = fit_pipeline(small_train, ExperimentConfig(name="c", classifier="cnn", cnn_epochs=1,
+                                                     cnn_channels=(1, 2)), resources)
+    with pytest.raises(ValueError, match="channels"):
+        save_model(path, replace(cnn, config=replace(cnn.config, cnn_channels=(1, 3))))
+    assert not path.exists()
+
+
+@pytest.fixture(scope="module")
+def long_split(tmp_path_factory):
+    """(train, test) of long documents, 80-450 tokens each: the
+    shared-task-shaped corpus of perfbench/corpus_gen.py at seed 1, 11:15
+    train / 5:10 test documents, as the CI workflow writes it."""
+    spec = importlib.util.spec_from_file_location("corpus_gen",
+                                                  ROOT / "perfbench" / "corpus_gen.py")
+    corpus_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus_gen)
+    paths = corpus_gen.generate(1, tmp_path_factory.mktemp("long"),
+                                {"train": (11, 15), "test": (5, 10)})
+    return load_corpus(paths["train"], "train"), load_corpus(paths["test"], "test")
+
+
+@pytest.mark.parametrize("split", ["synthetic", "long"])
+def test_every_saved_grid_row_reloads_its_support_vectors_and_values_bit_for_bit(
+        request, resources, tmp_path, split):
+    """Each row the shipped grid saves loads back with the support-vector
+    values and test decision values of the pipeline in memory, byte for
+    byte, and saves again to the same bytes."""
+    if split == "synthetic":
+        train, test = (request.getfixturevalue(f"synthetic_{s}") for s in ("train", "test"))
+    else:
+        train, test = request.getfixturevalue("long_split")
+    checked = []
+
+    def keep(row, fitted):
+        path, again = tmp_path / f"row-{row.sn:02d}.ufnd", tmp_path / "again.ufnd"
+        save_model(path, fitted)
+        loaded = load_model(path)
+        ours, theirs = fitted.svm.support_vectors, loaded.svm.support_vectors
+        assert ours.shape == theirs.shape and ours.nnz > 0, row.name
+        assert np.array_equal(ours.indptr, theirs.indptr), row.name
+        assert np.array_equal(ours.indices, theirs.indices), row.name
+        assert ours.data.tobytes() == theirs.data.tobytes(), row.name
+        assert (loaded.decision_values(test, resources).tobytes()
+                == fitted.decision_values(test, resources).tobytes()), row.name
+        save_model(again, loaded)
+        assert again.read_bytes() == path.read_bytes(), row.name
+        checked.append(row.sn)
+
+    configs = parse_config_file(ROOT / "configs" / "shared_task_grid.cfg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = run_grid(train, test, configs, resources, on_fitted=keep)
+    assert all(r.ok for r in rows) and sorted(checked) == list(range(1, 10))
+    if split == "long":  # no K clamps: each row selects among many more terms
+        assert all(r.k_selected < r.v_total for r in rows)

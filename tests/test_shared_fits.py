@@ -197,9 +197,9 @@ def test_nothing_a_task_memoises_outlives_its_task(resources, monkeypatch, train
         return model
 
     def recording_features(work, spec):
-        vocab, X, X_test, scores = features(work, spec)
+        vocab, X, X_test, *rest = features(work, spec)
         made.extend((current[0], weakref.ref(matrix)) for matrix in (X, X_test))
-        return vocab, X, X_test, scores
+        return vocab, X, X_test, *rest
 
     def checked(work, config, sn, memo):
         if sn in first_rows:
