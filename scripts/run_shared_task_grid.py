@@ -20,7 +20,7 @@ from pathlib import Path
 
 from urdufake.corpus import TEST_EXPECTATION, TRAIN_EXPECTATION, load_corpus, validate_split
 from urdufake.preprocess import Resources
-from urdufake.runner import parse_config_file, render_results_md, render_results_tsv, run_grid
+from urdufake.runner import parse_config_file, run_grid, write_results
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,10 +50,7 @@ def main() -> int:
     if args.cnn:
         configs += parse_config_file(REPO_ROOT / "configs" / "cnn_variants.cfg")
     rows = run_grid(train, test, configs, resources)
-    (args.out_dir / "results.tsv").write_text(render_results_tsv(rows), encoding="utf-8")
-    (args.out_dir / "results.md").write_text(render_results_md(rows), encoding="utf-8")
-    print(render_results_md(rows))
-    print(f"wrote {args.out_dir}/results.tsv and results.md")
+    write_results(rows, args.out_dir)
     return 0
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from urdufake.corpus import generate_synthetic, save_corpus
 from urdufake.preprocess import Resources
-from urdufake.runner import ExperimentConfig, render_results_md, render_results_tsv, run_grid
+from urdufake.runner import ExperimentConfig, run_grid, write_results
 
 FAKE_POOL = tuple(f"jhoot{i}" for i in range(30))
 REAL_POOL = tuple(f"sach{i}" for i in range(30))
@@ -38,10 +38,7 @@ def main() -> int:
                          cnn_unit="word", cnn_channels=(1, 2, 3, 4), cnn_epochs=7),
     ]
     rows = run_grid(train, test, configs, Resources.default())
-    (args.out_dir / "results.tsv").write_text(render_results_tsv(rows), encoding="utf-8")
-    (args.out_dir / "results.md").write_text(render_results_md(rows), encoding="utf-8")
-    print(render_results_md(rows))
-    print(f"wrote {args.out_dir}/results.tsv and results.md")
+    write_results(rows, args.out_dir)
     return 0
 
 

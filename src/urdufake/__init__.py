@@ -49,7 +49,6 @@ from .runner import (
     fit_pipeline,
     load_model,
     parse_config_file,
-    run_config,
     run_grid,
     save_model,
 )

@@ -23,10 +23,9 @@ from .runner import (
     fit_pipeline,
     load_model,
     parse_config_file,
-    render_results_md,
-    render_results_tsv,
     run_grid,
     save_model,
+    write_results,
 )
 from .selection import SelectionError, chi2_scores, select_k_best
 from .svm import labels_to_signs
@@ -214,13 +213,7 @@ def _cmd_experiment(args) -> int:
             save_model(models_dir / f"row-{row.sn:02d}.ufnd", fitted)
 
     rows = run_grid(train, test, _configs(args), _resources(args), on_fitted=save)
-    tsv_path = args.out_dir / "results.tsv"
-    md_path = args.out_dir / "results.md"
-    tsv_path.write_text(render_results_tsv(rows), encoding="utf-8")
-    md_path.write_text(render_results_md(rows), encoding="utf-8")
-    print(render_results_md(rows))
-    failures = [r for r in rows if not r.ok]
-    print(f"wrote {tsv_path} and {md_path} ({len(rows)} rows, {len(failures)} failed)")
+    write_results(rows, args.out_dir)
     return 0
 
 

@@ -378,15 +378,6 @@ class _SharedWork:
         return replace(vocab, counts=None), X, X_test, scores, norms
 
 
-def _svm_params(config: ExperimentConfig) -> KernelParams:
-    """config's kernel, its solver settings checked; a setting train_svm
-    would refuse raises."""
-    params = KernelParams(degree=config.svm_degree, gamma=config.svm_gamma,
-                          coef0=config.svm_coef0)
-    check_solver_params(config.svm_c, config.svm_tol, config.svm_max_passes)
-    return params
-
-
 def _fit_key(config: ExperimentConfig, n_selected: int) -> tuple:
     """What an SVM row's fit depends on besides its group's training split:
     its n-gram spec, its number of selected columns (min(K, V) of the spec)
@@ -416,7 +407,10 @@ def _fit(work: _SharedWork, config: ExperimentConfig, memo: dict
     if config.classifier == "svm":
         # checked before featurizing, so a bad kernel or solver setting fails
         # before any stage warns
-        params = _stage("train_svm", _svm_params, config)
+        params = _stage("train_svm", KernelParams, degree=config.svm_degree,
+                        gamma=config.svm_gamma, coef0=config.svm_coef0)
+        _stage("train_svm", check_solver_params, config.svm_c, config.svm_tol,
+               config.svm_max_passes)
         spec = _stage("build_vocabulary", config.ngram_spec)
         if spec not in memo:
             memo[spec] = work.features(spec)
@@ -464,24 +458,17 @@ def _fit(work: _SharedWork, config: ExperimentConfig, memo: dict
                           resources_digest=work.resources.digest), None
 
 
-def _naming_warnings(prefix: str, fn, *args):
-    """fn(*args); each warning it raises is issued again as prefix + message,
-    with its category, from the caller of this helper's caller."""
-    caught: list[warnings.WarningMessage] = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            return fn(*args)
-    finally:
-        for caught_warning in caught:
-            warnings.warn(f"{prefix}{caught_warning.message}", caught_warning.category,
-                          stacklevel=3)
-
-
 def fit_pipeline(train: Corpus, config: ExperimentConfig, resources: Resources) -> FittedPipeline:
     """Fit every stage on the training corpus only. A warning a stage raises
     is issued again as "<name>: <message>", with its category."""
-    work = _SharedWork(train, None, [config], resources)
-    return _naming_warnings(f"{config.name}: ", _fit, work, config, {})[0]
+    caught: list[warnings.WarningMessage] = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            return _fit(_SharedWork(train, None, [config], resources), config, {})[0]
+    finally:
+        for caught_warning in caught:
+            warnings.warn(f"{config.name}: {caught_warning.message}", caught_warning.category,
+                          stacklevel=2)
 
 
 @dataclass(frozen=True)
@@ -508,38 +495,6 @@ def _config_columns(config: ExperimentConfig, sn: int) -> dict:
                 k_best=config.k_best if config.classifier == "svm" else 0)
 
 
-def _run_row(work: _SharedWork, config: ExperimentConfig, sn: int, memo: dict
-             ) -> tuple[ResultRow, FittedPipeline]:
-    """Fit on train, predict on test, evaluate with Fake as positive class;
-    memo is the row's task's (see _fit)."""
-    start = time.perf_counter()
-    fitted, values = _fit(work, config, memo)
-    if fitted.kind == "cnn":
-        values = fitted.values_of(work.docs("test"))
-    test = work.splits["test"]
-    report = summarize(confusion([d.label for d in test], fitted.labels(values)))
-    elapsed = time.perf_counter() - start
-    return ResultRow(
-        **_config_columns(config, sn),
-        block=config.ngram_spec().describe() if config.classifier == "svm"
-        else f"cnn {config.cnn_unit} channels {','.join(map(str, config.cnn_channels))}",
-        v_total=fitted.total_features,
-        k_selected=fitted.selected_features,
-        report=report,
-        seconds=elapsed,
-    ), fitted
-
-
-def run_config(
-    train: Corpus, test: Corpus, config: ExperimentConfig, resources: Resources, sn: int = 1
-) -> ResultRow:
-    """Fit on train, predict on test, evaluate with Fake as positive class. A
-    warning a stage raises is issued again as "<name>: <message>", with its
-    category."""
-    work = _SharedWork(train, test, [config], resources)
-    return _naming_warnings(f"{config.name}: ", _run_row, work, config, sn, {})[0]
-
-
 #: A grid row's outcome: its result, its fitted pipeline (None when the row
 #: failed or no on_fitted keeps it) and the warnings it raised, each as
 #: (category, text).
@@ -553,14 +508,27 @@ def _error_row(config: ExperimentConfig, sn: int, error: str) -> ResultRow:
 
 def _grid_row(work: _SharedWork, config: ExperimentConfig, sn: int, memo: dict,
               keep: bool) -> _Outcome:
-    """One grid row, with its task's memo; a row that raises is an error
-    row. The fitted pipeline is kept only when keep is true."""
-    fitted = None
+    """One grid row: fit on train from its task's memo (see _fit), predict
+    on test and evaluate with Fake as positive class. A row that raises is
+    an error row. The fitted pipeline is kept only when keep is true."""
+    start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         try:
-            row, fitted = _run_row(work, config, sn, memo)
+            fitted, values = _fit(work, config, memo)
+            if fitted.kind == "cnn":
+                values = fitted.values_of(work.docs("test"))
+            gold = [d.label for d in work.splits["test"]]
+            row = ResultRow(
+                **_config_columns(config, sn),
+                block=config.ngram_spec().describe() if config.classifier == "svm"
+                else f"cnn {config.cnn_unit} channels {','.join(map(str, config.cnn_channels))}",
+                v_total=fitted.total_features,
+                k_selected=fitted.selected_features,
+                report=summarize(confusion(gold, fitted.labels(values))),
+                seconds=time.perf_counter() - start,
+            )
         except Exception as exc:
-            row = _error_row(config, sn, str(exc))
+            fitted, row = None, _error_row(config, sn, str(exc))
     return row, fitted if keep else None, [(w.category, str(w.message)) for w in caught]
 
 
@@ -586,11 +554,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _worker_count(n_tasks: int) -> int:
-    """How many processes run a grid of n_tasks tasks; 1 runs it in-process."""
-    return min(_usable_cpus(), n_tasks) if hasattr(os, "fork") else 1
 
 
 def _fork_worker(run: Callable[[int], object], inherited: list[Connection]
@@ -711,7 +674,7 @@ def run_grid(
     memo: their spec's features and, for the rows that select the same
     columns with the same kernel and solver settings, one selection mask,
     SVM fit and set of test decision values (see _fit). Each row's results
-    and fitted pipeline are those of run_config and fit_pipeline on it
+    and fitted pipeline are those of a one-row grid and fit_pipeline on it
     alone. A warning a row raises, one a shared fit raised included, is
     issued again as "row <sn> <name>: <message>", with its category, in row
     order.
@@ -742,7 +705,7 @@ def run_grid(
     # every row of a task shares one preprocessing config
     tasks_left = Counter(configs[sns[0] - 1].preprocess for sns in tasks)
     done: dict[int, _Outcome] = {}
-    n_workers = _worker_count(len(tasks))
+    n_workers = min(_usable_cpus(), len(tasks)) if hasattr(os, "fork") else 1
     if n_workers > 1:
         for key in shared:  # a loop variable would hold the last group's work to the end
             shared[key].prepare()
@@ -829,6 +792,18 @@ def render_results_md(rows: list[ResultRow]) -> str:
     for row in (header, sep, *body):
         out.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
     return "\n".join(out) + "\n"
+
+
+def write_results(rows: list[ResultRow], out_dir: Path) -> None:
+    """Write results.tsv and results.md into out_dir, then print the table
+    and a line naming both files."""
+    tsv_path, md_path = out_dir / "results.tsv", out_dir / "results.md"
+    table = render_results_md(rows)
+    tsv_path.write_text(render_results_tsv(rows), encoding="utf-8")
+    md_path.write_text(table, encoding="utf-8")
+    print(table)
+    failures = sum(not r.ok for r in rows)
+    print(f"wrote {tsv_path} and {md_path} ({len(rows)} rows, {failures} failed)")
 
 
 #: The entries of the svm.scalars blob, in their order: the fitted values the
@@ -955,7 +930,7 @@ def _pipeline_of(meta: dict, arrays: dict, texts: dict) -> FittedPipeline:
                               sv_norms=norms, resources_digest=digest)
     channels = kernel_sizes(config.cnn_channels)
     values = {name: arrays[f"cnn.{name}"] for name in _CNN_ARRAYS}
-    max_len = int(values.pop("max_len")[0])
+    max_len = values.pop("max_len").astype(np.int64, casting="same_kind").item()
     cnn = CnnModel(**values, channels=channels, max_len=max_len,
                    conv_w={k: arrays[f"cnn.conv_w.{k}"] for k in channels},
                    conv_b={k: arrays[f"cnn.conv_b.{k}"] for k in channels})

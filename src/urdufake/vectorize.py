@@ -256,7 +256,11 @@ def idf_weights(doc_freq: np.ndarray, n_docs: int) -> np.ndarray:
     """Smoothed idf weights: idf[t] = ln((1 + N) / (1 + df[t])) + 1, for
     the document frequencies df (each in 0..N) of any columns of a
     vocabulary over N documents. Each weight depends on its own df alone,
-    so the formula is evaluated once per possible df and looked up."""
+    so the formula is evaluated once per possible df and looked up, or once
+    per column when there are fewer columns than possible dfs: N may come
+    from a model file, and the work stays bounded by the columns."""
+    if n_docs + 1 > doc_freq.size:
+        return np.log((1.0 + n_docs) / (1.0 + doc_freq.astype(np.float64))) + 1.0
     dfs = np.arange(n_docs + 1, dtype=np.float64)
     return (np.log((1.0 + n_docs) / (1.0 + dfs)) + 1.0)[doc_freq]
 
@@ -357,8 +361,9 @@ class Vocabulary:
         Refuses a code-point table or a namespace's keys that are not strictly
         ascending (count_terms binary-searches them), a word list that is not
         (word n-gram keys are ranks in it), a key with more digits than its
-        order over the rank tables, and a doc_freq that is not one entry in
-        1..n_docs per term (the idf divides by 1 + df).
+        order over the rank tables, a vocab.n_docs that is not one integer,
+        and a doc_freq that is not one entry in 1..n_docs per term (the idf
+        divides by 1 + df).
         """
         alphabet = arrays["vocab.alphabet"].astype(np.uint32, casting="same_kind")
         if alphabet.ndim != 1 or np.any(alphabet[1:] <= alphabet[:-1]):
@@ -377,7 +382,7 @@ class Vocabulary:
             if k.size and int(k[-1]) >= base ** int(ns[1]):
                 raise VectorizeError(f"vocab.keys.{ns[:-1]} holds a key past its rank tables")
         doc_freq = arrays["doc_freq"].astype(np.int64, casting="same_kind")
-        n_docs = int(arrays["vocab.n_docs"][0])
+        n_docs = arrays["vocab.n_docs"].astype(np.int64, casting="same_kind").item()
         n_terms = sum(k.size for k in keys.values())
         if doc_freq.shape != (n_terms,):
             raise VectorizeError(f"doc_freq has {doc_freq.size} entries for {n_terms} terms")

@@ -19,9 +19,11 @@ from urdufake.cnn import grad_check, init_cnn
 from urdufake.corpus import Label, generate_synthetic, load_corpus
 from urdufake.metrics import ConfusionMatrix, format4, summarize
 from urdufake.preprocess import Resources
-from urdufake.runner import ExperimentConfig, fit_pipeline, load_model, run_config, save_model
+from urdufake.runner import ExperimentConfig, fit_pipeline, load_model, save_model
 from urdufake.selection import chi2_scores
 from urdufake.svm import KernelParams, decision_function, train_svm
+
+from conftest import run_alone
 
 FAKE_POOL = tuple(f"jhoot{i}" for i in range(30))
 REAL_POOL = tuple(f"sach{i}" for i in range(30))
@@ -244,7 +246,7 @@ def test_criterion_7_shared_task_reproduction():
     config = ExperimentConfig(
         name="row7", word_orders=(1, 2, 3, 4), char_orders=(2, 3, 4, 5, 6), k_best=20000
     )
-    row = run_config(train, test, config, resources)
+    row = run_alone(train, test, config, resources)
     assert abs(row.v_total - 1_557_000) <= 0.10 * 1_557_000, (
         f"total features {row.v_total} outside 1.557M +/- 10%"
     )
@@ -266,14 +268,14 @@ def test_criterion_8_end_to_end_synthetic():
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # K clamps on the small corpus
-        svm_row = run_config(train, test, svm_cfg, resources)
+        svm_row = run_alone(train, test, svm_cfg, resources)
     assert svm_row.report.f1_macro >= 0.95
 
     cnn_cfg = ExperimentConfig(
         name="cnn-synth", classifier="cnn", cnn_unit="word",
         cnn_channels=(1, 2, 3, 4), cnn_epochs=7, seed=7,
     )
-    cnn_row = run_config(train, test, cnn_cfg, resources)
+    cnn_row = run_alone(train, test, cnn_cfg, resources)
     assert cnn_row.report.f1_macro >= 0.90
 
     elapsed = time.perf_counter() - start

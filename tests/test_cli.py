@@ -290,6 +290,8 @@ def _out_of_range_model(data_dir, case):
         arrays["mask.kept"] = arrays["mask.kept"][:-1]
     elif case == "model_mask_kept_float":
         arrays["mask.kept"] = arrays["mask.kept"] + 0.5
+    elif case == "model_n_docs_float":
+        arrays["vocab.n_docs"] = arrays["vocab.n_docs"] + 0.5
     elif case == "model_resources_not_str":
         meta["resources"] = 1
     elif case == "model_words_unordered":
@@ -300,6 +302,8 @@ def _out_of_range_model(data_dir, case):
         meta["config"] = meta["config"].replace("classifier = svm\n", "classifier = cnn\n")
     elif case == "cnn_model_max_len_0":
         arrays["cnn.max_len"][0] = 0
+    elif case == "cnn_model_max_len_float":
+        arrays["cnn.max_len"] = arrays["cnn.max_len"] + 0.5
     elif case == "cnn_model_embedding_short":
         arrays["cnn.embedding"] = arrays["cnn.embedding"][:3]
     elif case == "cnn_model_mixed_dtype":
@@ -328,9 +332,10 @@ def _bad_input(data_dir, case):
     if case in ("model_gamma_nan", "model_degree_0", "model_dual_coef_short",
                 "model_sv_count_0", "model_sv_norm_nan", "model_sv_norm_negative",
                 "model_sv_norms_short", "model_sv_index_out_of_range", "model_doc_freq_short",
-                "model_mask_kept_short", "model_mask_kept_float", "model_resources_not_str",
-                "model_words_unordered", "model_config_classifier_mismatch", "cnn_model_max_len_0",
-                "cnn_model_embedding_short",
+                "model_mask_kept_short", "model_mask_kept_float", "model_n_docs_float",
+                "model_resources_not_str", "model_words_unordered",
+                "model_config_classifier_mismatch", "cnn_model_max_len_0",
+                "cnn_model_max_len_float", "cnn_model_embedding_short",
                 "cnn_model_mixed_dtype", "cnn_model_unit_byte"):
         return ["predict", "--model", _out_of_range_model(data_dir, case), "--input", test]
     if case == "empty_gold_corpus":
@@ -407,11 +412,15 @@ def _bad_input(data_dir, case):
     ("model_mask_kept_short", "corrupt model file: svm.sv: indices must be < 49"),
     ("model_mask_kept_float", "corrupt model file: Cannot cast array data from "
                               "dtype('float64') to dtype('int64')"),
+    ("model_n_docs_float", "corrupt model file: Cannot cast array data from "
+                           "dtype('float64') to dtype('int64')"),
     ("model_resources_not_str", "corrupt model file: metadata 'resources' is int, not str"),
     ("model_words_unordered", "corrupt model file: vocab.words is not strictly ascending"),
     ("model_config_classifier_mismatch", "model file has no array blob 'cnn.embedding'"),
     ("cnn_model_max_len_0", "corrupt model file: max_len=0 is shorter than the largest "
                             "kernel size 1"),
+    ("cnn_model_max_len_float", "corrupt model file: Cannot cast array data from "
+                                "dtype('float64') to dtype('int64')"),
     ("cnn_model_embedding_short", "corrupt model file: cnn.embedding has 3 rows for "),
     ("cnn_model_mixed_dtype", "corrupt model file: parameters must be all float32 or all "
                               "float64, got float16, float32"),

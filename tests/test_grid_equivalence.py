@@ -4,8 +4,8 @@ run_grid featurizes the union of its SVM rows' n-gram specs once and
 restricts it to each row. These tests check that every row still gets the
 bytes a row fitted on its own gets: the oracle fits each row with the
 string featurizer in reference_vectorize.py, stage by stage as the runner
-did before the grid shared work, and the runner's own one-row
-fit_pipeline/run_config must agree with both.
+did before the grid shared work, and the runner's own one-row paths,
+fit_pipeline and a one-row run_grid, must agree with both.
 """
 
 import weakref
@@ -29,7 +29,6 @@ from urdufake.runner import (
     fit_pipeline,
     parse_config_file,
     render_results_tsv,
-    run_config,
     run_grid,
     save_model,
 )
@@ -51,7 +50,7 @@ from urdufake.vectorize import (
     transform,
 )
 
-from conftest import FAKE_POOL, REAL_POOL, stable_k_best
+from conftest import FAKE_POOL, REAL_POOL, run_alone, stable_k_best
 from reference_vectorize import (
     csr_bytes,
     reference_build_vocabulary,
@@ -177,7 +176,7 @@ def test_mixed_grid_matches_per_row_reference(resources, tmp_path):
             path = tmp_path / f"one-{sn:02d}.ufnd"
             save_model(path, fit_pipeline(train, config, resources))
             assert path.read_bytes() == saved[sn], config.name
-    one_row = [run_config(train, test, c, resources, sn=sn)
+    one_row = [run_alone(train, test, c, resources, sn=sn)
                for sn, c in enumerate(configs, start=1) if sn in saved]
     assert render_results_tsv(one_row) == render_results_tsv([r for r in rows if r.ok])
 

@@ -24,12 +24,11 @@ from urdufake.runner import (
     fit_pipeline,
     parse_config_file,
     render_results_tsv,
-    run_config,
     run_grid,
     save_model,
 )
 
-from conftest import FAKE_POOL, REAL_POOL
+from conftest import FAKE_POOL, REAL_POOL, run_alone
 from test_grid_equivalence import mixed_grid
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,14 +116,14 @@ def test_a_dead_worker_fails_its_rows_and_the_grid_goes_on(resources, monkeypatc
     other runs the remaining tasks; with both dead (each took one of the
     two largest tasks first), the remaining tasks run in-process."""
     parent = os.getpid()
-    run_row = runner._run_row
+    grid_row = runner._grid_row
 
-    def dies_in_a_worker(work, config, sn, memo):
+    def dies_in_a_worker(work, config, sn, memo, keep):
         if config.name.startswith("dies") and os.getpid() != parent:
             os._exit(3)
-        return run_row(work, config, sn, memo)
+        return grid_row(work, config, sn, memo, keep)
 
-    monkeypatch.setattr(runner, "_run_row", dies_in_a_worker)
+    monkeypatch.setattr(runner, "_grid_row", dies_in_a_worker)
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     base = ExperimentConfig(name="w1", k_best=20, word_orders=(1,), char_orders=())
     specs = {"w1": ((1,), ()), "w12": ((1, 2), ()), "c2": ((), (2,)), "w1c2": ((1,), (2,)),
@@ -193,7 +192,7 @@ def test_one_task_grids_and_one_row_fits_never_fork(resources, monkeypatch,
     configs = [svm, replace(svm, name="svm_w12", word_orders=(1, 2)), cnn]
     assert len(runner._grid_tasks(configs)) == 3
     assert all(r.ok for r in run_grid(small_train, small_test, configs, resources))
-    assert run_config(small_train, small_test, svm, resources).ok
+    assert run_alone(small_train, small_test, svm, resources).ok
     assert fit_pipeline(small_train, cnn, resources).kind == "cnn"
 
 
@@ -207,14 +206,14 @@ def test_each_group_lets_go_of_its_shared_work_after_its_last_task(resources, mo
     a's task runs first; on two workers a's rows are slowed, so b's two
     tasks end first on the other worker."""
     monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
-    run_row = runner._run_row
+    grid_row = runner._grid_row
 
-    def slow_a(work, config, sn, memo):
+    def slow_a(work, config, sn, memo, keep):
         if config.name.startswith("a") and cpus > 1:
             time.sleep(0.5)
-        return run_row(work, config, sn, memo)
+        return grid_row(work, config, sn, memo, keep)
 
-    monkeypatch.setattr(runner, "_run_row", slow_a)
+    monkeypatch.setattr(runner, "_grid_row", slow_a)
     refs = {}
 
     class RecordedWork(runner._SharedWork):

@@ -1,6 +1,7 @@
 import importlib.util
 import io
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -25,13 +26,12 @@ from urdufake.runner import (
     parse_config_text,
     render_results_md,
     render_results_tsv,
-    run_config,
     run_grid,
     save_model,
     serialize_configs,
 )
 
-from conftest import FAKE_POOL, REAL_POOL
+from conftest import FAKE_POOL, REAL_POOL, run_alone
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -167,25 +167,25 @@ def test_readme_key_table_lists_every_config_key_with_its_default():
 
 # --- pipeline ------------------------------------------------------------------
 
-def test_run_config_synthetic_svm(synthetic_train, synthetic_test, resources):
+def test_one_row_synthetic_svm(synthetic_train, synthetic_test, resources):
     cfg = ExperimentConfig(name="syn", k_best=5000)
-    row = run_config(synthetic_train, synthetic_test, cfg, resources)
+    row = run_alone(synthetic_train, synthetic_test, cfg, resources)
     assert row.ok
     assert row.report.f1_macro >= 0.95
     assert row.v_total > 0 and row.k_selected <= 5000
 
 
-def test_run_config_k_larger_than_v_clamps(small_train, small_test, resources):
+def test_one_row_k_larger_than_v_clamps(small_train, small_test, resources):
     cfg = ExperimentConfig(name="clamp", k_best=10**7, word_orders=(1,), char_orders=())
     with pytest.warns(UserWarning, match="exceeds feature count"):
-        row = run_config(small_train, small_test, cfg, resources)
+        row = run_alone(small_train, small_test, cfg, resources)
     assert row.k_selected == row.v_total
 
 
-def test_run_config_deterministic(small_train, small_test, resources):
+def test_one_row_deterministic(small_train, small_test, resources):
     cfg = ExperimentConfig(name="det", k_best=300, seed=5)
-    r1 = run_config(small_train, small_test, cfg, resources)
-    r2 = run_config(small_train, small_test, cfg, resources)
+    r1 = run_alone(small_train, small_test, cfg, resources)
+    r2 = run_alone(small_train, small_test, cfg, resources)
     assert r1.report == r2.report
     assert r1.digest == r2.digest
 
@@ -235,14 +235,15 @@ def test_run_grid_names_the_row_in_its_warnings(small_train, small_test, resourc
     assert [w.filename for w in caught] == [__file__]
 
 
-def test_fit_pipeline_and_run_config_name_the_config_in_their_warnings(
+def test_fit_pipeline_and_a_one_row_grid_name_the_config_in_their_warnings(
         small_train, small_test, resources):
     clamps = ExperimentConfig(name="clamps", k_best=10**7, word_orders=(1,), char_orders=())
     with pytest.warns(UserWarning, match=r"^clamps: K=\d+ exceeds feature count") as caught:
         fit_pipeline(small_train, clamps, resources)
     assert [w.filename for w in caught] == [__file__]
-    with pytest.warns(UserWarning, match=r"^clamps: K=\d+ exceeds feature count") as caught:
-        run_config(small_train, small_test, clamps, resources)
+    with pytest.warns(UserWarning,
+                      match=r"^row 1 clamps: K=\d+ exceeds feature count") as caught:
+        run_grid(small_train, small_test, [clamps], resources)
     assert [w.filename for w in caught] == [__file__]
 
 
@@ -266,7 +267,7 @@ def test_invalid_ngram_orders_fail_their_row_at_the_build_vocabulary_stage(
     assert rows[1].error == ("stage 'build_vocabulary': word orders [5] outside supported "
                              "range 1..4")
     for sn, config in ((1, first), (3, last)):
-        alone = run_config(small_train, small_test, config, resources, sn=sn)
+        alone = run_alone(small_train, small_test, config, resources, sn=sn)
         assert replace(rows[sn - 1], seconds=0.0) == replace(alone, seconds=0.0)
 
 
@@ -284,7 +285,7 @@ def test_run_grid_empty_rejected(small_train, small_test, resources):
 def test_cnn_pipeline_through_runner(small_train, small_test, resources):
     cfg = ExperimentConfig(name="cnn", classifier="cnn", cnn_epochs=3, seed=3,
                            cnn_channels=(1, 2))
-    row = run_config(small_train, small_test, cfg, resources)
+    row = run_alone(small_train, small_test, cfg, resources)
     assert row.ok
     assert 0.0 <= row.report.f1_macro <= 1.0
     assert row.k_best == 0
@@ -342,6 +343,26 @@ def test_save_load_round_trip_svm(small_train, small_test, resources, tmp_path):
     )
     assert fitted.predict(small_test, resources) == loaded.predict(small_test, resources)
     assert loaded.config == cfg
+
+
+def test_a_model_of_2_40_documents_loads_and_predicts_in_little_memory(
+        small_train, small_test, resources, tmp_path):
+    """vocab.n_docs comes from the file: the idf weights of a model that
+    claims 2**40 training documents take memory per column, not per
+    possible document frequency."""
+    path = tmp_path / "m.ufnd"
+    save_model(path, fit_pipeline(small_train, ExperimentConfig(k_best=200), resources))
+    meta, arrays, texts = persistence.read_container(path)
+    arrays["vocab.n_docs"] = np.asarray([2**40])
+    persistence.write_container(path, dict(meta), dict(arrays), dict(texts))
+    tracemalloc.start()
+    try:
+        values = load_model(path).decision_values(small_test, resources)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (len(small_test),) and np.isfinite(values).all()
+    assert peak < 16 * 2**20
 
 
 def test_a_model_counts_the_orders_its_vocabulary_holds_not_those_its_config_names(

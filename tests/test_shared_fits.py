@@ -24,12 +24,11 @@ from urdufake.runner import (
     fit_pipeline,
     parse_config_file,
     render_results_tsv,
-    run_config,
     run_grid,
     save_model,
 )
 
-from conftest import FAKE_POOL, REAL_POOL
+from conftest import FAKE_POOL, REAL_POOL, run_alone
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = parse_config_file(ROOT / "configs" / "shared_task_grid.cfg")
@@ -112,7 +111,7 @@ def test_rows_sharing_a_fit_equal_each_row_fitted_alone(resources, monkeypatch, 
     for sn, config in enumerate(configs, start=1):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            alone = run_config(train, test, config, resources, sn=sn)
+            alone = run_alone(train, test, config, resources, sn=sn)
             fitted = fit_pipeline(train, config, resources)
         assert render_results_tsv([alone]).splitlines()[1] == lines[sn], config.name
         path = tmp_path / f"alone-{sn:02d}.ufnd"
@@ -152,9 +151,10 @@ def test_a_shared_fit_that_does_not_converge_warns_on_every_row(resources, monke
     for sn, config in enumerate(configs, start=1):
         with warnings.catch_warnings(record=True) as alone:
             warnings.simplefilter("always")
-            run_config(train, test, config, resources, sn=sn)
+            run_alone(train, test, config, resources)
         assert any("SMO did not converge" in str(w.message) for w in alone)
-        expected += [f"row {sn} {w.message}" for w in alone]
+        assert all(str(w.message).startswith(f"row 1 {config.name}: ") for w in alone)
+        expected += [f"row {sn} " + str(w.message).removeprefix("row 1 ") for w in alone]
     assert texts == expected
 
 
@@ -182,14 +182,16 @@ def test_nothing_a_task_memoises_outlives_its_task(resources, monkeypatch, train
     """Before each row, the models and spec feature matrices alive are
     those the earlier rows of its task made: the task's memo holds them to
     the task's end, so before the first row of a task none from an earlier
-    task is alive. A row that finds otherwise raises, and so is an error
-    row, in a worker process as in-process. After the grid none is alive."""
+    task is alive. A row that finds otherwise raises: in-process out of
+    run_grid, in a worker process by ending the worker, which makes its
+    task's rows error rows. After the grid none is alive."""
     configs = clamped_grid()
     first_rows = {sns[0] for sns in runner._grid_tasks(configs)}
     made: list[tuple[int, weakref.ref]] = []  # (the row that made it, a model or matrix)
     task_rows: set[int] = set()  # the rows of the running task so far
     current = [0]
-    train_svm, features, run_row = runner.train_svm, runner._SharedWork.features, runner._run_row
+    train_svm, features = runner.train_svm, runner._SharedWork.features
+    grid_row = runner._grid_row
 
     def recording_train_svm(*args, **kwargs):
         model = train_svm(*args, **kwargs)
@@ -201,7 +203,7 @@ def test_nothing_a_task_memoises_outlives_its_task(resources, monkeypatch, train
         made.extend((current[0], weakref.ref(matrix)) for matrix in (X, X_test))
         return vocab, X, X_test, *rest
 
-    def checked(work, config, sn, memo):
+    def checked(work, config, sn, memo, keep):
         if sn in first_rows:
             task_rows.clear()
         alive = {t for t, ref in made if ref() is not None}
@@ -211,11 +213,11 @@ def test_nothing_a_task_memoises_outlives_its_task(resources, monkeypatch, train
                                  f"not what rows {sorted(expected)} made")
         task_rows.add(sn)
         current[0] = sn
-        return run_row(work, config, sn, memo)
+        return grid_row(work, config, sn, memo, keep)
 
     monkeypatch.setattr(runner, "train_svm", recording_train_svm)
     monkeypatch.setattr(runner._SharedWork, "features", recording_features)
-    monkeypatch.setattr(runner, "_run_row", checked)
+    monkeypatch.setattr(runner, "_grid_row", checked)
     monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -13,6 +13,7 @@ from urdufake.vectorize import (
     NgramSpec,
     VectorizeError,
     build_vocabulary,
+    idf_weights,
     transform,
     write_vocabulary_tsv,
 )
@@ -129,6 +130,18 @@ def test_idf_is_one_when_df_equals_n():
     docs = [pdoc(["x"]) for _ in range(7)]
     vocab = build_vocabulary(docs, NgramSpec(word_orders={1}))
     assert vocab.idf[0] == pytest.approx(1.0, abs=0)
+
+
+def test_idf_per_column_equals_the_table_of_every_df_bit_for_bit():
+    """idf_weights evaluates the formula per column when there are fewer
+    columns than possible dfs, and looks each column up in a table of every
+    df otherwise; the two give the same bits."""
+    rng = np.random.default_rng(0)
+    for n_docs in [*range(1, 300), 10**5, 10**6 + 7]:
+        df = np.arange(1, n_docs + 1) if n_docs < 300 else rng.integers(1, n_docs + 1, 1000)
+        padded = np.concatenate([df, np.ones(n_docs + 1 - df.size, dtype=df.dtype)])
+        per_column, table = idf_weights(df, n_docs), idf_weights(padded, n_docs)[:df.size]
+        assert per_column.tobytes() == table.tobytes(), n_docs
 
 
 def test_transform_hand_example():
