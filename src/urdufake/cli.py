@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .corpus import CorpusError, Label, SplitExpectation, load_corpus, validate_split
+from .corpus import CorpusError, Label, SplitExpectation, load_corpus, read_lines, validate_split
 from .metrics import MetricsError, confusion, format4, report_tsv_row, summarize
 from .persistence import ModelFormatError
 from .preprocess import ResourceError, Resources, preprocess_corpus
@@ -168,23 +168,21 @@ def _cmd_evaluate(args) -> int:
     gold_corpus = load_corpus(args.gold, args.split)
     gold = {d.id: d.label for d in gold_corpus}
     pred: dict[str, Label] = {}
-    with open(args.pred, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                return _error(f"{args.pred.name}:{lineno}: expected at least 2 columns")
-            if fields[0] not in gold:
-                return _error(f"{args.pred.name}:{lineno}: id {fields[0]!r} is not in the gold "
-                              "corpus")
-            if fields[0] in pred:
-                return _error(f"{args.pred.name}:{lineno}: duplicate id {fields[0]!r}")
-            try:
-                pred[fields[0]] = Label.parse(fields[1])
-            except ValueError as exc:
-                return _error(f"{args.pred.name}:{lineno}: {exc}")
+    for lineno, raw in enumerate(read_lines(args.pred, CorpusError), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) < 2:
+            return _error(f"{args.pred.name}:{lineno}: expected at least 2 columns")
+        if fields[0] not in gold:
+            return _error(f"{args.pred.name}:{lineno}: id {fields[0]!r} is not in the gold corpus")
+        if fields[0] in pred:
+            return _error(f"{args.pred.name}:{lineno}: duplicate id {fields[0]!r}")
+        try:
+            pred[fields[0]] = Label.parse(fields[1])
+        except ValueError as exc:
+            return _error(f"{args.pred.name}:{lineno}: {exc}")
     missing = sorted(set(gold) - set(pred))
     if missing:
         return _error(f"missing predictions for {len(missing)} ids (first: {missing[0]})")

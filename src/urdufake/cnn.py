@@ -66,7 +66,7 @@ class CnnError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes NaN."""
+    """Raised when the training loss becomes NaN or a parameter ends non-finite."""
 
 
 WORD_MAX_LEN_CAP = 2000
@@ -439,6 +439,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise CnnError("epochs and batch_size must be positive")
+        if not np.isfinite(self.learning_rate):
+            raise CnnError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate < 0:
             raise CnnError("learning_rate must be >= 0")
         if not 0.0 <= self.embedding_dropout < 1.0:
@@ -513,6 +515,11 @@ def train_cnn(
                            scratch, rows if name == "embedding" else None)
         history.append(EpochStats(epoch=epoch, loss=float(np.mean(batch_losses)),
                                   accuracy=correct / n))
+    # a NaN loss shows a diverged update only at the next batch, and an
+    # overflow past float32 none at all
+    for name, arr in groups:
+        if not np.isfinite(arr).all():
+            raise TrainingDiverged(f"{name} holds a non-finite value after training")
     return model, history
 
 

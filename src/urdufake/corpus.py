@@ -135,6 +135,16 @@ class SplitReport:
         return "\n".join(f"{k}={v}" for k, v in pairs)
 
 
+def read_lines(path: str | Path, error: type[Exception]) -> list[str]:
+    """The lines of a UTF-8 text file, as iterating over the open file gives
+    them; a file that is not UTF-8 raises error, naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{Path(path).name} is not UTF-8 text ({exc.reason})") from exc
+
+
 def load_corpus(path: str | Path, split: str) -> Corpus:
     """Load a 3-column TSV (id, label, text) into a Corpus.
 
@@ -146,28 +156,26 @@ def load_corpus(path: str | Path, split: str) -> Corpus:
     if split not in SPLITS:
         raise CorpusError(f"unknown split {split!r}, expected one of {SPLITS}")
     docs: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise CorpusError(
-                    f"{path.name}:{lineno}: expected 3 tab-separated columns, got {len(fields)}"
-                )
-            doc_id, label_token, text = fields
-            label: Label | None = None
-            if label_token.strip():
-                try:
-                    label = Label.parse(label_token)
-                except ValueError as exc:
-                    raise CorpusError(f"{path.name}:{lineno}: {exc}") from exc
-            elif split in ("train", "test"):
-                raise CorpusError(f"{path.name}:{lineno}: missing label on {split} split")
-            if not text.strip():
-                raise CorpusError(f"{path.name}:{lineno}: empty text")
-            docs.append(Document(id=doc_id, text=text, label=label))
+    for lineno, raw in enumerate(read_lines(path, CorpusError), start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise CorpusError(f"{path.name}:{lineno}: expected 3 tab-separated columns, "
+                              f"got {len(fields)}")
+        doc_id, label_token, text = fields
+        label: Label | None = None
+        if label_token.strip():
+            try:
+                label = Label.parse(label_token)
+            except ValueError as exc:
+                raise CorpusError(f"{path.name}:{lineno}: {exc}") from exc
+        elif split in ("train", "test"):
+            raise CorpusError(f"{path.name}:{lineno}: missing label on {split} split")
+        if not text.strip():
+            raise CorpusError(f"{path.name}:{lineno}: empty text")
+        docs.append(Document(id=doc_id, text=text, label=label))
     return Corpus(documents=tuple(docs), split=split)
 
 

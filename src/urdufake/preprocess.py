@@ -19,7 +19,7 @@ from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import Document
+from .corpus import Document, read_lines
 
 
 class ResourceError(ValueError):
@@ -90,17 +90,16 @@ class NormalizationMap:
     @classmethod
     def from_tsv(cls, path: str | Path) -> "NormalizationMap":
         table: dict[int, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise ResourceError(f"{Path(path).name}:{lineno}: expected 2 columns, got {len(fields)}")
-                src = _parse_codepoint(fields[0], f"{Path(path).name}:{lineno}")
-                dst = _parse_codepoint(fields[1], f"{Path(path).name}:{lineno}")
-                table[src] = dst
+        for lineno, raw in enumerate(read_lines(path, ResourceError), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ResourceError(f"{Path(path).name}:{lineno}: expected 2 columns, got {len(fields)}")
+            src = _parse_codepoint(fields[0], f"{Path(path).name}:{lineno}")
+            dst = _parse_codepoint(fields[1], f"{Path(path).name}:{lineno}")
+            table[src] = dst
         return cls(table=table)
 
     @classmethod
@@ -145,12 +144,11 @@ class StopwordList:
     @classmethod
     def from_file(cls, path: str | Path) -> "StopwordList":
         words = set()
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                words.add(line)
+        for raw in read_lines(path, ResourceError):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            words.add(line)
         return cls(words=frozenset(words))
 
     @classmethod
@@ -175,17 +173,14 @@ class LemmaTable:
     @classmethod
     def from_tsv(cls, path: str | Path) -> "LemmaTable":
         entries: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n").rstrip("\r")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2 or not fields[0] or not fields[1]:
-                    raise ResourceError(
-                        f"{Path(path).name}:{lineno}: expected 'surface TAB lemma'"
-                    )
-                entries[fields[0]] = fields[1]
+        for lineno, raw in enumerate(read_lines(path, ResourceError), start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2 or not fields[0] or not fields[1]:
+                raise ResourceError(f"{Path(path).name}:{lineno}: expected 'surface TAB lemma'")
+            entries[fields[0]] = fields[1]
         return cls(entries=entries)
 
 

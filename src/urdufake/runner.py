@@ -41,7 +41,7 @@ from .cnn import (
     train_cnn,
     forward as cnn_forward,
 )
-from .corpus import Corpus, CorpusError, Label
+from .corpus import Corpus, CorpusError, Label, read_lines
 from .metrics import EvalReport, confusion, format4, summarize
 from .preprocess import (
     PreprocessConfig,
@@ -214,7 +214,7 @@ def parse_config_text(text: str) -> list[ExperimentConfig]:
 
 
 def parse_config_file(path: str | Path) -> list[ExperimentConfig]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_config_text("".join(read_lines(path, ConfigError)))
 
 
 def _format_value(value) -> str:
@@ -306,14 +306,13 @@ def _stage(name, fn, *args, **kwargs):
 
 
 class _SharedWork:
-    """The prefix that the grid rows with one PreprocessConfig compute once.
-
-    Each split is preprocessed once. The SVM rows share one vocabulary of
-    the union of their n-gram specs, with the raw term counts of both
-    splits. Each part is computed on first use, so it is charged to the
-    first row that needs it, unless prepare computed it beforehand. A grid
-    run on worker processes prepares each group in the parent and then
-    forks, so every worker reads the prefix copy-on-write.
+    """The prefix that the grid rows with one PreprocessConfig share, built
+    once by the constructor: each split preprocessed (docs) with its gold
+    labels (labels) and, with SVM rows, the vocabulary of the union of
+    their n-gram specs with the raw term counts of both splits. run_grid
+    builds every group's prefix before any task runs, so it is charged to
+    no row, and a grid on worker processes forks after it: every worker
+    reads it copy-on-write.
 
     What only the rows of one task share, a spec's features and its fits,
     is kept in the task's memo (see _fit), not here.
@@ -321,46 +320,29 @@ class _SharedWork:
 
     def __init__(self, train: Corpus, test: Corpus | None, configs: list[ExperimentConfig],
                  resources: Resources):
-        self.splits = {"train": train, "test": test}
         self.preprocess = configs[0].preprocess
         self.resources = resources
-        self._docs: dict[str, list[PreprocessedDoc]] = {}
+        splits = {"train": train} if test is None else {"train": train, "test": test}
+        self.docs = {split: preprocess_corpus(corpus, self.preprocess, resources)
+                     for split, corpus in splits.items()}
+        self.labels = {split: [d.label for d in corpus] for split, corpus in splits.items()}
         specs = []
         for config in configs:
             if config.classifier == "svm":
                 # an SVM row whose own spec is invalid fails on it before it gets here
                 with contextlib.suppress(VectorizeError):
                     specs.append(config.ngram_spec())
-        self.spec = NgramSpec.union(specs) if specs else None
-        self._vocabulary: Vocabulary | None = None
-        self._test_counts: sparse.csr_matrix | None = None
-
-    def prepare(self) -> None:
-        """Compute the prefix every row of the group reads: both splits
-        preprocessed and, with SVM rows, the union vocabulary and the test
-        counts. A stage that fails here is left to fail again in each row
-        that reads it, as it does without prepare."""
-        with contextlib.suppress(Exception):
-            self.docs("train")
-            self.docs("test")
-            if self.spec is not None:
-                self.test_counts()
-
-    def docs(self, split: str) -> list[PreprocessedDoc]:
-        if split not in self._docs:
-            self._docs[split] = preprocess_corpus(self.splits[split], self.preprocess,
-                                                  self.resources)
-        return self._docs[split]
-
-    def vocabulary(self) -> Vocabulary:
-        if self._vocabulary is None:
-            self._vocabulary = build_vocabulary(self.docs("train"), self.spec)
-        return self._vocabulary
-
-    def test_counts(self) -> sparse.csr_matrix:
-        if self._test_counts is None:
-            self._test_counts = count_terms(self.docs("test"), self.vocabulary())
-        return self._test_counts
+        self.union: Vocabulary | None = None
+        self.test_counts: sparse.csr_matrix | None = None
+        #: why the union could not be built; each SVM row fails on it (see features)
+        self.union_error: VectorizeError | None = None
+        if specs:
+            try:
+                self.union = build_vocabulary(self.docs["train"], NgramSpec.union(specs))
+            except VectorizeError as exc:
+                self.union_error = exc
+        if self.union is not None and test is not None:
+            self.test_counts = count_terms(self.docs["test"], self.union)
 
     def features(self, spec: NgramSpec) -> tuple:
         """spec's Vocabulary (without counts), TF-IDF rows of the train and
@@ -368,13 +350,13 @@ class _SharedWork:
         train row was divided by, computed anew on each call. The union is
         restricted to spec (Vocabulary.restrict gives the bytes fitting
         spec on its own gives)."""
-        union = _stage("build_vocabulary", self.vocabulary)
-        vocab, cols = _stage("build_vocabulary", union.restrict, spec)
+        if self.union_error is not None:
+            raise PipelineError("build_vocabulary", self.union_error) from self.union_error
+        vocab, cols = _stage("build_vocabulary", self.union.restrict, spec)
         X, norms = _stage("transform", weigh_counts, vocab.counts, vocab.idf)
-        y = labels_to_signs([d.label for d in self.splits["train"]])
-        scores = _stage("chi2_scores", chi2_scores, X, y)
-        X_test = (None if self.splits["test"] is None
-                  else apply_tfidf(self.test_counts()[:, cols], vocab))
+        scores = _stage("chi2_scores", chi2_scores, X, labels_to_signs(self.labels["train"]))
+        X_test = (None if self.test_counts is None
+                  else apply_tfidf(self.test_counts[:, cols], vocab))
         return replace(vocab, counts=None), X, X_test, scores, norms
 
 
@@ -402,8 +384,7 @@ def _fit(work: _SharedWork, config: ExperimentConfig, memo: dict
     row fails with its own error.
     Everything in the memo lives as long as the memo: until its task ends.
     """
-    docs = _stage("preprocess", work.docs, "train")
-    gold = [d.label for d in work.splits["train"]]
+    docs, gold = work.docs["train"], work.labels["train"]
     if config.classifier == "svm":
         # checked before featurizing, so a bad kernel or solver setting fails
         # before any stage warns
@@ -516,8 +497,8 @@ def _grid_row(work: _SharedWork, config: ExperimentConfig, sn: int, memo: dict,
         try:
             fitted, values = _fit(work, config, memo)
             if fitted.kind == "cnn":
-                values = fitted.values_of(work.docs("test"))
-            gold = [d.label for d in work.splits["test"]]
+                values = fitted.values_of(work.docs["test"])
+            gold = work.labels["test"]
             row = ResultRow(
                 **_config_columns(config, sn),
                 block=config.ngram_spec().describe() if config.classifier == "svm"
@@ -670,26 +651,27 @@ def run_grid(
     """Run every config; a failing row is recorded, the grid continues.
 
     Rows that preprocess alike share their preprocessing and, for SVM rows,
-    their n-gram counts (see _SharedWork). The rows of one task share a
-    memo: their spec's features and, for the rows that select the same
-    columns with the same kernel and solver settings, one selection mask,
-    SVM fit and set of test decision values (see _fit). Each row's results
-    and fitted pipeline are those of a one-row grid and fit_pipeline on it
-    alone. A warning a row raises, one a shared fit raised included, is
-    issued again as "row <sn> <name>: <message>", with its category, in row
-    order.
+    their n-gram counts (see _SharedWork), built for every group before any
+    task runs. The rows of one task share a memo: their spec's features
+    and, for the rows that select the same columns with the same kernel and
+    solver settings, one selection mask, SVM fit and set of test decision
+    values (see _fit). Each row's results and fitted pipeline are those of
+    a one-row grid and fit_pipeline on it alone. A warning a row raises,
+    one a shared fit raised included, is issued again as "row <sn> <name>:
+    <message>", with its category, in row order.
 
     The rows run as tasks (see _grid_tasks, _run_tasks) on as many
     processes as this process may use CPUs, at most one per task. With one,
-    or without os.fork, the tasks run in-process; with more, the parent
-    computes each group's prefix (_SharedWork.prepare) and forks the
-    workers. A task's memo is let go when the task ends, so a process holds
-    one task's features and fits at a time. Either way on_fitted is called
-    in this process for a task's ok rows when the task ends, in
+    or without os.fork, the tasks run in-process; with more, the workers
+    are forked after the prefix is built and read it copy-on-write. A
+    task's memo is let go when the task ends, so a process holds one
+    task's features and fits at a time. Either way on_fitted is called in
+    this process for a task's ok rows when the task ends, in
     task-completion order, so at most one task's pipelines are held at a
-    time, and a group's shared work is let go once its last task has ended. A worker that dies turns the rows of
-    its task into error rows naming its exit status; tasks left when every
-    worker has died run in-process. No worker outlives the call.
+    time, and a group's shared work is let go once its last task has ended.
+    A worker that dies turns the rows of its task into error rows naming
+    its exit status; tasks left when every worker has died run in-process.
+    No worker outlives the call.
     """
     if not configs:
         raise ConfigError("experiment grid is empty")
@@ -706,9 +688,6 @@ def run_grid(
     tasks_left = Counter(configs[sns[0] - 1].preprocess for sns in tasks)
     done: dict[int, _Outcome] = {}
     n_workers = min(_usable_cpus(), len(tasks)) if hasattr(os, "fork") else 1
-    if n_workers > 1:
-        for key in shared:  # a loop variable would hold the last group's work to the end
-            shared[key].prepare()
 
     def run(task: int) -> list[_Outcome]:
         memo: dict = {}  # what the task's rows share, let go when the task ends

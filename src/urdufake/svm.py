@@ -202,6 +202,8 @@ def train_svm(
 
     g = y * (G + 1.0)  # g_i = sum_j alpha_j y_j K_ij, since G = Q alpha - 1
     bias = _final_bias(alpha, y, g, C)
+    if not (math.isfinite(bias) and np.isfinite(alpha).all()):
+        raise SvmError("SMO diverged: the bias or a dual coefficient is not finite")
     converged = _kkt_excess(alpha, y, g + bias, C, tol) <= 1e-12
     if not converged:
         warnings.warn(f"SMO did not converge within max_passes={max_passes} "

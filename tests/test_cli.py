@@ -212,6 +212,19 @@ BAD_CONFIG_VALUES = {
     "svm_tol_inf": "svm_tol = inf\n",
     "cnn_epochs_0": "classifier = cnn\ncnn_epochs = 0\n",
     "cnn_dropout_1.5": "classifier = cnn\ncnn_embedding_dropout = 1.5\n",
+    "cnn_learning_rate_nan": "classifier = cnn\ncnn_epochs = 1\ncnn_batch_size = 64\n"
+                             "cnn_learning_rate = nan\n",
+}
+
+#: The command line of each not_utf8_<reader> case, which reads FILE with
+#: that reader; TRAIN and TEST are the splits.
+NOT_UTF8_ARGV = {
+    "not_utf8_corpus": ["train", "--train", "FILE"],
+    "not_utf8_config": ["--config", "FILE", "train", "--train", "TRAIN"],
+    "not_utf8_stopwords": ["--stopwords", "FILE", "train", "--train", "TRAIN"],
+    "not_utf8_lemmas": ["--lemmas", "FILE", "train", "--train", "TRAIN"],
+    "not_utf8_normmap": ["--normmap", "FILE", "train", "--train", "TRAIN"],
+    "not_utf8_pred": ["evaluate", "--gold", "TEST", "--pred", "FILE"],
 }
 
 
@@ -367,6 +380,11 @@ def _bad_input(data_dir, case):
     if case in BAD_CONFIG_VALUES:
         (data_dir / "bad.cfg").write_text(BAD_CONFIG_VALUES[case], encoding="utf-8")
         return ["--config", data_dir / "bad.cfg", "train", "--train", train]
+    if case in NOT_UTF8_ARGV:
+        path = data_dir / f"{case}.txt"
+        path.write_bytes("d1\tFake\tcaf\u00e9\n".encode("latin-1"))
+        paths = {"FILE": path, "TRAIN": train, "TEST": test}
+        return [paths.get(arg, arg) for arg in NOT_UTF8_ARGV[case]]
     if case == "tab_in_row_name":
         (data_dir / "bad.cfg").write_text("[experiment]\nname = a\tb\n", encoding="utf-8")
         return ["--config", data_dir / "bad.cfg", "experiment", "--train", train, "--test", test]
@@ -448,6 +466,8 @@ def _bad_input(data_dir, case):
     ("svm_tol_inf", "stage 'train_svm': tol must be finite, got inf"),
     ("cnn_epochs_0", "stage 'train_cnn': epochs and batch_size must be positive"),
     ("cnn_dropout_1.5", "stage 'train_cnn': embedding_dropout must be in [0, 1)"),
+    ("cnn_learning_rate_nan", "stage 'train_cnn': learning_rate must be finite, got nan"),
+    *((case, f"{case}.txt is not UTF-8 text") for case in NOT_UTF8_ARGV),
 ])
 def test_bad_input_gives_one_line_error_and_exit_2(data_dir, case, message):
     argv = ["--out-dir", data_dir / "err"] + _bad_input(data_dir, case)
@@ -464,3 +484,4 @@ def test_bad_input_gives_one_line_error_and_exit_2(data_dir, case, message):
     assert err.startswith("urdufake: error: ") and err.endswith("\n")
     assert err.count("\n") == 1
     assert message in err and "Traceback" not in err
+    assert not (data_dir / "err" / "model.ufnd").exists()

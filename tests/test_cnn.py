@@ -609,6 +609,22 @@ def test_nan_loss_aborts_with_diagnostic():
         train_cnn(model, X, y, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf])
+def test_train_config_refuses_a_non_finite_learning_rate(rate):
+    with pytest.raises(CnnError, match=f"^learning_rate must be finite, got {rate}$"):
+        TrainConfig(learning_rate=rate)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_update_past_float32_raises_though_no_later_loss_shows_it():
+    """1e39 is a finite float but not a finite float32: the one batch's
+    update sends the parameters to inf, and no batch comes after it."""
+    X, y = sep_dataset(n=4, L=10, seed=5)
+    model = init_cnn(20, 10, (1,), seed=0)
+    with pytest.raises(TrainingDiverged, match="non-finite value after training"):
+        train_cnn(model, X, y, TrainConfig(epochs=1, batch_size=8, learning_rate=1e39))
+
+
 def test_labels_accepted_directly():
     X, _ = sep_dataset(n=4, L=10, seed=6)
     labels = [Label.FAKE, Label.REAL] * 4

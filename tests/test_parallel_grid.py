@@ -242,3 +242,62 @@ def test_each_group_lets_go_of_its_shared_work_after_its_last_task(resources, mo
     assert_no_child_left()
     assert all(r.ok for r in rows) and len(refs) == 2 and any(freed)
     assert configs[order[0] - 1].name[0] == ("a" if cpus == 1 else "b")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_group_prefix_is_built_once_in_the_calling_process(resources, monkeypatch,
+                                                                small_train, small_test, cpus):
+    """Two preprocessing groups of SVM rows, a CNN row in the first: each
+    group's splits are preprocessed once, and each group's union vocabulary
+    and test counts are built once, all in this process. A call made
+    anywhere else raises, which would make its row an error row."""
+    parent = os.getpid()
+    calls = Counter()
+    group_of = {}  # id of a preprocessed split -> its preprocessing config
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if os.getpid() != parent:
+                raise AssertionError(f"{name} ran in a worker process")
+            result = fn(*args)
+            if name == "preprocess_corpus":
+                group_of[id(result)] = args[1]
+                calls[name, args[1]] += 1
+            else:
+                calls[name, group_of[id(args[0])]] += 1
+            return result
+        return wrapper
+
+    for name in ("preprocess_corpus", "build_vocabulary", "count_terms"):
+        monkeypatch.setattr(runner, name, counted(name, getattr(runner, name)))
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    a = ExperimentConfig(name="a_w1", k_best=20, word_orders=(1,), char_orders=())
+    b = replace(a, name="b_w1", preprocess=replace(a.preprocess, remove_stopwords=False))
+    configs = [a, replace(a, name="a_c2", word_orders=(), char_orders=(2,)),
+               replace(a, name="a_cnn", classifier="cnn", cnn_epochs=1, cnn_channels=(1,)),
+               b, replace(b, name="b_w12", word_orders=(1, 2))]
+    assert len(runner._grid_tasks(configs)) == 5
+    rows = run_grid(small_train, small_test, configs, resources)
+    assert_no_child_left()
+    assert [r.error for r in rows] == [None] * 5
+    assert calls == {(name, group.preprocess): count for group in (a, b)
+                     for name, count in (("preprocess_corpus", 2), ("build_vocabulary", 1),
+                                         ("count_terms", 1))}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_union_without_terms_fails_each_svm_row_of_its_group(resources, monkeypatch, cpus):
+    """No two-token document has a word 4-gram, so the union of a group
+    whose SVM rows are w4 only has no terms. Each SVM row is an error row
+    naming the stage; the group's char-CNN row is not affected."""
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    train = generate_synthetic(3, 10, (FAKE_POOL, REAL_POOL), (2, 2), split="train")
+    test = generate_synthetic(4, 5, (FAKE_POOL, REAL_POOL), (2, 2), split="test")
+    w4 = ExperimentConfig(name="w4_k20", k_best=20, word_orders=(4,), char_orders=())
+    configs = [w4, replace(w4, name="w4_k10", k_best=10),
+               replace(w4, name="char_cnn", classifier="cnn", cnn_unit="char", cnn_epochs=1,
+                       cnn_channels=(1, 2))]
+    rows = run_grid(train, test, configs, resources)
+    assert_no_child_left()
+    assert [r.error for r in rows] == ["stage 'build_vocabulary': all documents produced "
+                                       "zero terms"] * 2 + [None]

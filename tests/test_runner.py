@@ -258,6 +258,25 @@ def test_failing_cnn_row_writes_k_best_0(small_train, small_test, resources):
     assert cells[:4] == ["2", "bad", "", "0"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_training_that_ends_non_finite_is_an_error_row_and_fits_nothing(small_test,
+                                                                        resources):
+    """Kernel values past float64, and a learning rate past float32 on one
+    batch, each leave the fitted parameters non-finite."""
+    train = generate_synthetic(3, 5, (FAKE_POOL, REAL_POOL), (5, 10), split="train")
+    svm = ExperimentConfig(name="svm", svm_gamma=1e300, svm_degree=2, k_best=50)
+    cnn = ExperimentConfig(name="cnn", classifier="cnn", cnn_epochs=1, cnn_batch_size=64,
+                           cnn_learning_rate=1e39)
+    rows = run_grid(train, small_test, [svm, cnn, replace(svm, name="ok", svm_gamma=None)],
+                    resources)
+    assert [r.error for r in rows] == [
+        "stage 'train_svm': SMO diverged: the bias or a dual coefficient is not finite",
+        "stage 'train_cnn': embedding holds a non-finite value after training", None]
+    for config in (svm, cnn):
+        with pytest.raises(PipelineError, match="not finite|non-finite"):
+            fit_pipeline(train, config, resources)
+
+
 def test_invalid_ngram_orders_fail_their_row_at_the_build_vocabulary_stage(
         small_train, small_test, resources):
     first = ExperimentConfig(name="first", k_best=50, word_orders=(1,), char_orders=(2,))

@@ -337,6 +337,14 @@ def test_solver_settings_rejected(kwargs, message):
         train_svm(X, np.array([1.0, -1.0]), **kwargs)
 
 
+def test_kernel_values_past_float64_raise_instead_of_a_nan_model():
+    """(1e300 <x, z>)^2 overflows: the solve gives a NaN bias, and its KKT
+    check would read as converged."""
+    X = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.2]]))
+    with np.errstate(all="ignore"), pytest.raises(SvmError, match="SMO diverged"):
+        train_svm(X, [1.0, -1.0, 1.0, -1.0], KernelParams(degree=2, gamma=1e300))
+
+
 def test_nonconvergence_sets_warning_flag():
     rng = np.random.default_rng(55)
     A = rng.normal(size=(30, 2))
