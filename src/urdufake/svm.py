@@ -29,6 +29,14 @@ otherwise. The margins g_i = sum_j a_j y_j K_ij that the final bias and the
 KKT check need are read from the dual gradient, g_i = y_i (G_i + 1), so the
 trainer holds O(n) floats beyond the cache.
 
+A model decides in one of two ways. With degree 1 the kernel is linear, so
+f(x) = gamma <w, x> + coef0 sum_i alpha_i y_i + b with one weight vector
+w = sum_i alpha_i y_i sv_i, built once per model by a sparse product that
+makes no BLAS call; a decision is then one sparse mat-vec per batch, and
+each row's value is the same whatever the batch or the BLAS thread count.
+Higher degrees take the dual form: every row's inner products with every
+support vector, through the kernel, dotted with the dual coefficients.
+
 Label encoding is fixed: Fake = +1, Real = -1, so a positive decision value
 means Fake. Ties (decision exactly 0) go to Fake.
 """
@@ -98,8 +106,13 @@ class SvmModel:
 
     @functools.cached_property
     def support_vectors_t(self) -> sparse.csr_matrix:
-        """The support vectors transposed, converted once for decision_function."""
+        """The support vectors transposed, converted once for a dual decision."""
         return self.support_vectors.T.tocsr()
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """w = sum_i alpha_i y_i sv_i, which a degree-1 decision is linear in."""
+        return self.support_vectors.T @ self.dual_coef
 
 
 def labels_to_signs(labels) -> np.ndarray:
@@ -163,18 +176,25 @@ def train_svm(
     cache: dict[int, np.ndarray] = {}
     X_t = X.T.tocsr()
 
+    def finite_kernel(dots: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _kernel(params, dots)
+        if not np.isfinite(values).all():
+            raise SvmError("SMO diverged: a kernel value is not finite")
+        return values
+
     def kernel_row(i: int) -> np.ndarray:
         start = i - i % block
         rows = cache.get(start)
         if rows is None:
-            rows = _kernel(params, (X[start:start + block] @ X_t).toarray())
+            rows = finite_kernel((X[start:start + block] @ X_t).toarray())
             if len(cache) >= max_blocks:
                 cache.pop(next(iter(cache)))
             cache[start] = rows
         return rows[i - start]
 
     # K_ii from the row norms, so the diagonal needs no kernel row
-    diag = _kernel(params, np.asarray(X.multiply(X).sum(axis=1)).ravel())
+    diag = finite_kernel(np.asarray(X.multiply(X).sum(axis=1)).ravel())
     alpha = np.zeros(n, dtype=np.float64)
     G = np.full(n, -1.0)  # gradient of the dual objective, Q alpha - 1
     bound_eps = 1e-10 * C
@@ -258,5 +278,9 @@ def decision_function(model: SvmModel, X) -> np.ndarray:
         raise SvmError(
             f"dimension mismatch: model has {model.n_features} features, input has {X.shape[1]}"
         )
+    params = model.kernel
+    if params.degree == 1:
+        intercept = params.coef0 * model.dual_coef.sum() + model.bias
+        return params.gamma * (X @ model.weights) + intercept
     dots = (X @ model.support_vectors_t).toarray()
-    return _kernel(model.kernel, dots) @ model.dual_coef + model.bias
+    return _kernel(params, dots) @ model.dual_coef + model.bias

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
@@ -104,6 +105,7 @@ class NgramSpec:
 
 
 _NO_CODEPOINTS = np.zeros(0, dtype=np.uint32)
+_BELOW_SPACE = re.compile(r"[\x00-\x1f]")
 
 
 def _key_dtype(base: int, n: int) -> np.dtype:
@@ -119,7 +121,7 @@ def _codepoints(streams: list[str]) -> np.ndarray:
 class Symbols:
     """The rank tables n-gram keys are written in: the code points of the
     training documents' char streams (when the spec has char orders) and
-    their word types (when it has word orders), each ascending."""
+    their word types (when it has word orders), each strictly ascending."""
 
     alphabet: np.ndarray  # uint32 code points
     words: tuple[str, ...]
@@ -130,10 +132,16 @@ class Symbols:
     lead_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "word_rank", dict(zip(self.words, range(len(self.words)))))
-        order = sorted(range(len(self.words)), key=lambda i: self.words[i] + " ")
-        lead_rank = np.empty(len(order), dtype=np.int64)
-        lead_rank[order] = np.arange(len(order), dtype=np.int64)
+        words = self.words
+        object.__setattr__(self, "word_rank", dict(zip(words, range(len(words)))))
+        if _BELOW_SPACE.search("".join(words)) is None:
+            # for ascending words a < b gives a + " " < b + " ", unless b is
+            # a followed by a code point below the space
+            lead_rank = np.arange(len(words), dtype=np.int64)
+        else:
+            order = sorted(range(len(words)), key=lambda i: words[i] + " ")
+            lead_rank = np.empty(len(order), dtype=np.int64)
+            lead_rank[order] = np.arange(len(order), dtype=np.int64)
         object.__setattr__(self, "lead_rank", lead_rank)
 
     @classmethod
@@ -368,10 +376,10 @@ class Vocabulary:
         alphabet = arrays["vocab.alphabet"].astype(np.uint32, casting="same_kind")
         if alphabet.ndim != 1 or np.any(alphabet[1:] <= alphabet[:-1]):
             raise VectorizeError("vocab.alphabet is not strictly ascending")
-        symbols = Symbols(alphabet=alphabet, words=tuple(texts["vocab.words"].split("\n")[:-1]))
-        words = symbols.words
-        if list(words) != sorted(words) or len(symbols.word_rank) != len(words):
+        words = tuple(texts["vocab.words"].split("\n")[:-1])
+        if not all(map(str.__lt__, words, words[1:])):
             raise VectorizeError("vocab.words is not strictly ascending")
+        symbols = Symbols(alphabet=alphabet, words=words)
         prefix = "vocab.keys."
         keys = {name[len(prefix):] + ":": _keys_of_blob(blob)
                 for name, blob in sorted(arrays.items()) if name.startswith(prefix)}

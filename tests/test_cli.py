@@ -210,6 +210,7 @@ BAD_CONFIG_VALUES = {
     "svm_coef0_nan": "svm_coef0 = nan\n",
     "svm_c_inf": "svm_c = inf\n",
     "svm_tol_inf": "svm_tol = inf\n",
+    "svm_gamma_overflow": "svm_gamma = 1e300\nsvm_degree = 2\nk_best = 50\n",
     "cnn_epochs_0": "classifier = cnn\ncnn_epochs = 0\n",
     "cnn_dropout_1.5": "classifier = cnn\ncnn_embedding_dropout = 1.5\n",
     "cnn_learning_rate_nan": "classifier = cnn\ncnn_epochs = 1\ncnn_batch_size = 64\n"
@@ -464,6 +465,7 @@ def _bad_input(data_dir, case):
     ("svm_coef0_nan", "stage 'train_svm': coef0 must be finite, got nan"),
     ("svm_c_inf", "stage 'train_svm': C must be finite, got inf"),
     ("svm_tol_inf", "stage 'train_svm': tol must be finite, got inf"),
+    ("svm_gamma_overflow", "stage 'train_svm': SMO diverged: a kernel value is not finite"),
     ("cnn_epochs_0", "stage 'train_cnn': epochs and batch_size must be positive"),
     ("cnn_dropout_1.5", "stage 'train_cnn': embedding_dropout must be in [0, 1)"),
     ("cnn_learning_rate_nan", "stage 'train_cnn': learning_rate must be finite, got nan"),

@@ -270,7 +270,7 @@ def test_training_that_ends_non_finite_is_an_error_row_and_fits_nothing(small_te
     rows = run_grid(train, small_test, [svm, cnn, replace(svm, name="ok", svm_gamma=None)],
                     resources)
     assert [r.error for r in rows] == [
-        "stage 'train_svm': SMO diverged: the bias or a dual coefficient is not finite",
+        "stage 'train_svm': SMO diverged: a kernel value is not finite",
         "stage 'train_cnn': embedding holds a non-finite value after training", None]
     for config in (svm, cnn):
         with pytest.raises(PipelineError, match="not finite|non-finite"):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +223,77 @@ def test_decision_function_matches_dense_kernel_oracle():
                                    rtol=1e-12, atol=1e-12)
 
 
+def random_sparse_model(rng, params, n_sv, n_features):
+    sv = sparse.random(n_sv, n_features, density=0.3, format="csr", random_state=rng)
+    return SvmModel(support_vectors=sv, dual_coef=rng.normal(size=n_sv),
+                    bias=float(rng.normal()), kernel=params, C=1.0, converged=True)
+
+
+def test_degree_1_decisions_equal_the_dual_product():
+    """Degree 1 decides through one weight vector; the dual product that
+    higher degrees take is its oracle."""
+    rng = np.random.default_rng(4242)
+    for coef0 in (0.0, 1.0, -0.5):
+        for gamma in (0.01, 0.7, 3.0):
+            params = KernelParams(degree=1, gamma=gamma, coef0=coef0)
+            m = random_sparse_model(rng, params, int(rng.integers(1, 40)),
+                                    int(rng.integers(1, 60)))
+            X = sparse.random(6, m.n_features, density=0.3, format="csr", random_state=rng)
+            sv = m.support_vectors
+            expected = svm._kernel(params, (X @ sv.T).toarray()) @ m.dual_coef + m.bias
+            # the sums cancel, so their rounding is bounded by the terms' magnitude
+            magnitude = (gamma * (abs(X) @ abs(sv).T).toarray() + abs(coef0)) @ abs(m.dual_coef)
+            np.testing.assert_allclose(decision_function(m, X), expected, rtol=1e-12,
+                                       atol=1e-12 * (magnitude.max() + abs(m.bias)))
+
+
+def test_a_one_row_decision_equals_its_row_of_a_batch_bit_for_bit():
+    rng = np.random.default_rng(17)
+    m = random_sparse_model(rng, KernelParams(degree=1, gamma=0.5, coef0=1.0), 30, 40)
+    X = sparse.random(9, 40, density=0.3, format="csr", random_state=rng)
+    batch = decision_function(m, X)
+    rows = np.concatenate([decision_function(m, X[i]) for i in range(X.shape[0])])
+    assert rows.tobytes() == batch.tobytes()
+
+
+def test_a_degree_1_model_without_support_vectors_returns_its_bias():
+    m = SvmModel(support_vectors=sparse.csr_matrix((0, 3)), dual_coef=np.zeros(0), bias=-0.375,
+                 kernel=KernelParams(degree=1, gamma=0.5, coef0=1.0), C=1.0, converged=True)
+    f = decision_function(m, sparse.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])))
+    assert f.tolist() == [-0.375, -0.375]
+
+
+MANY_SUPPORT_VECTORS_SCRIPT = """
+import hashlib
+import numpy as np
+from scipy import sparse
+from urdufake.svm import KernelParams, SvmModel, decision_function
+
+rng = np.random.default_rng(0)
+sv = sparse.random(10_001, 3_000, density=0.005, format="csr", random_state=rng)
+model = SvmModel(support_vectors=sv, dual_coef=rng.normal(size=10_001), bias=0.25,
+                 kernel=KernelParams(degree=1, gamma=0.7, coef0=0.3), C=1.0, converged=True)
+X = sparse.random(20, 3_000, density=0.05, format="csr", random_state=rng)
+for values in (decision_function(model, X),
+               np.concatenate([decision_function(model, X[i]) for i in range(20)])):
+    print(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_degree_1_decisions_do_not_depend_on_the_blas_thread_count():
+    """A threaded BLAS splits a dot product of more than 10,000 elements
+    across its threads, in an order that depends on their number, so the
+    sum over 10,001 support vectors must not go through one."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", MANY_SUPPORT_VECTORS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
+
+
 def reconstruct_alphas(model, A, y):
     sv = model.support_vectors.toarray()
     used = [False] * len(model.dual_coef)
@@ -338,11 +413,14 @@ def test_solver_settings_rejected(kwargs, message):
 
 
 def test_kernel_values_past_float64_raise_instead_of_a_nan_model():
-    """(1e300 <x, z>)^2 overflows: the solve gives a NaN bias, and its KKT
-    check would read as converged."""
+    """(1e300 <x, z>)^2 overflows: the solve would give a NaN bias, and its
+    KKT check would read as converged. The kernel is refused where it is
+    computed, without a RuntimeWarning first."""
     X = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.2]]))
-    with np.errstate(all="ignore"), pytest.raises(SvmError, match="SMO diverged"):
-        train_svm(X, [1.0, -1.0, 1.0, -1.0], KernelParams(degree=2, gamma=1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SvmError, match="SMO diverged: a kernel value is not finite"):
+            train_svm(X, [1.0, -1.0, 1.0, -1.0], KernelParams(degree=2, gamma=1e300))
 
 
 def test_nonconvergence_sets_warning_flag():

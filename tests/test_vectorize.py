@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from urdufake.preprocess import PreprocessedDoc
 from urdufake.vectorize import (
     NgramSpec,
+    Symbols,
     VectorizeError,
     build_vocabulary,
     idf_weights,
@@ -89,6 +90,20 @@ def test_build_vocabulary_df_and_lexicographic_indices():
     assert vocab.terms_by_index() == ["w1:a", "w1:b"]
     assert vocab.doc_freq.tolist() == [2, 1]
     assert vocab.size == 2 and vocab.n_docs == 2
+
+
+@pytest.mark.parametrize("words", [
+    (),
+    ("a", "ab", "b"),
+    ("a", "a\x01", "a\x1b", "ab", "b", "b\x1fc", "bc"),
+    ("\x00", "\x1f", "x", "x\x00", "xy"),
+])
+def test_lead_rank_orders_words_as_they_sort_with_a_space_appended(words):
+    order = sorted(range(len(words)), key=lambda i: words[i] + " ")
+    expected = np.empty(len(words), dtype=np.int64)
+    expected[order] = np.arange(len(words))
+    lead_rank = Symbols(alphabet=np.zeros(0, dtype=np.uint32), words=words).lead_rank
+    assert lead_rank.dtype == np.int64 and lead_rank.tolist() == expected.tolist()
 
 
 def test_build_vocabulary_deterministic():
