@@ -537,16 +537,36 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_worker(run: Callable[[int], object], inherited: list[Connection]
+def _move_to_own_cpu(slot: int) -> None:
+    """Move this process to the slot-th of its usable CPUs, counting round,
+    then let it run on all of them again.
+
+    A forked process starts on its parent's CPU, and the scheduler can leave
+    it there for the whole of a short grid, so that every worker shares one
+    CPU. Narrowing the affinity to one other CPU makes the kernel move the
+    process at once; restoring the inherited set leaves no lasting
+    constraint. Where the calls do not exist or fail, the process stays.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    cpus = os.sched_getaffinity(0)
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, {sorted(cpus)[slot % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+
+
+def _fork_worker(run: Callable[[int], object], inherited: list[Connection], slot: int
                  ) -> tuple[int, Connection, Connection]:
     """Fork a worker process and return (its pid, the connection to send
     task numbers on, the connection to receive results from).
 
-    The worker sends back run(task) for each task number it receives, until
-    its task connection closes. It closes inherited, the other workers'
-    connections, so that each pipe has one writer and a worker's death shows
-    as the end of its result pipe. It never returns into the caller: it
-    leaves through os._exit.
+    The worker first moves to its own CPU, the slot-th usable one (see
+    _move_to_own_cpu). It then sends back run(task) for each task number it
+    receives, until its task connection closes. It closes inherited, the
+    other workers' connections, so that each pipe has one writer and a
+    worker's death shows as the end of its result pipe. It never returns
+    into the caller: it leaves through os._exit. When the fork fails, the
+    pipes are closed and the error is raised.
 
     Fork, not spawn: the worker starts from the parent's memory, so it reads
     the grid's prefix without pickling it, and nothing in the package runs
@@ -556,12 +576,18 @@ def _fork_worker(run: Callable[[int], object], inherited: list[Connection]
     result_r, result_w = Pipe(duplex=False)
     sys.stdout.flush()
     sys.stderr.flush()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        for conn in (task_r, task_w, result_r, result_w):
+            conn.close()
+        raise
     if pid == 0:
         code = 1
         try:
             for conn in (task_w, result_r, *inherited):
                 conn.close()
+            _move_to_own_cpu(slot)
             while True:
                 try:
                     task = task_r.recv()
@@ -585,7 +611,9 @@ def _run_tasks(n_tasks: int, run: Callable[[int], object], n_workers: int,
     deliver(task, None, wait status) when its worker died.
 
     With n_workers above 1, the tasks run on that many forked processes as
-    workers come free; a dead worker is not replaced. The parent receives a
+    workers come free; a dead worker is not replaced. When a fork fails (say
+    at a process limit), no more are tried, and the workers already forked
+    run the tasks, or this process when there are none. The parent receives a
     result whole as soon as it comes and hands the worker its next task
     before delivering, so a worker waits neither on a full pipe nor on
     deliver. Every worker is killed and reaped before the tasks no worker
@@ -607,7 +635,10 @@ def _run_tasks(n_tasks: int, run: Callable[[int], object], n_workers: int,
         while n_workers > 1 and next_task < n_tasks and len(workers) < n_workers:
             inherited = [conn for results, (_, tasks) in workers.items()
                          for conn in (results, tasks)]
-            pid, tasks, results = _fork_worker(run, inherited)
+            try:
+                pid, tasks, results = _fork_worker(run, inherited, len(workers))
+            except OSError:
+                break
             workers[results] = pid, tasks
             start(results)
         while running:

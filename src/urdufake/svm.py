@@ -155,7 +155,7 @@ def train_svm(
     falls back to the midpoint of the interval the bound multipliers' KKT
     conditions allow.
     """
-    X = sparse.csr_matrix(X).astype(np.float64)
+    X = sparse.csr_matrix(X).astype(np.float64, copy=False)
     y = np.asarray(y, dtype=np.float64).ravel()
     n = X.shape[0]
     if y.shape[0] != n:
@@ -273,7 +273,7 @@ def _final_bias(alpha, y, g, C) -> float:
 
 def decision_function(model: SvmModel, X) -> np.ndarray:
     """f(x) = sum_i (alpha_i y_i) K(sv_i, x) + b, vectorized over rows of X."""
-    X = sparse.csr_matrix(X).astype(np.float64)
+    X = sparse.csr_matrix(X).astype(np.float64, copy=False)
     if X.shape[1] != model.n_features:
         raise SvmError(
             f"dimension mismatch: model has {model.n_features} features, input has {X.shape[1]}"

@@ -404,6 +404,24 @@ def _bad_input(data_dir, case):
     raise AssertionError(case)
 
 
+def run_printing_warnings(args) -> int:
+    """run(args) with each warning printed on sys.stderr, as a real run
+    prints it, not recorded by pytest."""
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = show
+        return run(args)
+
+
+#: Run as `python -m urdufake.cli`, so that the module entry and a real
+#: stderr stay covered: a corpus error, a model-file error, and a config
+#: error that must fail before the row's K warning is issued.
+CHILD_PROCESS_CASES = {"unknown_corpus_label", "not_a_model_file", "svm_degree_0"}
+
+
 @pytest.mark.parametrize("case, message", [
     ("unknown_corpus_label", "maybe.tsv:1: unknown label 'Maybe'"),
     ("missing_train_file", "No such file or directory"),
@@ -471,18 +489,20 @@ def _bad_input(data_dir, case):
     ("cnn_learning_rate_nan", "stage 'train_cnn': learning_rate must be finite, got nan"),
     *((case, f"{case}.txt is not UTF-8 text") for case in NOT_UTF8_ARGV),
 ])
-def test_bad_input_gives_one_line_error_and_exit_2(data_dir, case, message):
+def test_bad_input_gives_one_line_error_and_exit_2(data_dir, capsys, case, message):
     argv = ["--out-dir", data_dir / "err"] + _bad_input(data_dir, case)
-    # a child process prints its warnings on stderr, as a real run does;
-    # in this process pytest would capture them
-    src = str(Path(urdufake.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "urdufake.cli", *map(str, argv)],
-                          capture_output=True, text=True, encoding="utf-8", env=env,
-                          timeout=120)
-    err = proc.stderr
-    assert proc.returncode == 2
+    capsys.readouterr()  # what making the input printed
+    if case in CHILD_PROCESS_CASES:
+        src = str(Path(urdufake.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "urdufake.cli", *map(str, argv)],
+                              capture_output=True, text=True, encoding="utf-8", env=env,
+                              timeout=120)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = run_printing_warnings(argv), capsys.readouterr().err
+    assert code == 2
     assert err.startswith("urdufake: error: ") and err.endswith("\n")
     assert err.count("\n") == 1
     assert message in err and "Traceback" not in err

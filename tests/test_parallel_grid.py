@@ -6,6 +6,7 @@ machine, 1 runs the grid in-process, and the two must give the same
 results.tsv, the same saved models and the same warnings.
 """
 
+import errno
 import os
 import signal
 import time
@@ -71,15 +72,21 @@ def grid_outputs(monkeypatch, tmp_path, cpus, train, test, configs, resources):
             [(w.category, str(w.message), w.filename) for w in caught])
 
 
+def shipped_grid_corpora():
+    """(train, test, the shipped grid): a corpus so small that each row's K
+    exceeds its features, so every row warns."""
+    train = generate_synthetic(3, 20, (FAKE_POOL, REAL_POOL), (2, 3), split="train")
+    test = generate_synthetic(4, 8, (FAKE_POOL, REAL_POOL), (2, 3), split="test")
+    return train, test, parse_config_file(ROOT / "configs" / "shared_task_grid.cfg")
+
+
 @pytest.mark.parametrize("grid", ["shipped", "mixed"])
 def test_two_workers_give_the_in_process_grid(resources, monkeypatch, tmp_path, grid):
     """The shipped grid warns on every row (each K exceeds the features of
     this small corpus). The mixed grid has SVM and CNN rows, two
     preprocessing groups and a row that fails inside its worker."""
-    train = generate_synthetic(3, 20, (FAKE_POOL, REAL_POOL), (2, 3), split="train")
-    test = generate_synthetic(4, 8, (FAKE_POOL, REAL_POOL), (2, 3), split="test")
-    configs = (parse_config_file(ROOT / "configs" / "shared_task_grid.cfg") if grid == "shipped"
-               else mixed_grid())
+    train, test, shipped = shipped_grid_corpora()
+    configs = shipped if grid == "shipped" else mixed_grid()
     assert len(runner._grid_tasks(configs)) >= 4
     serial = grid_outputs(monkeypatch, tmp_path, 1, train, test, configs, resources)
     forked = grid_outputs(monkeypatch, tmp_path, 2, train, test, configs, resources)
@@ -301,3 +308,117 @@ def test_a_union_without_terms_fails_each_svm_row_of_its_group(resources, monkey
     assert_no_child_left()
     assert [r.error for r in rows] == ["stage 'build_vocabulary': all documents produced "
                                        "zero terms"] * 2 + [None]
+
+
+def logging_setaffinity(monkeypatch, log: Path, fails: bool = False) -> None:
+    """Log each os.sched_setaffinity call, from any process, as a line
+    "<pid> <CPUs asked for>"; then make the call, or raise OSError."""
+    setaffinity = os.sched_setaffinity
+
+    def spy(pid, cpus):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {','.join(map(str, sorted(cpus)))}\n")
+        if fails:
+            raise OSError(errno.EINVAL, "refused by the test")
+        setaffinity(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", spy)
+
+
+def affinity_calls(log: Path) -> dict[int, list[set[int]]]:
+    """{pid: [the CPUs each of its calls asked for]} from a log."""
+    calls: dict[int, list[set[int]]] = {}
+    for line in log.read_text(encoding="utf-8").splitlines() if log.exists() else []:
+        pid, cpus = line.split()
+        calls.setdefault(int(pid), []).append({int(cpu) for cpu in cpus.split(",")})
+    return calls
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="os.sched_setaffinity is not available")
+
+
+@needs_affinity
+def test_each_worker_moves_to_its_own_cpu_then_gets_its_cpus_back(resources, monkeypatch,
+                                                                 tmp_path):
+    train, test, configs = shipped_grid_corpora()
+    log = tmp_path / "affinity.log"
+    logging_setaffinity(monkeypatch, log)
+    inherited = os.sched_getaffinity(0)
+    serial = grid_outputs(monkeypatch, tmp_path, 1, train, test, configs, resources)
+    assert affinity_calls(log) == {}
+    forked = grid_outputs(monkeypatch, tmp_path, 2, train, test, configs, resources)
+    assert forked == serial
+    assert os.sched_getaffinity(0) == inherited
+    calls = affinity_calls(log)
+    assert len(calls) == 2 and os.getpid() not in calls
+    for first, then in calls.values():
+        assert len(first) == 1 and first <= inherited and then == inherited
+    own = [next(iter(first)) for first, _ in calls.values()]
+    if len(inherited) >= 2:
+        assert len(set(own)) == 2
+
+
+@needs_affinity
+def test_a_worker_that_cannot_move_runs_where_it_is(resources, monkeypatch, tmp_path):
+    train, test, configs = shipped_grid_corpora()
+    serial = grid_outputs(monkeypatch, tmp_path, 1, train, test, configs, resources)
+    log = tmp_path / "affinity.log"
+    logging_setaffinity(monkeypatch, log, fails=True)
+    assert grid_outputs(monkeypatch, tmp_path, 2, train, test, configs, resources) == serial
+    calls = affinity_calls(log)
+    assert len(calls) == 2 and all(len(asked) == 1 for asked in calls.values())
+
+
+def test_the_slot_counts_round_the_sorted_usable_cpus(monkeypatch):
+    """Off a real grid: getaffinity is faked, and the spy calls nothing."""
+    asked = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: asked.append(set(cpus)),
+                        raising=False)
+    for slot in range(4):
+        runner._move_to_own_cpu(slot)
+    assert asked == [{3}, {3, 5, 7}, {5}, {3, 5, 7}, {7}, {3, 5, 7}, {3}, {3, 5, 7}]
+    monkeypatch.delattr(os, "sched_setaffinity")
+    runner._move_to_own_cpu(1)
+
+
+@pytest.mark.parametrize("failing_fork", [1, 2])
+def test_a_fork_that_fails_leaves_the_grid_to_the_processes_it_has(resources, monkeypatch,
+                                                                  tmp_path, failing_fork):
+    """With the first fork failing the grid runs in-process; with the
+    second, on the one worker forked and then in-process once it is done.
+    Either way no pipe of the failed fork stays open."""
+    train, test, configs = shipped_grid_corpora()
+    serial = grid_outputs(monkeypatch, tmp_path, 1, train, test, configs, resources)
+    fork = os.fork
+    forks = 0
+
+    def fork_failing_once():
+        nonlocal forks
+        forks += 1
+        if forks == failing_fork:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_failing_once)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    assert grid_outputs(monkeypatch, tmp_path, 2, train, test, configs, resources) == serial
+    assert forks == failing_fork
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_fork_closes_its_pipes_before_raising(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError) as raised:
+        runner._fork_worker(lambda task: task, [], 0)
+    # the traceback held here keeps the failed call's connections alive
+    assert raised.traceback
+    assert len(os.listdir("/proc/self/fd")) == fds
