@@ -20,7 +20,6 @@ import sys
 import time
 import traceback
 import warnings
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from multiprocessing.connection import Connection, Pipe, wait
@@ -699,7 +698,7 @@ def run_grid(
     task's features and fits at a time. Either way on_fitted is called in
     this process for a task's ok rows when the task ends, in
     task-completion order, so at most one task's pipelines are held at a
-    time, and a group's shared work is let go once its last task has ended.
+    time. Every group's shared work lives until the call returns.
     A worker that dies turns the rows of its task into error rows naming
     its exit status; tasks left when every worker has died run in-process.
     No worker outlives the call.
@@ -715,8 +714,6 @@ def run_grid(
     shared = {key: _SharedWork(train, test, group, resources) for key, group in groups.items()}
     keep = on_fitted is not None
     tasks = _grid_tasks(configs)
-    # every row of a task shares one preprocessing config
-    tasks_left = Counter(configs[sns[0] - 1].preprocess for sns in tasks)
     done: dict[int, _Outcome] = {}
     n_workers = min(_usable_cpus(), len(tasks)) if hasattr(os, "fork") else 1
 
@@ -733,10 +730,6 @@ def run_grid(
             if fitted is not None:
                 on_fitted(row, fitted)
             done[row.sn] = row, None, caught
-        group = configs[tasks[task][0] - 1].preprocess
-        tasks_left[group] -= 1
-        if not tasks_left[group]:
-            del shared[group]
 
     _run_tasks(len(tasks), run, n_workers, deliver)
     for sn, config in enumerate(configs, start=1):

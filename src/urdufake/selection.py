@@ -37,9 +37,12 @@ def chi2_scores(X: sparse.spmatrix, y) -> np.ndarray:
         raise SelectionError("chi-squared needs at least 2 classes present")
 
     n_classes = classes.size
-    observed = np.empty((n_classes, X.shape[1]), dtype=np.float64)
-    for c in range(n_classes):
-        observed[c] = np.asarray(X[y_idx == c].sum(axis=0)).ravel()
+    # one product adds each class's rows of a column in row order, as a
+    # per-class row sum would, without copying the class's rows; in C order,
+    # so that the sums over the classes below add them in class order
+    indicator = np.zeros((y.shape[0], n_classes))
+    indicator[np.arange(y.shape[0]), y_idx] = 1.0
+    observed = np.ascontiguousarray((X.T @ indicator).T)
     feature_total = observed.sum(axis=0)
     priors = np.bincount(y_idx, minlength=n_classes).astype(np.float64) / y.shape[0]
     expected = priors[:, None] * feature_total[None, :]

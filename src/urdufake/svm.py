@@ -35,7 +35,10 @@ w = sum_i alpha_i y_i sv_i, built once per model by a sparse product that
 makes no BLAS call; a decision is then one sparse mat-vec per batch, and
 each row's value is the same whatever the batch or the BLAS thread count.
 Higher degrees take the dual form: every row's inner products with every
-support vector, through the kernel, dotted with the dual coefficients.
+support vector, through the kernel, times the dual coefficients, each row
+summed by numpy's own reduction, not a BLAS dot. A row's sum then depends
+on that row alone, so its value too is the same whatever the batch or the
+BLAS thread count.
 
 Label encoding is fixed: Fake = +1, Real = -1, so a positive decision value
 means Fake. Ties (decision exactly 0) go to Fake.
@@ -103,11 +106,6 @@ class SvmModel:
     @property
     def n_support(self) -> int:
         return int(self.dual_coef.shape[0])
-
-    @functools.cached_property
-    def support_vectors_t(self) -> sparse.csr_matrix:
-        """The support vectors transposed, converted once for a dual decision."""
-        return self.support_vectors.T.tocsr()
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -282,5 +280,6 @@ def decision_function(model: SvmModel, X) -> np.ndarray:
     if params.degree == 1:
         intercept = params.coef0 * model.dual_coef.sum() + model.bias
         return params.gamma * (X @ model.weights) + intercept
-    dots = (X @ model.support_vectors_t).toarray()
-    return _kernel(params, dots) @ model.dual_coef + model.bias
+    K = _kernel(params, (X @ model.support_vectors.T).toarray())
+    K *= model.dual_coef
+    return K.sum(axis=1) + model.bias

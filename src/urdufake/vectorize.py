@@ -475,11 +475,11 @@ def weigh_counts(counts: sparse.csr_matrix, idf: np.ndarray, norms: np.ndarray |
     By default a row's norm is its L2 norm after weighting: the square root
     of one np.add.reduceat segment over that row's values in column order,
     numpy's own reduction, in an order set by the row alone, and 1.0 for a
-    row with no values or only zeros. Given norms are divided by as they
-    are, so counts and the norms this returned for them give the same
-    values again, bit for bit, over these or any other rows of them. The
-    result keeps the counts' order of columns within a row, and may share
-    their index arrays.
+    row with no values. Given norms are divided by as they are, so counts
+    and the norms this returned for them give the same values again, bit
+    for bit, over these or any other rows of them. The result keeps the
+    counts' order of columns within a row, and may share their index
+    arrays.
     """
     if norms is None and not counts.has_sorted_indices:
         counts = counts.sorted_indices()  # a norm sums its row in column order
@@ -492,20 +492,13 @@ def weigh_counts(counts: sparse.csr_matrix, idf: np.ndarray, norms: np.ndarray |
         filled = lengths.nonzero()[0]
         if filled.size:
             norms[filled] = np.sqrt(np.add.reduceat(vals * vals, indptr[filled]))
-            norms[norms == 0.0] = 1.0  # a row of explicit zeros keeps its values
     # one block of rows at a time, so that the per-value divisors are a
     # small array the allocator reuses, not one more array the size of vals
     starts = np.unique(np.searchsorted(indptr, np.arange(0, vals.size, _DIVIDE_BLOCK),
                                        side="right") - 1).tolist()
     for r0, r1 in zip(starts, starts[1:] + [lengths.size]):
         vals[indptr[r0]:indptr[r1]] /= norms[r0:r1].repeat(lengths[r0:r1])
-    if counts.data.all():
-        return sparse.csr_matrix((vals, indices, indptr), shape=counts.shape), norms
-    # explicit zero counts, dropped from copies of the index arrays the result
-    # would otherwise share with the counts
-    X = sparse.csr_matrix((vals, indices.copy(), indptr.copy()), shape=counts.shape)
-    X.eliminate_zeros()
-    return X, norms
+    return sparse.csr_matrix((vals, indices, indptr), shape=counts.shape), norms
 
 
 def apply_tfidf(counts: sparse.csr_matrix, vocabulary: Vocabulary) -> sparse.csr_matrix:

@@ -204,51 +204,33 @@ def test_one_task_grids_and_one_row_fits_never_fork(resources, monkeypatch,
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_each_group_lets_go_of_its_shared_work_after_its_last_task(resources, monkeypatch,
-                                                                   small_train, small_test,
-                                                                   cpus):
-    """When a row is delivered, the shared work of a preprocessing group
-    whose tasks have all been delivered is gone, and that of a group with
-    rows still to come is not. Group a is one task, group b two. In-process
-    a's task runs first; on two workers a's rows are slowed, so b's two
-    tasks end first on the other worker."""
+def test_no_group_shared_work_outlives_run_grid(resources, monkeypatch, small_train,
+                                                small_test, cpus):
+    """The shared work of each preprocessing group lives until run_grid
+    returns, and not past it: group a is one task, group b two."""
     monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
-    grid_row = runner._grid_row
-
-    def slow_a(work, config, sn, memo, keep):
-        if config.name.startswith("a") and cpus > 1:
-            time.sleep(0.5)
-        return grid_row(work, config, sn, memo, keep)
-
-    monkeypatch.setattr(runner, "_grid_row", slow_a)
-    refs = {}
+    refs = []
 
     class RecordedWork(runner._SharedWork):
         def __init__(self, *args):
             super().__init__(*args)
-            refs[self.preprocess] = weakref.ref(self)
+            refs.append(weakref.ref(self))
 
     monkeypatch.setattr(runner, "_SharedWork", RecordedWork)
+    alive = []  # the groups whose shared work is alive as each row is delivered
+
+    def count_alive(row, fitted):
+        alive.append(sum(ref() is not None for ref in refs))
+
     a = ExperimentConfig(name="a_k20", k_best=20, word_orders=(1,), char_orders=())
     b = replace(a, name="b_w1", preprocess=replace(a.preprocess, remove_stopwords=False))
     configs = [a, replace(a, name="a_k10", k_best=10),
                b, replace(b, name="b_c2", word_orders=(), char_orders=(2,))]
-    rows_of = Counter(c.preprocess for c in configs)
-    delivered = Counter()
-    freed, order = [], []
-
-    def check(row, fitted):
-        for group, ref in refs.items():
-            done = delivered[group] == rows_of[group]
-            assert (ref() is None) == done, (row.sn, group)
-            freed.append(done)
-        delivered[configs[row.sn - 1].preprocess] += 1
-        order.append(row.sn)
-
-    rows = run_grid(small_train, small_test, configs, resources, on_fitted=check)
+    rows = run_grid(small_train, small_test, configs, resources, on_fitted=count_alive)
     assert_no_child_left()
-    assert all(r.ok for r in rows) and len(refs) == 2 and any(freed)
-    assert configs[order[0] - 1].name[0] == ("a" if cpus == 1 else "b")
+    assert all(r.ok for r in rows) and len(refs) == 2
+    assert alive == [2] * 4
+    assert [r() for r in refs] == [None, None]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

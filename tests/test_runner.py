@@ -190,6 +190,20 @@ def test_one_row_deterministic(small_train, small_test, resources):
     assert r1.digest == r2.digest
 
 
+def test_a_degree_2_pipeline_gives_each_document_its_value_alone(synthetic_train,
+                                                                 synthetic_test, resources):
+    """Every test document's decision value, byte for byte, is the one it
+    gets scored on its own."""
+    cfg = ExperimentConfig(name="dual", svm_degree=2, svm_gamma=1.0, svm_coef0=1.0,
+                           word_orders=(1, 2), char_orders=(2, 3), k_best=2000)
+    fitted = fit_pipeline(synthetic_train, cfg, resources)
+    assert fitted.svm.n_support > 1
+    batch = fitted.decision_values(synthetic_test, resources)
+    alone = np.concatenate([fitted.decision_values(Corpus((doc,), split="test"), resources)
+                            for doc in synthetic_test])
+    assert alone.tobytes() == batch.tobytes()
+
+
 def test_no_leakage_test_split_does_not_affect_fit(small_train, resources):
     cfg = ExperimentConfig(name="leak", k_best=200)
     other_test = generate_synthetic(999, 10, (FAKE_POOL, REAL_POOL), (5, 10), split="test")

@@ -36,6 +36,36 @@ def brute_force_chi2(X_dense: np.ndarray, y: np.ndarray) -> np.ndarray:
     return scores
 
 
+def per_class_chi2(X, y):
+    """chi2_scores with each class's column sums taken from a copy of its
+    rows: the reference its single product must equal bit for bit."""
+    classes, y_idx = np.unique(y, return_inverse=True)
+    observed = np.empty((classes.size, X.shape[1]), dtype=np.float64)
+    for c in range(classes.size):
+        observed[c] = np.asarray(X[y_idx == c].sum(axis=0)).ravel()
+    feature_total = observed.sum(axis=0)
+    priors = np.bincount(y_idx, minlength=classes.size).astype(np.float64) / y.shape[0]
+    expected = priors[:, None] * feature_total[None, :]
+    safe = np.where(expected > 0.0, expected, 1.0)
+    scores = ((observed - expected) ** 2 / safe).sum(axis=0)
+    scores[feature_total == 0.0] = 0.0
+    return scores
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 9)), st.integers(2, 40), st.integers(1, 30),
+       st.integers(0, 2**32 - 1))
+def test_chi2_equals_the_per_class_row_sums_bit_for_bit(n_classes, n_docs, n_feat, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.random((n_docs, n_feat)) * (rng.random((n_docs, n_feat)) < 0.4)
+    A[:, rng.random(n_feat) < 0.2] = 0.0  # empty columns
+    X = sparse.csr_matrix(A)
+    X.data[rng.random(X.nnz) < 0.1] = 0.0  # explicit zeros
+    y = np.arange(n_docs) % n_classes
+    rng.shuffle(y)
+    assert chi2_scores(X, y).tobytes() == per_class_chi2(X, y).tobytes()
+
+
 def test_chi2_hand_contingency_example():
     # one feature; class A docs have values [1, 0], class B docs [1, 2]
     X = sparse.csr_matrix(np.array([[1.0], [0.0], [1.0], [2.0]]))

@@ -249,11 +249,13 @@ def test_degree_1_decisions_equal_the_dual_product():
 
 def test_a_one_row_decision_equals_its_row_of_a_batch_bit_for_bit():
     rng = np.random.default_rng(17)
-    m = random_sparse_model(rng, KernelParams(degree=1, gamma=0.5, coef0=1.0), 30, 40)
-    X = sparse.random(9, 40, density=0.3, format="csr", random_state=rng)
-    batch = decision_function(m, X)
-    rows = np.concatenate([decision_function(m, X[i]) for i in range(X.shape[0])])
-    assert rows.tobytes() == batch.tobytes()
+    for degree, n_sv in ((1, 30), (2, 44), (2, 1_300), (3, 26)):
+        m = random_sparse_model(rng, KernelParams(degree=degree, gamma=0.5, coef0=1.0),
+                                n_sv, 40)
+        X = sparse.random(9, 40, density=0.3, format="csr", random_state=rng)
+        batch = decision_function(m, X)
+        rows = np.concatenate([decision_function(m, X[i]) for i in range(X.shape[0])])
+        assert rows.tobytes() == batch.tobytes(), (degree, n_sv)
 
 
 def test_a_degree_1_model_without_support_vectors_returns_its_bias():
@@ -265,14 +267,17 @@ def test_a_degree_1_model_without_support_vectors_returns_its_bias():
 
 MANY_SUPPORT_VECTORS_SCRIPT = """
 import hashlib
+import sys
 import numpy as np
 from scipy import sparse
 from urdufake.svm import KernelParams, SvmModel, decision_function
 
+degree = int(sys.argv[1])
 rng = np.random.default_rng(0)
 sv = sparse.random(10_001, 3_000, density=0.005, format="csr", random_state=rng)
 model = SvmModel(support_vectors=sv, dual_coef=rng.normal(size=10_001), bias=0.25,
-                 kernel=KernelParams(degree=1, gamma=0.7, coef0=0.3), C=1.0, converged=True)
+                 kernel=KernelParams(degree=degree, gamma=0.7, coef0=0.3), C=1.0,
+                 converged=True)
 X = sparse.random(20, 3_000, density=0.05, format="csr", random_state=rng)
 for values in (decision_function(model, X),
                np.concatenate([decision_function(model, X[i]) for i in range(20)])):
@@ -280,18 +285,34 @@ for values in (decision_function(model, X),
 """
 
 
-def test_degree_1_decisions_do_not_depend_on_the_blas_thread_count():
-    """A threaded BLAS splits a dot product of more than 10,000 elements
-    across its threads, in an order that depends on their number, so the
-    sum over 10,001 support vectors must not go through one."""
+def many_support_vector_digests(degree):
+    """[[batch, row-by-row] decision digests] of a model of 10,001 support
+    vectors, at 1 and at 2 BLAS threads."""
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads)
-        out = subprocess.run([sys.executable, "-c", MANY_SUPPORT_VECTORS_SCRIPT], env=env,
-                             capture_output=True, text=True, check=True, timeout=120)
+        out = subprocess.run([sys.executable, "-c", MANY_SUPPORT_VECTORS_SCRIPT, str(degree)],
+                             env=env, capture_output=True, text=True, check=True, timeout=120)
         digests.append(out.stdout.split())
+    return digests
+
+
+def test_degree_1_decisions_do_not_depend_on_the_blas_thread_count():
+    """A threaded BLAS splits a dot product of more than 10,000 elements
+    across its threads, in an order that depends on their number, so the
+    sum over 10,001 support vectors must not go through one."""
+    digests = many_support_vector_digests(1)
     assert len(digests[0]) == 2 and digests[0] == digests[1]
+
+
+def test_degree_2_decisions_depend_on_neither_the_batch_nor_the_blas_thread_count():
+    """The dual form sums each row's kernel values times the dual
+    coefficients by numpy's reduction, so a document's value is the same
+    alone or in a batch, at 1 BLAS thread or 2."""
+    digests = many_support_vector_digests(2)
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
+    assert digests[0][0] == digests[0][1]
 
 
 def reconstruct_alphas(model, A, y):
