@@ -186,11 +186,13 @@ class LemmaTable:
 
 def remove_stopwords(tokens: list[str], stopwords: StopwordList) -> list[str]:
     """Order-preserving filter; tokens must already be normalized."""
-    return [t for t in tokens if t not in stopwords]
+    words = stopwords.words  # the set itself: no method call per token
+    return [t for t in tokens if t not in words]
 
 
 def lemmatize(tokens: list[str], table: LemmaTable) -> list[str]:
-    return [table.lookup(t) for t in tokens]
+    """Each token's LemmaTable.lookup, read from the table's dict directly."""
+    return list(map(table.entries.get, tokens, tokens))
 
 
 @dataclass(frozen=True)

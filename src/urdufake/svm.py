@@ -34,6 +34,11 @@ f(x) = gamma <w, x> + coef0 sum_i alpha_i y_i + b with one weight vector
 w = sum_i alpha_i y_i sv_i, built once per model by a sparse product that
 makes no BLAS call; a decision is then one sparse mat-vec per batch, and
 each row's value is the same whatever the batch or the BLAS thread count.
+The rows may also have more columns than the model, as a vocabulary's rows
+do when the model was trained on a selection of its columns: spread_weights
+puts w's entries at the model's columns and 0.0 at every other, and a
+decision through these equals one over the rows cut to the model's
+columns, bit for bit, with no cut copy made.
 Higher degrees take the dual form: every row's inner products with every
 support vector, through the kernel, times the dual coefficients, each row
 summed by numpy's own reduction, not a BLAS dot. A row's sum then depends
@@ -269,17 +274,42 @@ def _final_bias(alpha, y, g, C) -> float:
     return float((y_minus_g[up].max() + y_minus_g[~up].min()) / 2.0)
 
 
-def decision_function(model: SvmModel, X) -> np.ndarray:
-    """f(x) = sum_i (alpha_i y_i) K(sv_i, x) + b, vectorized over rows of X."""
-    X = sparse.csr_matrix(X).astype(np.float64, copy=False)
-    if X.shape[1] != model.n_features:
+def spread_weights(model: SvmModel, columns: np.ndarray, n_columns: int) -> np.ndarray:
+    """A degree-1 model's weights over n_columns columns: model.weights[i] at
+    column columns[i] (strictly ascending), 0.0 at every other column.
+
+    decision_function through these gives rows with n_columns columns the
+    values it gives them cut to columns, bit for bit: a sparse mat-vec sums
+    each row's products in column order from +0.0, a value at another
+    column adds x * 0.0 = +0.0 (x is finite), and the other products are
+    the same and come in the same order.
+    """
+    wide = np.zeros(n_columns)
+    wide[columns] = model.weights
+    return wide
+
+
+def decision_function(model: SvmModel, X, weights: np.ndarray | None = None) -> np.ndarray:
+    """f(x) = sum_i (alpha_i y_i) K(sv_i, x) + b, vectorized over rows of X.
+
+    weights, for a degree-1 model, are its spread_weights over X's columns
+    and stand in for model.weights; X may then have more columns than the
+    model has features."""
+    if not isinstance(X, sparse.csr_matrix):
+        X = sparse.csr_matrix(X)
+    X = X.astype(np.float64, copy=False)
+    n_features = model.n_features if weights is None else weights.size
+    if X.shape[1] != n_features:
         raise SvmError(
-            f"dimension mismatch: model has {model.n_features} features, input has {X.shape[1]}"
+            f"dimension mismatch: model has {n_features} features, input has {X.shape[1]}"
         )
     params = model.kernel
+    if weights is not None and params.degree != 1:
+        raise SvmError(f"a degree-{params.degree} model decides through its support vectors, "
+                       f"not weights")
     if params.degree == 1:
         intercept = params.coef0 * model.dual_coef.sum() + model.bias
-        return params.gamma * (X @ model.weights) + intercept
+        return params.gamma * (X @ (model.weights if weights is None else weights)) + intercept
     K = _kernel(params, (X @ model.support_vectors.T).toarray())
     K *= model.dual_coef
     return K.sum(axis=1) + model.bias

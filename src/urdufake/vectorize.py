@@ -33,16 +33,17 @@ run per namespace: exactly the lexicographic term order.
 
 Counting and weighting are separate steps: build_vocabulary/count_terms
 give raw per-doc term counts, apply_tfidf weights them by the vocabulary's
-idf and normalizes them. Its weigh_counts also gives the norm each row was
-divided by, from which that row's values are rebuilt exactly; a saved model
-stores its support vectors so. The vocabulary is the one owner of what is
-counted and how it is weighted: count_terms and transform count the n-gram
-orders whose namespaces it holds, and its idf is derived from its document
-frequencies, never stored apart. Only building a vocabulary
-(build_vocabulary) and restricting one (Vocabulary.restrict) take an
-NgramSpec. So the counts of a spec that covers several others can be built
-once and restricted to each with the same bytes as building each on its
-own.
+idf and normalizes them; transform does both on the counting's arrays and
+makes one sparse matrix, the weighted rows. weigh_counts also gives the
+norm each row was divided by, from which that row's values are rebuilt
+exactly; a saved model stores its support vectors so. The vocabulary is
+the one owner of what is counted and how it is weighted: count_terms and
+transform count the n-gram orders whose namespaces it holds, and its idf
+is derived from its document frequencies, never stored apart. Only
+building a vocabulary (build_vocabulary) and restricting one
+(Vocabulary.restrict) take an NgramSpec. So the counts of a spec that
+covers several others can be built once and restricted to each with the
+same bytes as building each on its own.
 """
 
 from __future__ import annotations
@@ -399,19 +400,35 @@ class Vocabulary:
         return cls(symbols=symbols, keys=keys, doc_freq=doc_freq, n_docs=n_docs)
 
 
-def _count_matrix(doc_parts: list[np.ndarray], col_parts: list[np.ndarray], n_docs: int,
-                  n_cols: int) -> sparse.csr_matrix:
-    """How often each column occurs in each document, as int64 CSR rows with
-    ascending columns, from parts of the (document, column) occurrences."""
+def _count_runs(doc_parts: list[np.ndarray], col_parts: list[np.ndarray], n_docs: int,
+                n_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How often each column occurs in each document, from parts of the
+    (document, column) occurrences: the int64 CSR arrays (counts, columns,
+    row pointers), the columns ascending within each row."""
     pairs = np.concatenate([d * n_cols + c for d, c in zip(doc_parts, col_parts)]
                            or [np.zeros(0, np.int64)])
     pairs, counts = np.unique(pairs, return_counts=True)
     rows, cols = np.divmod(pairs, n_cols)
     indptr = np.searchsorted(rows, np.arange(n_docs + 1, dtype=np.int64))
-    X = sparse.csr_matrix((counts.astype(np.int64), cols, indptr.astype(np.int64)),
-                          shape=(n_docs, n_cols))
-    X.sort_indices()
+    return counts.astype(np.int64), cols, indptr.astype(np.int64)
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, n_cols: int
+         ) -> sparse.csr_matrix:
+    """The CSR matrix of arrays whose columns ascend within each row, marked
+    so without a scan. Its indices are int32 where every index fits, as
+    scipy would choose; cast here, scipy's constructor does not scan them."""
+    if max(indptr.size - 1, n_cols, int(indptr[-1])) <= np.iinfo(np.int32).max:
+        indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
+    X = sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_cols))
+    X.has_sorted_indices = True
     return X
+
+
+def _count_matrix(doc_parts: list[np.ndarray], col_parts: list[np.ndarray], n_docs: int,
+                  n_cols: int) -> sparse.csr_matrix:
+    """_count_runs as int64 CSR rows."""
+    return _csr(*_count_runs(doc_parts, col_parts, n_docs, n_cols), n_cols)
 
 
 def build_vocabulary(docs: Sequence[PreprocessedDoc], spec: NgramSpec) -> Vocabulary:
@@ -421,18 +438,19 @@ def build_vocabulary(docs: Sequence[PreprocessedDoc], spec: NgramSpec) -> Vocabu
         raise VectorizeError("cannot build a vocabulary from an empty corpus")
     symbols = Symbols.fit(docs, spec)
     ngrams = _ngrams(docs, spec.namespaces(), symbols)
-    keys, doc_parts, col_parts = {}, [], []
-    size = 0
+    keys, blocks = {}, []
     for ns in sorted(ngrams):
-        k, doc = ngrams.pop(ns)  # each namespace's occurrences are freed once coded
+        # one namespace's occurrences are counted at a time, then freed
+        k, doc = ngrams.pop(ns)
         if k.size:
             keys[ns], at = np.unique(k, return_inverse=True)
-            doc_parts.append(doc)
-            col_parts.append(size + at)
-            size += keys[ns].size
-    if not size:
+            blocks.append(_count_matrix([doc], [at], len(docs), keys[ns].size))
+            del k, doc, at
+    if not blocks:
         raise VectorizeError("all documents produced zero terms")
-    counts = _count_matrix(doc_parts, col_parts, len(docs), size)
+    counts = sparse.hstack(blocks, format="csr")  # the namespaces' columns, in order
+    counts.sort_indices()
+    size = counts.shape[1]
     return Vocabulary(
         symbols=symbols,
         keys=keys,
@@ -442,29 +460,58 @@ def build_vocabulary(docs: Sequence[PreprocessedDoc], spec: NgramSpec) -> Vocabu
     )
 
 
-def count_terms(docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary) -> sparse.csr_matrix:
-    """Raw in-vocabulary term counts, one int64 row per doc, columns ascending.
-
-    Only the n-gram orders whose namespaces the vocabulary holds are counted;
-    terms absent from the vocabulary are ignored (test-time OOV).
-    """
+def _occurrences(docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary
+                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The (document, column) occurrences of the vocabulary's terms in docs,
+    as parts of document and column indices, one part per namespace."""
     doc_parts, col_parts = [], []
     for ns, (keys, doc) in _ngrams(docs, vocabulary.keys, vocabulary.symbols).items():
         # binary searches for keys in ascending order stay in the cache
         order = np.argsort(keys)
         keys, doc = keys[order], doc[order]
         known = vocabulary.keys[ns]
+        if not known.size:
+            continue
         at = np.searchsorted(known, keys)
-        found = at < known.size
-        found[found] = known[at[found]] == keys[found]
+        found = known.take(at, mode="clip") == keys
         doc_parts.append(doc[found])
         col_parts.append(vocabulary._runs[ns][0] + at[found])
-    return _count_matrix(doc_parts, col_parts, len(docs), vocabulary.size)
+    return doc_parts, col_parts
+
+
+def count_terms(docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary) -> sparse.csr_matrix:
+    """Raw in-vocabulary term counts, one int64 row per doc, columns ascending.
+
+    Only the n-gram orders whose namespaces the vocabulary holds are counted;
+    terms absent from the vocabulary are ignored (test-time OOV).
+    """
+    return _count_matrix(*_occurrences(docs, vocabulary), len(docs), vocabulary.size)
 
 
 #: The number of values weigh_counts divides by their norms at once
 #: (about; a longer row is one block): their divisors take 64 KiB.
 _DIVIDE_BLOCK = 8192
+
+
+def _weigh(indptr: np.ndarray, indices: np.ndarray, counts: np.ndarray, idf: np.ndarray,
+           norms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The values and norms of weigh_counts, from the CSR arrays of the
+    counts; without norms, their columns must ascend within each row."""
+    vals = idf[indices]
+    vals *= counts
+    lengths = np.diff(indptr)
+    if norms is None:
+        norms = np.ones(lengths.size)
+        filled = lengths.nonzero()[0]
+        if filled.size:
+            norms[filled] = np.sqrt(np.add.reduceat(vals * vals, indptr[filled]))
+    # one block of rows at a time, so that the per-value divisors are a
+    # small array the allocator reuses, not one more array the size of vals
+    starts = sorted(set((np.searchsorted(indptr, np.arange(0, vals.size, _DIVIDE_BLOCK),
+                                         side="right") - 1).tolist()))
+    for r0, r1 in zip(starts, starts[1:] + [lengths.size]):
+        vals[indptr[r0]:indptr[r1]] /= norms[r0:r1].repeat(lengths[r0:r1])
+    return vals, norms
 
 
 def weigh_counts(counts: sparse.csr_matrix, idf: np.ndarray, norms: np.ndarray | None = None
@@ -483,22 +530,8 @@ def weigh_counts(counts: sparse.csr_matrix, idf: np.ndarray, norms: np.ndarray |
     """
     if norms is None and not counts.has_sorted_indices:
         counts = counts.sorted_indices()  # a norm sums its row in column order
-    indptr, indices = counts.indptr, counts.indices
-    vals = idf[indices]
-    vals *= counts.data
-    lengths = np.diff(indptr)
-    if norms is None:
-        norms = np.ones(counts.shape[0])
-        filled = lengths.nonzero()[0]
-        if filled.size:
-            norms[filled] = np.sqrt(np.add.reduceat(vals * vals, indptr[filled]))
-    # one block of rows at a time, so that the per-value divisors are a
-    # small array the allocator reuses, not one more array the size of vals
-    starts = np.unique(np.searchsorted(indptr, np.arange(0, vals.size, _DIVIDE_BLOCK),
-                                       side="right") - 1).tolist()
-    for r0, r1 in zip(starts, starts[1:] + [lengths.size]):
-        vals[indptr[r0]:indptr[r1]] /= norms[r0:r1].repeat(lengths[r0:r1])
-    return sparse.csr_matrix((vals, indices, indptr), shape=counts.shape), norms
+    vals, norms = _weigh(counts.indptr, counts.indices, counts.data, idf, norms)
+    return sparse.csr_matrix((vals, counts.indices, counts.indptr), shape=counts.shape), norms
 
 
 def apply_tfidf(counts: sparse.csr_matrix, vocabulary: Vocabulary) -> sparse.csr_matrix:
@@ -518,8 +551,11 @@ def apply_tfidf(counts: sparse.csr_matrix, vocabulary: Vocabulary) -> sparse.csr
 
 
 def transform(docs: Sequence[PreprocessedDoc], vocabulary: Vocabulary) -> sparse.csr_matrix:
-    """TF-IDF rows of docs: apply_tfidf of their count_terms."""
-    return apply_tfidf(count_terms(docs, vocabulary), vocabulary)
+    """TF-IDF rows of docs: apply_tfidf of their count_terms, weighed
+    straight from the counting's arrays into the one sparse matrix made."""
+    n_cols = vocabulary.size
+    counts, cols, indptr = _count_runs(*_occurrences(docs, vocabulary), len(docs), n_cols)
+    return _csr(_weigh(indptr, cols, counts, vocabulary.idf)[0], cols, indptr, n_cols)
 
 
 def write_vocabulary_tsv(vocabulary: Vocabulary, path: str | Path) -> None:

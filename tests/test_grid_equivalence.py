@@ -230,8 +230,8 @@ def test_shipped_grid_featurizes_each_spec_once(resources, monkeypatch):
     monkeypatch.setattr(runner, "chi2_scores", counted("chi2_scores", runner.chi2_scores))
     margins = []  # (model, its test decision values), one per call
 
-    def recorded(model, X):
-        margins.append((model, decision_function(model, X)))
+    def recorded(model, X, **kwargs):
+        margins.append((model, decision_function(model, X, **kwargs)))
         return margins[-1][1]
 
     monkeypatch.setattr(runner, "decision_function", recorded)

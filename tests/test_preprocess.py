@@ -269,24 +269,31 @@ def test_stage_order_stopwords_before_lemmas():
     assert out.tokens == ("b",)
 
 
-class TracingStopwords(StopwordList):
-    def __init__(self, trace):
-        super().__init__(words=frozenset())
-        object.__setattr__(self, "trace", trace)
+class TracingWords(frozenset):
+    """No stopwords; records each membership test (remove_stopwords asks
+    the set, not StopwordList.__contains__)."""
+
+    def __new__(cls, trace):
+        words = super().__new__(cls)
+        words.trace = trace
+        return words
 
     def __contains__(self, token):
         self.trace.append(("stopwords", token))
         return False
 
 
-class TracingLemmas(LemmaTable):
-    def __init__(self, trace):
-        super().__init__(entries={})
-        object.__setattr__(self, "trace", trace)
+class TracingEntries(dict):
+    """No lemmas; records each lookup (lemmatize calls the dict's get, not
+    LemmaTable.lookup)."""
 
-    def lookup(self, token):
+    def __init__(self, trace):
+        super().__init__()
+        self.trace = trace
+
+    def get(self, token, default=None):
         self.trace.append(("lemmas", token))
-        return token
+        return default
 
 
 @pytest.mark.parametrize("flags", range(16))
@@ -299,8 +306,8 @@ def test_stage_order_for_every_flag_combination(flags):
     )
     trace = []
     res = Resources(
-        stopwords=TracingStopwords(trace),
-        lemmas=TracingLemmas(trace),
+        stopwords=StopwordList(TracingWords(trace)),
+        lemmas=LemmaTable(TracingEntries(trace)),
         normmap=NormalizationMap.default(),
     )
     out = preprocess(doc("كِتاب دوم"), cfg, res)

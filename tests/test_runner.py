@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urdufake import runner
 from urdufake.cli import _INPUT_ERRORS
 from urdufake.corpus import Corpus, Document, Label, generate_synthetic, load_corpus
 from urdufake import persistence
 from urdufake.persistence import MAGIC, ModelFormatError
-from urdufake.preprocess import PreprocessConfig, ResourceError, Resources
+from urdufake.preprocess import PreprocessConfig, ResourceError, Resources, preprocess_corpus
 from urdufake.runner import (
     ConfigError,
     ExperimentConfig,
@@ -30,6 +31,9 @@ from urdufake.runner import (
     save_model,
     serialize_configs,
 )
+from urdufake.selection import apply_mask
+from urdufake.svm import KernelParams, decision_function
+from urdufake.vectorize import transform
 
 from conftest import FAKE_POOL, REAL_POOL, run_alone
 
@@ -202,6 +206,61 @@ def test_a_degree_2_pipeline_gives_each_document_its_value_alone(synthetic_train
     alone = np.concatenate([fitted.decision_values(Corpus((doc,), split="test"), resources)
                             for doc in synthetic_test])
     assert alone.tobytes() == batch.tobytes()
+
+
+@pytest.fixture(scope="module")
+def wide_pipeline(resources):
+    """A degree-1 pipeline (coef0 != 0) over 12,000 word columns that keeps
+    half of them, and test documents: one of more than 10,000 terms, one
+    with out-of-vocabulary words, an empty one and one whose only term the
+    mask drops."""
+    rng = np.random.default_rng(0)
+
+    def words(n):
+        return " ".join(f"w{w:05d}" for w in rng.choice(12_000, size=n, replace=False))
+
+    train = Corpus(tuple(Document(f"d{i}", words(10_500), [Label.FAKE, Label.REAL][i % 2])
+                         for i in range(4)), "train")
+    config = ExperimentConfig(name="wide", word_orders=(1,), char_orders=(), k_best=6_000,
+                              svm_gamma=0.5, svm_coef0=0.25)
+    fitted = fit_pipeline(train, config, resources)
+    assert fitted.vocabulary.size > 10_000 and fitted.mask.n_kept == 6_000
+    dropped = np.setdiff1d(np.arange(fitted.vocabulary.size), fitted.mask.kept)[0]
+    texts = [words(10_500), "unseen " + words(20) + " words", "",
+             fitted.vocabulary.terms_by_index([dropped])[0].removeprefix("w1:")]
+    test = Corpus(tuple(Document(f"t{i}", text, Label.FAKE) for i, text in enumerate(texts)),
+                  "test")
+    return fitted, preprocess_corpus(test, config.preprocess, resources)
+
+
+def test_a_degree_1_pipeline_decides_over_the_vocabulary_as_over_the_masked_rows(
+        wide_pipeline):
+    """Through the weights spread over the vocabulary's columns, each
+    document gets the value of the rows masked to the model's columns, bit
+    for bit."""
+    fitted, docs = wide_pipeline
+    X = transform(docs, fitted.vocabulary)
+    masked = apply_mask(X, fitted.mask)
+    assert X.getnnz(axis=1)[0] > 10_000 and X.getnnz(axis=1)[2] == 0
+    assert X.getnnz(axis=1)[3] > 0 and masked.getnnz(axis=1)[3] == 0
+    values = fitted.values_of(docs)
+    assert values.tobytes() == decision_function(fitted.svm, masked).tobytes()
+    assert values[2] == values[3] != 0.0  # the intercept alone, coef0 included
+
+
+def test_a_degree_1_pipeline_makes_no_masked_copy(wide_pipeline, monkeypatch):
+    fitted, docs = wide_pipeline
+    calls = []
+
+    def spy(X, mask):
+        calls.append(X.shape)
+        return apply_mask(X, mask)
+
+    monkeypatch.setattr(runner, "apply_mask", spy)
+    fitted.values_of(docs)
+    assert calls == []
+    replace(fitted, svm=replace(fitted.svm, kernel=KernelParams(degree=2))).values_of(docs)
+    assert calls == [(len(docs), fitted.vocabulary.size)]
 
 
 def test_no_leakage_test_split_does_not_affect_fit(small_train, resources):

@@ -151,6 +151,22 @@ def test_decision_dimension_mismatch():
         decision_function(m, sparse.csr_matrix(np.zeros((1, 3))))
 
 
+def test_spread_weights_decide_over_wider_rows_as_over_the_model_columns():
+    m = analytic_model()  # degree 1, on 2 features: columns 1 and 3 of 5
+    wide = svm.spread_weights(m, np.array([1, 3]), 5)
+    assert wide[[0, 2, 4]].tolist() == [0.0] * 3
+    assert wide[[1, 3]].tolist() == m.weights.tolist()
+    X = sparse.csr_matrix(np.array([[7.0, 2.0, 5.0, 0.5, 3.0], [1.0, 0.0, 1.0, 0.0, 1.0]]))
+    expected = decision_function(m, X[:, [1, 3]])
+    assert decision_function(m, X, weights=wide).tobytes() == expected.tobytes()
+    with pytest.raises(SvmError, match="mismatch"):
+        decision_function(m, X[:, :4], weights=wide)
+    dual = SvmModel(support_vectors=m.support_vectors, dual_coef=m.dual_coef, bias=m.bias,
+                    kernel=KernelParams(degree=2), C=m.C, converged=True)
+    with pytest.raises(SvmError, match="not weights"):
+        decision_function(dual, X, weights=wide)
+
+
 def test_label_sign_flip_negates_decision():
     rng = np.random.default_rng(8)
     A = rng.normal(size=(10, 3))

@@ -13,6 +13,7 @@ from urdufake.vectorize import (
     NgramSpec,
     Symbols,
     VectorizeError,
+    Vocabulary,
     build_vocabulary,
     idf_weights,
     transform,
@@ -185,6 +186,19 @@ def test_transform_oov_only_doc_zero_row():
     spec = NgramSpec(word_orders={1})
     X = transform([pdoc(["zzz", "qqq"])], build_vocabulary(train, spec))
     assert X.nnz == 0
+
+
+def test_a_namespace_without_keys_counts_nothing():
+    """Vocabulary.from_blobs accepts a namespace with no keys; all of its
+    n-grams are out of vocabulary."""
+    docs = [pdoc(["ab", "ba"]), pdoc(["abc"])]
+    vocab = build_vocabulary(docs, NgramSpec(word_orders={1}, char_orders={2}))
+    arrays, texts = vocab.blobs()
+    arrays["vocab.keys.c3"] = np.zeros(0, np.uint64)
+    loaded = Vocabulary.from_blobs(arrays, texts)
+    assert list(loaded.keys) == ["c2:", "c3:", "w1:"]
+    X, Y = transform(docs, vocab), transform(docs, loaded)
+    assert (X != Y).nnz == 0 and X.data.tobytes() == Y.data.tobytes()
 
 
 def test_transform_column_count_is_vocab_size():
